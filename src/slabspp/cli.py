@@ -29,7 +29,6 @@ import tempfile
 
 import numpy as np
 
-from . import oracles
 from .dispersion import (
     PARITIES,
     DispersionError,
@@ -51,8 +50,7 @@ from .quantization import (
     green_identity_check,
 )
 
-__all__ = ["main", "ConfigError", "load_config", "dump_config",
-           "write_profile_csv"]
+__all__ = ["main", "ConfigError", "load_config", "dump_config"]
 
 
 class ConfigError(Exception):
@@ -261,26 +259,6 @@ def _media_meta(cfg):
     return [metal, diel, f"film thickness d = {_g(cfg['geometry']['d'])} m"]
 
 
-def write_profile_csv(sol, xs, zs, path) -> None:
-    """Sample the vector-potential profile on a grid and write it as CSV."""
-    from .modes import mode_profile
-
-    rows = []
-    for x in xs:
-        for z in zs:
-            ax, az = mode_profile(sol, x, z)
-            rows.append([_g(x), _g(z), _g(ax.real), _g(ax.imag),
-                         _g(az.real), _g(az.imag)])
-    meta = [
-        "slabspp mode profile",
-        f"parity = {sol.parity.name}",
-        f"omega_rad_s = {_g(sol.omega)}",
-        f"k_spp = {_g(sol.k_spp.real)}{sol.k_spp.imag:+.17g}j",
-    ]
-    _write_csv(path, meta, ["x_m", "z_m", "re_Ax", "im_Ax", "re_Az", "im_Az"],
-               rows)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -421,6 +399,8 @@ def _cmd_field(cfg, out_path, compare: bool, textbook: bool) -> int:
 
 def _verify_checks(cfg, tolerance, printed_labels=False):
     """Yield (check, parity, omega, value, tol, passed) tuples."""
+    from . import oracles
+
     omega = cfg["verify"]["omega"]
     metal = _metal_of(cfg)
     dielectric = _dielectric_of(cfg)

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.constants import c as C_LIGHT
-from scipy.constants import epsilon_0 as EPS0
-from scipy.constants import hbar as HBAR
+# CODATA 2022 values, as in scipy.constants; pinned here so importing the
+# package does not load scipy and results do not depend on its release.
+C_LIGHT = 299792458.0
+EPS0 = 8.8541878188e-12
+HBAR = 1.0545718176461565e-34
 
 __all__ = [
     "C_LIGHT",

@@ -6,6 +6,10 @@ defining derivatives, explicit thick-film limits, or contour integrals that
 locate the dispersion roots without the root finder -- sharing as little
 code as possible with the formulas under test.  The test suite runs all of
 them; the ``verify`` CLI subcommand runs all but the contour root oracle.
+
+This is the package's only scipy importer: ``quantization`` and ``cli``
+import it inside the functions that run quadrature, so the rest of the
+package starts without loading scipy.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ import numpy as np
 from .media import EPS0, HBAR, MediumSet
 from .dispersion import ModeSolution, SlabGeometry
 from .modes import green_coefficient, profile_bracket
-from . import oracles
 
 __all__ = [
     "SAME_DIRECTION",
@@ -234,6 +233,8 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
     as the analytic continuation the closed form represents).  Used to
     cross-check :func:`commutator`.
     """
+    from . import oracles
+
     amp = noise_amplitudes(sol.media)
     z_quad = oracles.weighted_abs2_quadrature(sol, amp.alpha_d, amp.alpha_m)
     beta = beta_prime(sol, sol.geom, amp)
@@ -274,6 +275,8 @@ def green_identity_check(sol: ModeSolution, geom: SlabGeometry,
     side from the closed forms, returning the worst relative Frobenius
     deviation over the sample point pairs.
     """
+    from . import oracles
+
     _check_geom(sol, geom)
     _check_media(sol, media)
     k = sol.k_spp
@@ -314,6 +317,8 @@ def green_identity_check(sol: ModeSolution, geom: SlabGeometry,
 
 def _x_overlap_numeric(k: complex, x: float, x_prime: float) -> complex:
     """Quadrature of exp(ik|x-s|) exp(-ik*|s-x'|) over the source line."""
+    from . import oracles
+
     lo, hi = (x, x_prime) if x <= x_prime else (x_prime, x)
 
     def middle(s):

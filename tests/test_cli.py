@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slabspp
 from slabspp.cli import ConfigError, dump_config, load_config, main
 
 
@@ -180,3 +187,47 @@ def test_config_error_exit_code(tmp_path, capsys):
     p.write_text("[metal]\nunobtainium = 1\n")
     assert _run("--config", str(p), "dispersion") == 2
     assert "config error" in capsys.readouterr().err
+
+
+# -- import cost ------------------------------------------------------------
+
+# Runs ``python -m slabspp`` in a fresh interpreter and prints the exit status
+# and the scipy modules loaded by then.
+_CHILD = """
+import json, runpy, sys
+sys.argv = ["slabspp", *sys.argv[1:]]
+code = None
+try:
+    runpy.run_module("slabspp", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("dispersion",), ("gain-sweep",), ("field",), ("field", "--compare"),
+    ("verify",),
+], ids=["dispersion", "gain-sweep", "field", "field-compare", "verify"])
+def test_only_verify_loads_scipy(tmp_path, argv):
+    """A cold CLI run loads scipy only for the quadrature oracles of verify.
+
+    Runs in a subprocess because other test modules import scipy into this
+    interpreter.
+    """
+    src = str(Path(slabspp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "out.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, "--config", _small_config(tmp_path),
+         "--out", str(out), *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    if argv[0] == "verify":
+        assert "scipy.integrate" in loaded
+    else:
+        assert loaded == []

@@ -1,10 +1,13 @@
 import cmath
 
 import pytest
+import scipy.constants
 from hypothesis import given, strategies as st
 
 from slabspp import (
     C_LIGHT,
+    EPS0,
+    HBAR,
     DielectricSpec,
     DrudeMetalSpec,
     classify_medium,
@@ -42,6 +45,19 @@ def test_classify_medium_signs():
     assert classify_medium(2.0 + 1e-300j) == "loss"
     assert classify_medium(2.0 - 1e-300j) == "gain"
     assert classify_medium(complex(-7.5, 0.0)) == "neutral"
+
+
+def test_pinned_constants_match_scipy():
+    """The literals in ``media`` are scipy's CODATA 2022 values.
+
+    Pinning them keeps ``scipy`` out of every import but the quadrature
+    oracles, and keeps outputs independent of the installed scipy release:
+    one still on CODATA 2018 differs in ``epsilon_0`` by 6.8e-10 relative.
+    """
+    assert C_LIGHT == scipy.constants.c
+    assert HBAR == scipy.constants.hbar
+    assert EPS0 == 8.8541878188e-12
+    assert EPS0 == pytest.approx(scipy.constants.epsilon_0, rel=1e-9, abs=0)
 
 
 def test_medium_set_k0():
