@@ -184,7 +184,11 @@ def single_interface_root(media: MediumSet) -> complex:
 
 
 def _scaled_system(k: complex, d: float, media: MediumSet, pm: int):
-    """Bounded residual F, its k-derivative, and a normalization scale.
+    """Bounded residual F at ``k`` and what the solver needs alongside it.
+
+    Returns ``(F, dF/dk, scale, nu0, num)``: the normalization scale
+    ``|eps_d*num| + |eps_m*nu0|`` and the decay constants on the branch of
+    :func:`decay_constants`.
 
     Antisymmetric (pm=-1): F = tanh(num*d/2)*eps_d*num + eps_m*nu0
     Symmetric     (pm=+1): F = tanh(num*d/2)*eps_m*nu0 + eps_d*num
@@ -211,13 +215,18 @@ def _scaled_system(k: complex, d: float, media: MediumSet, pm: int):
         f = t * b + a
         df = dt * b + t * media.eps_m * (k / nu0) + media.eps_d * (k / num)
     scale = abs(a) + abs(b)
-    return f, df, scale
+    return f, df, scale, nu0, num
 
 
 def _newton(k: complex, d: float, media: MediumSet, pm: int,
-            tol: float) -> Optional[complex]:
-    """Damped Newton iteration on the bounded residual; None on failure."""
-    f, df, scale = _scaled_system(k, d, media, pm)
+            tol: float) -> Optional[tuple[complex, tuple]]:
+    """Damped Newton iteration on the bounded residual.
+
+    Returns ``(k, system)`` with the accepted root and its
+    :func:`_scaled_system` tuple, or None on failure.
+    """
+    system = _scaled_system(k, d, media, pm)
+    f, df = system[0], system[1]
     for _ in range(_MAX_NEWTON):
         if df == 0:
             return None
@@ -226,24 +235,27 @@ def _newton(k: complex, d: float, media: MediumSet, pm: int,
         for _ in range(8):
             k_try = k + lam * step
             try:
-                f_try, df_try, scale = _scaled_system(k_try, d, media, pm)
+                system = _scaled_system(k_try, d, media, pm)
             except ZeroDivisionError:
                 lam *= 0.5
                 continue
-            if abs(f_try) <= abs(f) or abs(lam * step) <= tol * abs(k_try):
+            if abs(system[0]) <= abs(f) or abs(lam * step) <= tol * abs(k_try):
                 break
             lam *= 0.5
         else:
             return None
-        k, f, df = k_try, f_try, df_try
+        k, f, df = k_try, system[0], system[1]
         if abs(lam * step) <= tol * max(abs(k), 1.0 / d):
-            return k
+            return k, system
     return None
 
 
 def _muller(k: complex, d: float, media: MediumSet, pm: int,
-            tol: float) -> Optional[complex]:
-    """Muller's method fallback (quadratic interpolation, complex-capable)."""
+            tol: float) -> Optional[tuple[complex, tuple]]:
+    """Muller's method fallback (quadratic interpolation, complex-capable).
+
+    Returns ``(k, system)`` like :func:`_newton`, or None on failure.
+    """
 
     def f(z):
         return _scaled_system(z, d, media, pm)[0]
@@ -269,13 +281,13 @@ def _muller(k: complex, d: float, media: MediumSet, pm: int,
             return None
         x3 = x2 - 2.0 * f2 / den
         try:
-            f3 = f(x3)
+            system = _scaled_system(x3, d, media, pm)
         except ZeroDivisionError:
             return None
         if abs(x3 - x2) <= tol * abs(x3):
-            return x3
+            return x3, system
         x0, x1, x2 = x1, x2, x3
-        f0, f1, f2 = f1, f2, f3
+        f0, f1, f2 = f1, f2, system[0]
     return None
 
 
@@ -348,32 +360,33 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
             "the mode pair degenerates as d -> 0"
         )
     seeds = _seed_list(media, guess)
-    root = None
+    found = None
     for seed in seeds:
-        root = _newton(seed, geom.d, media, parity.pm, tol)
-        if root is not None:
+        found = _newton(seed, geom.d, media, parity.pm, tol)
+        if found is not None:
             break
-    if root is None:
+    if found is None:
         for seed in seeds:
-            root = _muller(seed, geom.d, media, parity.pm, tol)
-            if root is not None:
+            found = _muller(seed, geom.d, media, parity.pm, tol)
+            if found is not None:
                 break
-    if root is None:
+    if found is None:
         raise NonConvergence(
             f"{parity.name} mode: no root from seeds {seeds!r} "
             f"at omega={media.omega!r}"
         )
+    root, system = found
     # keep Re(k) >= 0 (modes come in +-k pairs; report the +x-running one)
     if root.real < 0.0:
         root = -root
-    f, _, scale = _scaled_system(root, geom.d, media, parity.pm)
+        system = _scaled_system(root, geom.d, media, parity.pm)
+    f, _, scale, nu0, num = system
     residual = abs(f) / scale
     if residual > 1e-10:
         raise NonConvergence(
             f"{parity.name} mode: iteration stalled at scaled residual "
             f"{residual:.3e} (k ~ {root!r})"
         )
-    nu0, num = decay_constants(root, media)
     if nu0.real <= 0.0 or num.real <= 0.0:
         raise BranchViolation(
             f"{parity.name} root {root!r} is not transversely bound: "
@@ -494,7 +507,8 @@ def gain_sweep(parities: Sequence[Parity], geom: SlabGeometry, metal,
     The cladding index is ``n_real + i*kappa`` with ``kappa`` running over
     ``kappa_grid`` (negative values pump the claddings).  For every parity
     whose Im(k_spp) changes sign inside the grid, the crossing gain is
-    refined by bisection and reported in ``crossings``.
+    refined by false position (to ~1e-13 relative) and reported in
+    ``crossings``.
     """
     kappas = [float(k) for k in kappa_grid]
     if not kappas:
@@ -514,7 +528,15 @@ def gain_sweep(parities: Sequence[Parity], geom: SlabGeometry, metal,
 
 
 def _find_crossing(parity, prows, media_of, geom) -> Optional[GainCrossing]:
-    """Bisect the first sign change of Im(k) along already-traced rows."""
+    """Refine the first sign change of Im(k) along already-traced rows.
+
+    Illinois false position on the bracketing pair of rows: the next gain is
+    the secant root of Im(k) through the bracket ends, and an end that stays
+    put twice running has its Im(k) halved so it cannot stall.  Every iterate
+    is a full solve seeded by linear interpolation between the ends' roots.
+    Stops at an exact zero of Im(k), or once the next gain lies within 1e-13
+    (relative) of a bracket end; that end is returned with its own root.
+    """
     solved = [r for r in prows if r.solution is not None]
     bracket = None
     for a, b in zip(solved, solved[1:]):
@@ -532,19 +554,29 @@ def _find_crossing(parity, prows, media_of, geom) -> Optional[GainCrossing]:
         return None
     (xa, ka), (xb, kb) = ((bracket[0].x, bracket[0].solution.k_spp),
                           (bracket[1].x, bracket[1].solution.k_spp))
-    fa = ka.imag
+    fa, fb = ka.imag, kb.imag
+    moved = 0  # which end moved last: +1 end a, -1 end b
     for _ in range(80):
-        xm = 0.5 * (xa + xb)
-        seed = ka + (kb - ka) * ((xm - xa) / (xb - xa)) if xb != xa else ka
+        x = xb - fb * (xb - xa) / (fb - fa)
+        near_x, near_k = (xa, ka) if abs(x - xa) <= abs(x - xb) else (xb, kb)
+        if abs(x - near_x) <= 1e-13 * max(abs(xa), abs(xb)):
+            return GainCrossing(parity, near_x, near_k)
+        seed = ka + (kb - ka) * ((x - xa) / (xb - xa))
         try:
-            sol = solve_dispersion(parity, geom, media_of(xm), guess=seed)
+            sol = solve_dispersion(parity, geom, media_of(x), guess=seed)
         except DispersionError:
             return None
-        fm = sol.k_spp.imag
-        if fm == 0.0 or abs(xb - xa) < 1e-9 * max(abs(xa), abs(xb), 1e-6):
-            return GainCrossing(parity, xm, sol.k_spp)
-        if fa * fm < 0.0:
-            xb, kb = xm, sol.k_spp
+        fx = sol.k_spp.imag
+        if fx == 0.0:
+            break
+        if fa * fx < 0.0:
+            xb, kb, fb = x, sol.k_spp, fx
+            if moved == -1:
+                fa *= 0.5
+            moved = -1
         else:
-            xa, ka, fa = xm, sol.k_spp, fm
-    return GainCrossing(parity, 0.5 * (xa + xb), sol.k_spp)
+            xa, ka, fa = x, sol.k_spp, fx
+            if moved == 1:
+                fb *= 0.5
+            moved = 1
+    return GainCrossing(parity, x, sol.k_spp)

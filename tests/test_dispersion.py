@@ -10,7 +10,9 @@ import cmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
+from slabspp import dispersion
 from slabspp import (
     ANTISYMMETRIC,
     PARITIES,
@@ -30,6 +32,7 @@ from slabspp import (
     single_interface_root,
     solve_dispersion,
 )
+from slabspp.oracles import contour_slab_roots
 
 METAL = DrudeMetalSpec(14.02e15, 6.25e13)
 GEOM = SlabGeometry(60e-9)
@@ -213,6 +216,63 @@ def test_gain_sweep_finds_sign_crossings():
     last = [r for r in result.rows if r.parity is SYMMETRIC][-1]
     assert first.solution.regime == "amplified"
     assert last.solution.regime == "attenuated"
+
+
+@pytest.mark.parametrize("n_real", [0.9726, 1.9726])
+def test_gain_sweep_crossings_match_contour_oracle(n_real):
+    """Refined crossings agree with the oracle's threshold to 1e-12."""
+    kappas = np.linspace(-0.1, 0.0, 41)
+    result = gain_sweep(PARITIES, GEOM, METAL, n_real, kappas, OMEGA)
+    for parity in PARITIES:
+        crossing = result.crossings[parity.name]
+        assert crossing is not None, parity.name
+
+        def im_k(kappa):
+            roots = contour_slab_roots(GEOM, _media(kappa, n_real=n_real))
+            return roots[parity.name].imag
+
+        i = np.searchsorted(kappas, crossing.kappa_star)
+        threshold = brentq(im_k, kappas[i - 1], kappas[i], xtol=1e-15)
+        dev = abs(crossing.kappa_star - threshold) / abs(threshold)
+        assert dev <= 1e-12, (parity.name, dev)
+        k = crossing.k_at_crossing
+        assert abs(k.imag) <= 1e-12 * k.real, (parity.name, k)
+
+
+def test_gain_sweep_solve_count(monkeypatch):
+    """Refining both crossings costs at most ten solves per parity."""
+    calls = []
+    real_solve = dispersion.solve_dispersion
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "solve_dispersion", counting_solve)
+    kappas = np.linspace(-0.1, 0.0, 41)
+    result = gain_sweep(PARITIES, GEOM, METAL, 0.9726, kappas, OMEGA)
+    assert all(c is not None for c in result.crossings.values())
+    assert len(calls) <= 2 * len(kappas) + 2 * 10
+
+
+def test_muller_fallback_root(monkeypatch):
+    """A point where Newton fails from every seed and Muller converges."""
+    calls = []
+    real_muller = dispersion._muller
+
+    def counting_muller(*args):
+        calls.append(args)
+        return real_muller(*args)
+
+    monkeypatch.setattr(dispersion, "_muller", counting_muller)
+    media = make_medium_set(
+        METAL, DielectricSpec(2.239514158245674, 0.10237423201714438),
+        8213894388051735.0)
+    sol = solve_dispersion(SYMMETRIC, SlabGeometry(7.41448047205626e-07),
+                           media)
+    assert calls
+    assert sol.residual <= 1e-10
+    assert (sol.nu0, sol.num) == decay_constants(sol.k_spp, sol.media)
 
 
 def test_gain_sweep_without_crossing():
