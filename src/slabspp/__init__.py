@@ -53,9 +53,7 @@ from .modes import (
 from .quantization import (
     CROSS_DIRECTION,
     SAME_DIRECTION,
-    CommutatorKernel,
     NoiseAmplitudes,
-    QuantCoefficients,
     beta_prime,
     ccr_check,
     commutator,
@@ -64,7 +62,6 @@ from .quantization import (
     green_identity_check,
     noise_amplitudes,
     overlap_terms,
-    quant_coefficients,
 )
 from .fields import (
     FieldSamples,

@@ -46,8 +46,12 @@ def _check_geom(sol: ModeSolution, geom: SlabGeometry) -> None:
         )
 
 
-def profile_bracket(sol: ModeSolution, z: float) -> np.ndarray:
+def profile_bracket(sol: ModeSolution, z: float) -> tuple[complex, complex]:
     """Two-component (x, z) profile bracket at depth z, without exp(ikx).
+
+    Returns the pair ``(b_x, b_z)`` as Python complex numbers, not an array:
+    the quadrature oracles call this once per integration node, where
+    building a numpy array would cost more than the arithmetic.
 
     Tangential component and the magnetic-type combination are continuous
     across both interfaces by construction.
@@ -59,21 +63,21 @@ def profile_bracket(sol: ModeSolution, z: float) -> np.ndarray:
     d = sol.geom.d
     if z < 0.0:
         e = cmath.exp(nu0 * z)
-        return np.array([e, (-1j * k / nu0) * e])
+        return e, (-1j * k / nu0) * e
     if z <= d:
         a = sol.amplitude
         e1 = cmath.exp(-num * z)
         e2 = cmath.exp(num * (z - d))
         bx = a * (e1 + pm * e2)
         bz = a * (1j * k / num) * (e1 - pm * e2)
-        return np.array([bx, bz])
+        return bx, bz
     e = cmath.exp(-nu0 * (z - d))
-    return np.array([pm * e, pm * (1j * k / nu0) * e])
+    return pm * e, pm * (1j * k / nu0) * e
 
 
 def mode_profile(sol: ModeSolution, x: float, z: float) -> np.ndarray:
     """Vector-potential profile (A_x, A_z) at the point (x, z)."""
-    return cmath.exp(1j * sol.k_spp * x) * profile_bracket(sol, z)
+    return cmath.exp(1j * sol.k_spp * x) * np.array(profile_bracket(sol, z))
 
 
 def normalization(sol: ModeSolution, geom: SlabGeometry) -> complex:

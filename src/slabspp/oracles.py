@@ -7,6 +7,14 @@ locate the dispersion roots without the root finder -- sharing as little
 code as possible with the formulas under test.  The test suite runs all of
 them; the ``verify`` CLI subcommand runs all but the contour root oracle.
 
+The quadrature integrands are scalar Python (``complex``, ``cmath``, the
+tuple from :func:`profile_bracket`): scipy calls them once per node, where
+numpy scalars and arrays cost more than the arithmetic.  The tail
+substitutions of :func:`normalization_quadrature` and the central
+difference of :func:`curl_consistency_error` multiply by a reciprocal
+instead of dividing, the way numpy divides a complex by a real, so their
+values keep the rounding of the earlier numpy-scalar integrands bit for bit.
+
 This is the package's only scipy importer: ``quantization`` and ``cli``
 import it inside the functions that run quadrature, so the rest of the
 package starts without loading scipy.
@@ -136,8 +144,8 @@ def weighted_abs2_quadrature(sol: ModeSolution, w_d: float,
     s = 2.0 * sol.nu0.real  # |bracket|^2 decay rate in the claddings
 
     def dens(z):
-        b = profile_bracket(sol, z)
-        return abs(b[0]) ** 2 + abs(b[1]) ** 2
+        bx, bz = profile_bracket(sol, z)
+        return abs(bx) ** 2 + abs(bz) ** 2
 
     total = 0.0
     if w_d != 0.0:
@@ -162,12 +170,14 @@ def normalization_quadrature(sol: ModeSolution) -> complex:
     s = 2.0 * sol.nu0.real
 
     def pair(z):
-        b = profile_bracket(sol, z)
-        return b[0] * b[0] - b[1] * b[1]
+        bx, bz = profile_bracket(sol, z)
+        return bx * bx - bz * bz
 
-    return (eps_d * complex_quad(lambda u: pair(u / s) / s, -np.inf, 0.0)
+    return (eps_d * complex_quad(lambda u: pair(u / s) * (1.0 / s),
+                                 -np.inf, 0.0)
             + eps_m * complex_quad(pair, 0.0, d)
-            + eps_d * complex_quad(lambda u: pair(d + u / s) / s, 0.0, np.inf))
+            + eps_d * complex_quad(lambda u: pair(d + u / s) * (1.0 / s),
+                                   0.0, np.inf))
 
 
 def curl_consistency_error(sol: ModeSolution, z: float,
@@ -184,10 +194,10 @@ def curl_consistency_error(sol: ModeSolution, z: float,
     d = sol.geom.d
     if min(abs(z), abs(z - d)) <= h:
         raise ValueError(f"z={z!r} too close to an interface for step h={h!r}")
-    bx_p = profile_bracket(sol, z + h)[0]
-    bx_m = profile_bracket(sol, z - h)[0]
-    bz = profile_bracket(sol, z)[1]
-    fd = (bx_p - bx_m) / (2.0 * h) - 1j * sol.k_spp * bz
+    bx_p, _ = profile_bracket(sol, z + h)
+    bx_m, _ = profile_bracket(sol, z - h)
+    _, bz = profile_bracket(sol, z)
+    fd = (bx_p - bx_m) * (1.0 / (2.0 * h)) - 1j * sol.k_spp * bz
     ref = h_field_operator_bracket(sol, sol.geom, z)
     if ref == 0:
         # e.g. the exact midplane of the symmetric mode; a relative error

@@ -41,9 +41,6 @@ __all__ = [
     "beta_prime",
     "gamma_prime",
     "ccr_check",
-    "QuantCoefficients",
-    "quant_coefficients",
-    "CommutatorKernel",
     "commutator",
     "commutator_numeric",
     "green_identity_check",
@@ -165,26 +162,6 @@ def ccr_check(sol: ModeSolution, geom: SlabGeometry, media: MediumSet,
     return beta / (2.0 * HBAR * EPS0 * media.omega**2 * gamma)
 
 
-@dataclass(frozen=True)
-class QuantCoefficients:
-    """Quantization weight bundle for one mode."""
-
-    beta_prime: float
-    gamma_prime: float
-    ccr_ratio: float
-
-
-def quant_coefficients(sol: ModeSolution, geom: SlabGeometry,
-                       media: MediumSet,
-                       printed_labels: bool = False) -> QuantCoefficients:
-    beta = beta_prime(sol, geom, noise_amplitudes(media))
-    gamma = gamma_prime(sol, geom, media, printed_labels=printed_labels,
-                        magnitudes=True)
-    ratio = beta / (2.0 * HBAR * EPS0 * media.omega**2 * gamma)
-    return QuantCoefficients(beta_prime=beta, gamma_prime=gamma,
-                             ccr_ratio=ratio)
-
-
 # ---------------------------------------------------------------------------
 # spatial ladder-operator commutators
 # ---------------------------------------------------------------------------
@@ -210,17 +187,6 @@ def commutator(kind: str, x: float, x_prime: float,
         return complex((2.0 * k.imag / k.real) * math.exp(-k.imag * delta)
                        * math.sin(k.real * delta))
     raise ValueError(f"unknown commutator kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class CommutatorKernel:
-    """Callable wrapper pairing a kernel kind with a solved mode."""
-
-    kind: str
-    sol: ModeSolution
-
-    def __call__(self, x: float, x_prime: float) -> complex:
-        return commutator(self.kind, x, x_prime, self.sol)
 
 
 def commutator_numeric(kind: str, x: float, x_prime: float,
@@ -249,9 +215,11 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
     if kind == CROSS_DIRECTION:
         if x <= x_prime:
             return 0j
+        ik, mik_conj = 1j * k, -1j * k.conjugate()
+
         def integrand(xs):
-            return (cmath.exp(1j * k * (x - xs))
-                    * cmath.exp(-1j * k.conjugate() * (xs - x_prime)))
+            return (cmath.exp(ik * (x - xs))
+                    * cmath.exp(mik_conj * (xs - x_prime)))
         # the source phase advances at 2 Re(k); chunk the interval so the
         # heavy cross-cycle cancellation cannot defeat the adaptive rule
         x_quad = oracles.complex_quad_chunked(integrand, x_prime, x,
@@ -320,16 +288,15 @@ def _x_overlap_numeric(k: complex, x: float, x_prime: float) -> complex:
     from . import oracles
 
     lo, hi = (x, x_prime) if x <= x_prime else (x_prime, x)
+    ik, mik_conj = 1j * k, -1j * k.conjugate()
 
     def middle(s):
-        return (cmath.exp(1j * k * abs(x - s))
-                * cmath.exp(-1j * k.conjugate() * abs(s - x_prime)))
+        return (cmath.exp(ik * abs(x - s))
+                * cmath.exp(mik_conj * abs(s - x_prime)))
 
     tail = oracles.signed_tail_integral(k.imag)
-    c_lo = cmath.exp(1j * k * (x - lo)) * cmath.exp(
-        -1j * k.conjugate() * (x_prime - lo))
-    c_hi = cmath.exp(1j * k * (hi - x)) * cmath.exp(
-        -1j * k.conjugate() * (hi - x_prime))
+    c_lo = cmath.exp(ik * (x - lo)) * cmath.exp(mik_conj * (x_prime - lo))
+    c_hi = cmath.exp(ik * (hi - x)) * cmath.exp(mik_conj * (hi - x_prime))
     total = (c_lo + c_hi) * tail
     if hi > lo:
         total += oracles.complex_quad_chunked(middle, lo, hi, 2.0 * k.real)

@@ -70,7 +70,8 @@ def test_parity_reflection_symmetry():
 def test_mode_profile_carries_phase():
     sol = _solution()
     x, z = 2.3e-7, 1.1e-8
-    expected = cmath.exp(1j * sol.k_spp * x) * profile_bracket(sol, z)
+    expected = (cmath.exp(1j * sol.k_spp * x)
+                * np.array(profile_bracket(sol, z)))
     assert np.allclose(mode_profile(sol, x, z), expected, rtol=0, atol=0)
 
 

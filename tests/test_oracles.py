@@ -11,16 +11,20 @@ from slabspp import (
     DielectricSpec,
     DrudeMetalSpec,
     SlabGeometry,
+    h_field_operator_bracket,
     make_medium_set,
+    noise_amplitudes,
     solve_dispersion,
 )
 from slabspp.oracles import (
     ContourError,
     QuadratureError,
+    _real_quad,
     complex_quad,
     contour_slab_roots,
     complex_quad_chunked,
     curl_consistency_error,
+    normalization_quadrature,
     signed_tail_integral,
     thick_film_degeneracy,
     weighted_abs2_quadrature,
@@ -143,3 +147,109 @@ def test_quadrature_error_raised_for_hopeless_integrand():
 
     with pytest.raises(QuadratureError):
         complex_quad(f, 0.0, 1.0)
+
+
+# Reference for the scalar integrands: the ndarray bracket and numpy-scalar
+# integrand arithmetic the oracles used before.  The oracles must reproduce
+# it bit for bit, so the verify report cannot drift with the rewrite.
+
+def _ndarray_bracket(sol, z):
+    k = sol.k_spp
+    nu0 = sol.nu0
+    num = sol.num
+    pm = sol.parity.pm
+    d = sol.geom.d
+    if z < 0.0:
+        e = cmath.exp(nu0 * z)
+        return np.array([e, (-1j * k / nu0) * e])
+    if z <= d:
+        a = sol.amplitude
+        e1 = cmath.exp(-num * z)
+        e2 = cmath.exp(num * (z - d))
+        bx = a * (e1 + pm * e2)
+        bz = a * (1j * k / num) * (e1 - pm * e2)
+        return np.array([bx, bz])
+    e = cmath.exp(-nu0 * (z - d))
+    return np.array([pm * e, pm * (1j * k / nu0) * e])
+
+
+def _reference_weighted_abs2(sol, w_d, w_m):
+    d = sol.geom.d
+    s = 2.0 * sol.nu0.real
+
+    def dens(z):
+        b = _ndarray_bracket(sol, z)
+        return abs(b[0]) ** 2 + abs(b[1]) ** 2
+
+    total = 0.0
+    if w_d != 0.0:
+        lower = _real_quad(lambda u: dens(u / s) / s, -np.inf, 0.0)
+        upper = _real_quad(lambda u: dens(d + u / s) / s, 0.0, np.inf)
+        total += w_d * (lower + upper)
+    if w_m != 0.0:
+        total += w_m * _real_quad(dens, 0.0, d)
+    return total
+
+
+def _reference_normalization(sol):
+    d = sol.geom.d
+    eps_d = sol.media.eps_d
+    eps_m = sol.media.eps_m
+    s = 2.0 * sol.nu0.real
+
+    def pair(z):
+        b = _ndarray_bracket(sol, z)
+        return b[0] * b[0] - b[1] * b[1]
+
+    return (eps_d * complex_quad(lambda u: pair(u / s) / s, -np.inf, 0.0)
+            + eps_m * complex_quad(pair, 0.0, d)
+            + eps_d * complex_quad(lambda u: pair(d + u / s) / s, 0.0, np.inf))
+
+
+def _reference_curl_error(sol, z, h=1e-12):
+    bx_p = _ndarray_bracket(sol, z + h)[0]
+    bx_m = _ndarray_bracket(sol, z - h)[0]
+    bz = _ndarray_bracket(sol, z)[1]
+    fd = (bx_p - bx_m) / (2.0 * h) - 1j * sol.k_spp * bz
+    ref = h_field_operator_bracket(sol, sol.geom, z)
+    return abs(fd - ref) / abs(ref)
+
+
+_CLADDINGS = pytest.mark.parametrize("kappa", (-0.063, 0.02),
+                                     ids=("gain", "loss"))
+_PARITIES = pytest.mark.parametrize("parity", PARITIES,
+                                    ids=lambda p: p.name)
+
+
+@_CLADDINGS
+@_PARITIES
+def test_normalization_quadrature_matches_ndarray_reference(parity, kappa):
+    sol = _mode(parity, kappa)
+    assert normalization_quadrature(sol) == _reference_normalization(sol)
+
+
+@_CLADDINGS
+@_PARITIES
+def test_weighted_abs2_matches_ndarray_reference(parity, kappa):
+    sol = _mode(parity, kappa)
+    amps = noise_amplitudes(sol.media)
+    for w_d, w_m in ((amps.alpha_d, amps.alpha_m),
+                     (sol.media.eps_d.imag, sol.media.eps_m.imag)):
+        assert (weighted_abs2_quadrature(sol, w_d, w_m)
+                == _reference_weighted_abs2(sol, w_d, w_m))
+
+
+@_CLADDINGS
+@_PARITIES
+def test_curl_consistency_matches_ndarray_reference(parity, kappa):
+    sol = _mode(parity, kappa)
+    zc = 1.0 / sol.nu0.real
+    # the verify depth grid, 20 depths per region: a rounding change in the
+    # finite difference shows at a few of them, not at any chosen one
+    depths = np.concatenate([
+        -np.linspace(0.05, 2.0, 20) * zc,
+        np.linspace(0.0321, 0.9679, 20) * GEOM.d,
+        GEOM.d + np.linspace(0.05, 2.0, 20) * zc,
+    ])
+    for z in depths:
+        assert curl_consistency_error(sol, z) == _reference_curl_error(sol, z)

@@ -9,7 +9,6 @@ from slabspp import (
     PARITIES,
     SAME_DIRECTION,
     SYMMETRIC,
-    CommutatorKernel,
     DielectricSpec,
     DrudeMetalSpec,
     SlabGeometry,
@@ -22,7 +21,6 @@ from slabspp import (
     make_medium_set,
     noise_amplitudes,
     overlap_terms,
-    quant_coefficients,
     solve_dispersion,
 )
 from slabspp.oracles import weighted_abs2_quadrature
@@ -107,12 +105,15 @@ def test_ccr_printed_labels_break_closure():
     assert abs(ratio - 1.0) > 0.1
 
 
-def test_quant_coefficients_bundle():
+def test_ccr_ratio_of_frozen_weights():
     sol, media = _mode()
-    qc = quant_coefficients(sol, GEOM, media)
-    assert qc.beta_prime == pytest.approx(7.641638269517958e-21, rel=1e-12)
-    assert qc.gamma_prime == pytest.approx(1.77602516068208e-07, rel=1e-12)
-    assert qc.ccr_ratio == pytest.approx(1.0, abs=1e-14)
+    beta = beta_prime(sol, GEOM, noise_amplitudes(media))
+    gamma = gamma_prime(sol, GEOM, media, magnitudes=True)
+    assert beta == pytest.approx(7.641638269517958e-21, rel=1e-12)
+    assert gamma == pytest.approx(1.77602516068208e-07, rel=1e-12)
+    ratio = beta / (2.0 * HBAR * EPS0 * media.omega**2 * gamma)
+    assert ratio == pytest.approx(1.0, abs=1e-14)
+    assert ccr_check(sol, GEOM, media) == ratio
 
 
 def test_same_direction_commutator_at_zero_separation():
@@ -145,13 +146,6 @@ def test_commutator_closed_vs_numeric():
                 numeric = commutator_numeric(kind, x, xp, sol)
                 assert abs(closed - numeric) <= 1e-9 * max(
                     abs(closed), abs(numeric)), (kappa, kind)
-
-
-def test_commutator_kernel_wrapper():
-    sol, _ = _mode()
-    kernel = CommutatorKernel(SAME_DIRECTION, sol)
-    assert kernel(2.2e-7, 0.4e-7) == commutator(SAME_DIRECTION, 2.2e-7,
-                                                0.4e-7, sol)
 
 
 def test_unknown_kind_rejected():
