@@ -7,27 +7,31 @@ locate the dispersion roots without the root finder -- sharing as little
 code as possible with the formulas under test.  The test suite runs all of
 them; the ``verify`` CLI subcommand runs all but the contour root oracle.
 
-The quadrature integrands are scalar Python (``complex``, ``cmath``, the
-tuple from :func:`profile_bracket`): scipy calls them once per node, where
-numpy scalars and arrays cost more than the arithmetic.  The tail
-substitutions of :func:`normalization_quadrature` and the central
-difference of :func:`curl_consistency_error` multiply by a reciprocal
-instead of dividing, the way numpy divides a complex by a real, so their
-values keep the rounding of the earlier numpy-scalar integrands bit for bit.
+The adaptive quadrature is :func:`quad`, QUADPACK's globally adaptive
+Gauss-Kronrod scheme in pure Python: it integrates a real or a complex
+integrand in one pass, so each node is evaluated once.  The integrands are
+scalar Python (``complex``, ``cmath``, the tuple from
+:func:`profile_bracket`), where numpy scalars and arrays would cost more
+than the arithmetic.  The tail substitutions of
+:func:`normalization_quadrature` and the central difference of
+:func:`curl_consistency_error` multiply by a reciprocal instead of dividing,
+the way numpy divides a complex by a real, so their values keep the rounding
+of the earlier numpy-scalar integrands bit for bit.
 
-This is the package's only scipy importer: ``quantization`` and ``cli``
-import it inside the functions that run quadrature, so the rest of the
-package starts without loading scipy.
+Nothing here needs scipy, so no part of the package loads it.
+``quantization`` and ``cli`` import this module inside the functions that
+run quadrature, so the other subcommands do not load it either.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
-import warnings
+import sys
+from operator import mul
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .dispersion import (
     ANTISYMMETRIC,
@@ -42,6 +46,7 @@ from .modes import profile_bracket
 
 __all__ = [
     "QuadratureError",
+    "quad",
     "complex_quad",
     "complex_quad_chunked",
     "signed_tail_integral",
@@ -53,33 +58,137 @@ __all__ = [
     "contour_slab_roots",
 ]
 
-_QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-11, limit=300)
+# QUADPACK's Gauss-Kronrod pairs (Piessens et al., *QUADPACK*, Springer
+# 1983): abscissae of the Kronrod rule on [0, 1], largest first and ending
+# at the center, its weights, and the weights of the embedded Gauss rule,
+# whose nodes are every second abscissa from the second on.  The 21-point
+# rule (dqk21) integrates finite intervals, the 15-point one (dqk15i) the
+# mapped semi-infinite ones.
+_XK21 = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0)
+_WK21 = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821)
+_WG10 = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338)
+_XK15 = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0)
+_WK15 = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG7 = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+
+def _mirror(half: tuple) -> tuple:
+    """Values at the ascending nodes on [-1, 1] from those on [0, 1]."""
+    return half + half[-2::-1]
+
+
+# (nodes on [-1, 1] ascending, Kronrod weights, Gauss weights of the odd
+# positions); the G10 rule has no center node, the G7 rule has one
+_K21 = (tuple(-x for x in _XK21[:-1]) + _XK21[::-1], _mirror(_WK21),
+        _WG10 + _WG10[::-1])
+_K15 = (tuple(-x for x in _XK15[:-1]) + _XK15[::-1], _mirror(_WK15),
+        _mirror(_WG7))
+
+_EPS = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+_EPSREL = 1e-11  # relative target of every quadrature
+_LIMIT = 300     # most subintervals of one quadrature
 
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach its target accuracy."""
 
 
-def complex_quad(f, a, b) -> complex:
-    """Adaptive quadrature of a complex integrand with relative control.
+def _kronrod(f, a: float, b: float, rule, bound=None, sign=1.0) -> tuple:
+    """One Gauss-Kronrod step on [a, b]: (value, QUADPACK error estimate).
 
-    scipy's own tolerance warnings are suppressed (a vanishing real or
-    imaginary part can never meet a relative target); the returned error
-    estimate is checked against the combined value instead.
+    With a finite ``bound``, [a, b] is a piece of (0, 1] and the integrand
+    is ``f(bound + sign*(1-t)/t) / t**2``.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(f, a, b, complex_func=True, **_QUAD_OPTS)
-    if abs(val) > 0.0 and abs(err) > 1e-8 * abs(val):
-        raise QuadratureError(
-            f"quadrature error {abs(err):.2e} too large for value {val!r}")
-    return val
+    nodes, wk, wg = rule
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    if bound is None:
+        fv = [f(center + half * t) for t in nodes]
+    else:
+        fv = [f(bound + sign * ((1.0 - t) / t)) / (t * t)
+              for t in [center + half * s for s in nodes]]
+    resk = sum(map(mul, wk, fv))
+    resg = sum(map(mul, wg, fv[1::2]))
+    mean = 0.5 * resk
+    width = abs(half)
+    resabs = width * sum(map(mul, wk, map(abs, fv)))
+    resasc = width * sum(map(mul, wk, [abs(y - mean) for y in fv]))
+    err = abs((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPS):
+        err = max(50.0 * _EPS * resabs, err)
+    return resk * half, err
 
 
-def _real_quad(f, a, b) -> float:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(f, a, b, **_QUAD_OPTS)
+def quad(f, a: float, b: float) -> tuple:
+    """Globally adaptive Gauss-Kronrod quadrature of ``f`` over [a, b].
+
+    QUADPACK's dqage scheme without extrapolation: the subinterval with the
+    largest error estimate is bisected until the summed estimate is at most
+    ``1e-11`` times the modulus of the summed value, or until 300
+    subintervals.  ``f`` may return real or complex values; the value comes
+    back as the same type, with a float error estimate.  A semi-infinite
+    interval (``a = -inf`` or ``b = inf``) is mapped onto (0, 1] by
+    ``x = b - (1-t)/t`` or ``x = a + (1-t)/t`` and integrated with the
+    15-point rule, as QUADPACK's dqagie does; finite intervals use the
+    21-point rule.  Nothing is raised when the target is missed: the caller
+    judges the returned error estimate.
+    """
+    rule, bound, sign = _K21, None, 1.0
+    if a == -math.inf or b == math.inf:
+        if a == -math.inf and b == math.inf:
+            raise ValueError("quad maps only semi-infinite intervals")
+        bound, sign = (b, -1.0) if a == -math.inf else (a, 1.0)
+        a, b, rule = 0.0, 1.0, _K15
+    val, err = _kronrod(f, a, b, rule, bound, sign)
+    heap = [(-err, a, b, val)]
+    total, err_sum = val, err
+    while err_sum > _EPSREL * abs(total) and len(heap) < _LIMIT:
+        neg_err, lo, hi, v = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = _kronrod(f, lo, mid, rule, bound, sign)
+        v2, e2 = _kronrod(f, mid, hi, rule, bound, sign)
+        heapq.heappush(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+        total += (v1 + v2) - v
+        err_sum += (e1 + e2) + neg_err
+    return sum(v for *_, v in heap), sum(-e for e, *_ in heap)
+
+
+def complex_quad(f, a, b) -> complex:
+    """:func:`quad` of a real or complex integrand, gated on its error.
+
+    The error estimate is checked against the modulus of the value, so a
+    vanishing real or imaginary part needs no relative accuracy of its own.
+    """
+    val, err = quad(f, a, b)
     if abs(val) > 0.0 and err > 1e-8 * abs(val):
         raise QuadratureError(
             f"quadrature error {err:.2e} too large for value {val!r}")
@@ -97,17 +206,16 @@ def complex_quad_chunked(f, a, b, phase_rate: float) -> complex:
     if b <= a:
         return 0j
     n = int(min(40000, max(1, math.ceil((b - a) * abs(phase_rate) / math.pi))))
-    edges = np.linspace(a, b, n + 1)
+    # Python floats, so the integrand sees no numpy scalars
+    edges = np.linspace(a, b, n + 1).tolist()
     total = 0j
     err_sum = 0.0
     mass = 0.0  # un-cancelled magnitude, sets the absolute noise floor
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            val, err = quad(f, lo, hi, complex_func=True, **_QUAD_OPTS)
-            total += val
-            err_sum += abs(err)
-            mass += abs(val)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err = quad(f, lo, hi)
+        total += val
+        err_sum += err
+        mass += abs(val)
     if err_sum > max(1e-7 * abs(total), 1e-12 * mass):
         raise QuadratureError(
             f"accumulated quadrature error {err_sum:.2e} too large for "
@@ -126,7 +234,7 @@ def signed_tail_integral(k_im: float) -> float:
         raise ValueError("neutral mode: semi-infinite overlap diverges")
     rate = 2.0 * abs(k_im)
     # substitute u = rate*t so the adaptive rule integrates on an O(1) scale
-    val = _real_quad(lambda u: math.exp(-u) / rate, 0.0, np.inf)
+    val = complex_quad(lambda u: math.exp(-u) / rate, 0.0, np.inf)
     return math.copysign(val, k_im)
 
 
@@ -149,11 +257,11 @@ def weighted_abs2_quadrature(sol: ModeSolution, w_d: float,
 
     total = 0.0
     if w_d != 0.0:
-        lower = _real_quad(lambda u: dens(u / s) / s, -np.inf, 0.0)
-        upper = _real_quad(lambda u: dens(d + u / s) / s, 0.0, np.inf)
+        lower = complex_quad(lambda u: dens(u / s) / s, -np.inf, 0.0)
+        upper = complex_quad(lambda u: dens(d + u / s) / s, 0.0, np.inf)
         total += w_d * (lower + upper)
     if w_m != 0.0:
-        total += w_m * _real_quad(dens, 0.0, d)
+        total += w_m * complex_quad(dens, 0.0, d)
     return total
 
 

@@ -206,28 +206,41 @@ print(json.dumps([code, sorted(m for m in sys.modules
 """
 
 
-@pytest.mark.parametrize("argv", [
-    ("dispersion",), ("gain-sweep",), ("field",), ("field", "--compare"),
-    ("verify",),
-], ids=["dispersion", "gain-sweep", "field", "field-compare", "verify"])
-def test_only_verify_loads_scipy(tmp_path, argv):
-    """A cold CLI run loads scipy only for the quadrature oracles of verify.
-
-    Runs in a subprocess because other test modules import scipy into this
-    interpreter.
-    """
+def _child_env():
+    """The environment with this checkout's ``src`` first on the path."""
     src = str(Path(slabspp.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.parametrize("argv", [
+    ("dispersion",), ("gain-sweep",), ("field",), ("field", "--compare"),
+    ("verify",),
+], ids=["dispersion", "gain-sweep", "field", "field-compare", "verify"])
+def test_no_subcommand_loads_scipy(tmp_path, argv):
+    """A cold CLI run loads no scipy, ``verify`` and its quadratures included.
+
+    Runs in a subprocess because other test modules import scipy into this
+    interpreter.
+    """
     out = tmp_path / "out.csv"
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, "--config", _small_config(tmp_path),
          "--out", str(out), *argv],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+        check=True)
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
-    if argv[0] == "verify":
-        assert "scipy.integrate" in loaded
-    else:
-        assert loaded == []
+    assert loaded == []
+
+
+def test_oracles_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, slabspp.oracles; print(json.dumps(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy')))"],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+        check=True)
+    assert json.loads(proc.stdout) == []

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,15 +17,16 @@ from slabspp import (
     noise_amplitudes,
     solve_dispersion,
 )
+from slabspp import oracles
 from slabspp.oracles import (
     ContourError,
     QuadratureError,
-    _real_quad,
     complex_quad,
     contour_slab_roots,
     complex_quad_chunked,
     curl_consistency_error,
     normalization_quadrature,
+    quad,
     signed_tail_integral,
     thick_film_degeneracy,
     weighted_abs2_quadrature,
@@ -37,6 +39,110 @@ GEOM = SlabGeometry(60e-9)
 def _mode(parity=SYMMETRIC, kappa=-0.08):
     media = make_medium_set(METAL, DielectricSpec(0.9726, kappa), 4.8e15)
     return solve_dispersion(parity, GEOM, media)
+
+
+_RULES = pytest.mark.parametrize(
+    "rule, degree_k, degree_g",
+    [(oracles._K21, 31, 19), (oracles._K15, 22, 13)], ids=("K21", "K15"))
+
+
+@_RULES
+def test_rule_weights_sum_to_two(rule, degree_k, degree_g):
+    nodes, wk, wg = rule
+    assert len(nodes) == len(wk) and len(wg) == len(nodes) // 2
+    assert math.fsum(wk) == pytest.approx(2.0, abs=1e-15)
+    assert math.fsum(wg) == pytest.approx(2.0, abs=1e-15)
+
+
+@_RULES
+def test_rules_exact_for_monomials(rule, degree_k, degree_g):
+    # a (2n+1)-point Kronrod extension of an n-point Gauss rule integrates
+    # polynomials of degree 3n+1 exactly, the Gauss rule those of 2n-1
+    nodes, wk, wg = rule
+    for points, weights, degree in ((nodes, wk, degree_k),
+                                    (nodes[1::2], wg, degree_g)):
+        assert list(points) == sorted(points)
+        for p in range(degree + 1):
+            exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+            approx = math.fsum(w * x ** p for w, x in zip(weights, points))
+            assert approx == pytest.approx(exact, abs=2e-16), p
+
+
+_STEPS = [
+    (math.exp, 0.0, 1.0),
+    (lambda u: 1.0 / (1.0 + u * u), 0.0, 5.0),
+    (lambda u: u ** 20, -1.0, 1.0),
+    (math.sqrt, 0.0, 1.0),
+    (lambda u: math.cos(30.0 * u), 0.0, 1.0),
+    (lambda u: math.exp(-u), 0.0, math.inf),
+    (math.exp, -math.inf, 0.0),
+    (lambda u: math.exp(-u * u), 1.0, math.inf),
+]
+
+
+@pytest.mark.parametrize("f, a, b", _STEPS, ids=range(len(_STEPS)))
+def test_first_step_matches_quadpack(f, a, b):
+    # with limit=1, QUADPACK returns its first dqk21 (dqk15i on a
+    # semi-infinite interval) step: value and error estimate
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    if math.isinf(a) or math.isinf(b):
+        bound, sign = (b, -1.0) if math.isinf(a) else (a, 1.0)
+        step = oracles._kronrod(f, 0.0, 1.0, oracles._K15, bound, sign)
+    else:
+        step = oracles._kronrod(f, a, b, oracles._K21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy_integrate.IntegrationWarning)
+        reference = scipy_integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-11,
+                                         limit=1)
+    assert step[0] == pytest.approx(reference[0], rel=1e-14)
+    assert step[1] == pytest.approx(reference[1], rel=1e-10)
+
+
+def test_quad_semi_infinite_intervals():
+    val, err = quad(math.exp, -math.inf, 0.0)
+    assert val == pytest.approx(1.0, rel=1e-13)
+    assert err <= 1e-11
+    rate = -0.5 + 3.0j  # decays while it oscillates
+    val, err = quad(lambda u: cmath.exp(rate * u), 0.0, math.inf)
+    assert val == pytest.approx(-1.0 / rate, rel=1e-12)
+    assert err <= 1e-11 * abs(val)
+    with pytest.raises(ValueError):
+        quad(math.exp, -math.inf, math.inf)
+
+
+def test_quad_keeps_the_integrand_type():
+    val, err = quad(math.cos, 0.0, 1.0)
+    assert type(val) is float and type(err) is float
+    assert val == pytest.approx(math.sin(1.0), rel=1e-14)
+    val, err = quad(lambda u: cmath.exp(1j * u), 0.0, 1.0)
+    assert type(val) is complex and type(err) is float
+
+
+def test_quad_evaluates_complex_integrand_once_per_node():
+    nodes = []
+
+    def f(u):
+        nodes.append(u)
+        return cmath.exp(1j * u)
+
+    quad(f, 0.0, 1.0)
+    # one 21-point step meets the target for this entire integrand
+    assert len(nodes) == len(set(nodes)) == 21
+
+
+def test_quad_stops_at_the_interval_limit():
+    calls = []
+    rng = np.random.default_rng(7)
+    noise = rng.normal(size=4096)
+
+    def f(u):
+        calls.append(u)
+        return noise[int(u * 4096.0) % 4096] * math.sin(1e6 * u)
+
+    val, err = quad(f, 0.0, 1.0)
+    assert err > 1e-8 * abs(val)
+    # the first step, then two per bisection up to 300 subintervals
+    assert len(calls) == 21 * (1 + 2 * 299)
 
 
 def test_complex_quad_analytic():
@@ -173,6 +279,15 @@ def _ndarray_bracket(sol, z):
     return np.array([pm * e, pm * (1j * k / nu0) * e])
 
 
+def _python(f, kind):
+    """``f`` with its numpy-scalar value handed to the rule as ``kind``.
+
+    The conversion is exact; it keeps the rule's own arithmetic (sums,
+    moduli) out of the comparison, which is about the integrand's values.
+    """
+    return lambda u: kind(f(u))
+
+
 def _reference_weighted_abs2(sol, w_d, w_m):
     d = sol.geom.d
     s = 2.0 * sol.nu0.real
@@ -183,11 +298,13 @@ def _reference_weighted_abs2(sol, w_d, w_m):
 
     total = 0.0
     if w_d != 0.0:
-        lower = _real_quad(lambda u: dens(u / s) / s, -np.inf, 0.0)
-        upper = _real_quad(lambda u: dens(d + u / s) / s, 0.0, np.inf)
+        lower = complex_quad(_python(lambda u: dens(u / s) / s, float),
+                             -np.inf, 0.0)
+        upper = complex_quad(_python(lambda u: dens(d + u / s) / s, float),
+                             0.0, np.inf)
         total += w_d * (lower + upper)
     if w_m != 0.0:
-        total += w_m * _real_quad(dens, 0.0, d)
+        total += w_m * complex_quad(_python(dens, float), 0.0, d)
     return total
 
 
@@ -201,9 +318,11 @@ def _reference_normalization(sol):
         b = _ndarray_bracket(sol, z)
         return b[0] * b[0] - b[1] * b[1]
 
-    return (eps_d * complex_quad(lambda u: pair(u / s) / s, -np.inf, 0.0)
-            + eps_m * complex_quad(pair, 0.0, d)
-            + eps_d * complex_quad(lambda u: pair(d + u / s) / s, 0.0, np.inf))
+    return (eps_d * complex_quad(_python(lambda u: pair(u / s) / s, complex),
+                                 -np.inf, 0.0)
+            + eps_m * complex_quad(_python(pair, complex), 0.0, d)
+            + eps_d * complex_quad(
+                _python(lambda u: pair(d + u / s) / s, complex), 0.0, np.inf))
 
 
 def _reference_curl_error(sol, z, h=1e-12):
@@ -253,3 +372,65 @@ def test_curl_consistency_matches_ndarray_reference(parity, kappa):
     ])
     for z in depths:
         assert curl_consistency_error(sol, z) == _reference_curl_error(sol, z)
+
+
+# Reference for the rule: scipy's QUADPACK ``quad`` (complex integrands in
+# separate real and imaginary passes), with the tolerances ``quad`` uses.
+# The oracles run their own integrands through it in place of ``quad``.
+
+def _scipy_quad(f, a, b):
+    from scipy.integrate import IntegrationWarning
+    from scipy.integrate import quad as scipy_quad
+
+    probe = f(a if math.isfinite(a) else b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, err = scipy_quad(f, a, b, complex_func=isinstance(probe, complex),
+                              epsabs=0.0, epsrel=1e-11, limit=300)
+    return val, abs(err)
+
+
+def _oracle_values(sol):
+    """Every quadrature oracle of the verify pass for one mode."""
+    amps = noise_amplitudes(sol.media)
+    k = sol.k_spp
+    ell = min(1.0 / abs(k.imag), 400.0 * math.pi / k.real)
+    x, x_prime = 1.531 * ell, 0.214 * ell  # the verify cross-direction pair
+    ik, mik_conj = 1j * k, -1j * k.conjugate()
+
+    def cross(s):
+        return cmath.exp(ik * (x - s)) * cmath.exp(mik_conj * (s - x_prime))
+
+    return {
+        "normalization": normalization_quadrature(sol),
+        "noise_weights": weighted_abs2_quadrature(sol, amps.alpha_d,
+                                                  amps.alpha_m),
+        "im_eps_weights": weighted_abs2_quadrature(
+            sol, sol.media.eps_d.imag, sol.media.eps_m.imag),
+        "signed_tail": signed_tail_integral(k.imag),
+        "cross_x_integral": complex_quad_chunked(cross, x_prime, x,
+                                                 2.0 * k.real),
+    }
+
+
+# the benchmark's verify configurations: n_real 0.9726, two claddings
+_VERIFY_POINTS = [(omega, d) for omega in (2e15, 3e15, 4.8e15, 6e15, 7e15)
+                  for d in (20e-9, 60e-9, 200e-9)]
+
+
+@_CLADDINGS
+@pytest.mark.parametrize("omega, d", _VERIFY_POINTS,
+                         ids=[f"{w:.2g}-{d * 1e9:.0f}nm"
+                              for w, d in _VERIFY_POINTS])
+def test_oracles_match_scipy_quadpack(monkeypatch, omega, d, kappa):
+    pytest.importorskip("scipy.integrate")
+    media = make_medium_set(METAL, DielectricSpec(0.9726, kappa), omega)
+    for parity in PARITIES:
+        sol = solve_dispersion(parity, SlabGeometry(d), media)
+        native = _oracle_values(sol)
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "quad", _scipy_quad)
+            reference = _oracle_values(sol)
+        for name, value in native.items():
+            assert value == pytest.approx(reference[name], rel=1e-12,
+                                          abs=0), (parity.name, name)
