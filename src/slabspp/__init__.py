@@ -4,8 +4,11 @@ Workflow: build media (:mod:`slabspp.media`), solve the complex dispersion
 (:mod:`slabspp.dispersion`), evaluate profiles and the Green-tensor residue
 (:mod:`slabspp.modes`), quantization weights and commutators
 (:mod:`slabspp.quantization`), and field expectation values
-(:mod:`slabspp.fields`).  :mod:`slabspp.oracles` recomputes the closed forms
-by quadrature; :mod:`slabspp.cli` wraps everything in a command line.
+(:mod:`slabspp.fields`).  Every function downstream of the solver takes the
+:class:`ModeSolution` alone, which carries the geometry and media it was
+solved for.  :mod:`slabspp.oracles` recomputes the closed forms by
+quadrature, :mod:`slabspp.verify` runs them all as one pass of checks, and
+:mod:`slabspp.cli` wraps everything in a command line.
 """
 
 from .media import (
@@ -15,7 +18,6 @@ from .media import (
     DielectricSpec,
     DrudeMetalSpec,
     MediumSet,
-    classify_medium,
     dielectric_epsilon,
     drude_epsilon,
     make_medium_set,
@@ -25,7 +27,6 @@ from .dispersion import (
     PARITIES,
     SYMMETRIC,
     BranchViolation,
-    DispersionPole,
     GainSweepResult,
     ModeSolution,
     NonConvergence,
@@ -34,7 +35,6 @@ from .dispersion import (
     SweepRow,
     classify_mode,
     decay_constants,
-    dispersion_residual,
     dispersion_sweep,
     gain_sweep,
     parity_from_name,
@@ -46,7 +46,7 @@ from .modes import (
     GreenCoefficient,
     green_coefficient,
     green_tensor,
-    mode_profile,
+    h_field_operator_bracket,
     normalization,
     profile_bracket,
 )
@@ -70,9 +70,7 @@ from .fields import (
     compare_states,
     default_grid,
     h_field_mean,
-    h_field_operator_bracket,
     ladder_mean,
-    langevin_mean,
 )
 
 __version__ = "0.1.0"

@@ -38,17 +38,14 @@ from .dispersion import (
     parity_from_name,
     solve_dispersion,
 )
-from .fields import NeutralModeSingularity, SppState, compare_states, h_field_mean
-from .media import DielectricSpec, DrudeMetalSpec, make_medium_set
-from .modes import green_coefficient, normalization
-from .quantization import (
-    CROSS_DIRECTION,
-    SAME_DIRECTION,
-    ccr_check,
-    commutator,
-    commutator_numeric,
-    green_identity_check,
+from .fields import (
+    NeutralModeSingularity,
+    SppState,
+    compare_states,
+    h_field_mean,
 )
+from .media import DielectricSpec, DrudeMetalSpec, make_medium_set
+from .verify import run_checks
 
 __all__ = ["main", "ConfigError", "load_config", "dump_config"]
 
@@ -72,48 +69,74 @@ def _parse_z_values(text: str):
     return text  # resolved later against the geometry
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError("must be positive and finite")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    value = float(text)
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError("must be non-negative and finite")
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
+def _parse_x_max(text: str):
+    text = text.strip()
+    return text if text == "auto" else float(text)
+
+
 _SCHEMA = {
     "metal": {
-        "omega_p": (float, "1.402e16"),
-        "gamma": (float, "6.25e13"),
+        "omega_p": (_positive, "1.402e16"),
+        "gamma": (_non_negative, "6.25e13"),
         "eps_re": (float, None),
         "eps_im": (float, None),
     },
     "dielectric": {
-        "n_real": (float, "0.9726"),
+        "n_real": (_positive, "0.9726"),
         "n_imag": (float, "-0.063"),
     },
     "geometry": {
-        "d": (float, "6e-08"),
+        "d": (_positive, "6e-08"),
     },
     "dispersion": {
-        "omega_min": (float, "1e15"),
-        "omega_max": (float, "8e15"),
-        "omega_points": (int, "36"),
+        "omega_min": (_positive, "1e15"),
+        "omega_max": (_positive, "8e15"),
+        "omega_points": (_count, "36"),
         "parities": (_parse_parities, "both"),
     },
     "gain-sweep": {
-        "omega": (float, "4.8e15"),
+        "omega": (_positive, "4.8e15"),
         "kappa_min": (float, "-0.1"),
         "kappa_max": (float, "0.0"),
-        "kappa_points": (int, "41"),
+        "kappa_points": (_count, "41"),
         "parities": (_parse_parities, "both"),
     },
     "field": {
-        "omega": (float, "4.8e15"),
+        "omega": (_positive, "4.8e15"),
         "parity": (parity_from_name, "symmetric"),
         "alpha_mag": (float, "2.6457513110645907"),
         "alpha_phase": (float, "1.5"),
         "xi_mag": (float, "0.0"),
         "xi_phase": (float, "0.0"),
         "x_min": (float, "0.0"),
-        "x_max": (str, "auto"),
-        "x_points": (int, "500"),
+        "x_max": (_parse_x_max, "auto"),
+        "x_points": (_count, "500"),
         "z_values": (_parse_z_values, "interfaces"),
     },
     "verify": {
-        "omega": (float, "4.8e15"),
-        "thick_d": (float, "2e-06"),
+        "omega": (_positive, "4.8e15"),
+        "thick_d": (_positive, "2e-06"),
     },
 }
 
@@ -168,6 +191,8 @@ def load_config(path=None) -> dict:
         if drude:
             raise ConfigError(
                 "metal: give either omega_p/gamma or eps_re/eps_im, not both")
+        if complex(m["eps_re"], m["eps_im"]) == 0:
+            raise ConfigError("metal: eps_re and eps_im are both zero")
         m["mode"] = "direct"
     else:
         m["mode"] = "drude"
@@ -265,8 +290,6 @@ def _media_meta(cfg):
 
 def _cmd_dispersion(cfg, out_path) -> int:
     sec = cfg["dispersion"]
-    if sec["omega_points"] < 1:
-        raise ConfigError("dispersion: omega_points must be >= 1")
     omegas = np.linspace(sec["omega_min"], sec["omega_max"],
                          sec["omega_points"])
     rows_out = []
@@ -300,8 +323,6 @@ def _cmd_dispersion(cfg, out_path) -> int:
 
 def _cmd_gain_sweep(cfg, out_path) -> int:
     sec = cfg["gain-sweep"]
-    if sec["kappa_points"] < 1:
-        raise ConfigError("gain-sweep: kappa_points must be >= 1")
     kappas = np.linspace(sec["kappa_min"], sec["kappa_max"],
                          sec["kappa_points"])
     result = gain_sweep(sec["parities"], _geometry_of(cfg), _metal_of(cfg),
@@ -337,7 +358,7 @@ def _cmd_gain_sweep(cfg, out_path) -> int:
     return 1 if failures else 0
 
 
-def _resolve_field_grid(cfg, sol, geom):
+def _resolve_field_grid(cfg, sol):
     sec = cfg["field"]
     if sec["x_max"] == "auto":
         ki = abs(sol.k_spp.imag)
@@ -346,11 +367,11 @@ def _resolve_field_grid(cfg, sol, geom):
                 "neutral mode: set an explicit x_max")
         x_max = 5.0 / ki
     else:
-        x_max = float(sec["x_max"])
+        x_max = sec["x_max"]
     xs = np.linspace(sec["x_min"], x_max, sec["x_points"])
     ztext = sec["z_values"]
     if ztext.strip() == "interfaces":
-        zs = np.array([0.0, geom.d])
+        zs = np.array([0.0, sol.geom.d])
     else:
         try:
             zs = np.array([float(t) for t in ztext.split(",") if t.strip()])
@@ -364,19 +385,18 @@ def _resolve_field_grid(cfg, sol, geom):
 def _cmd_field(cfg, out_path, compare: bool, textbook: bool) -> int:
     sec = cfg["field"]
     media = make_medium_set(_metal_of(cfg), _dielectric_of(cfg), sec["omega"])
-    geom = _geometry_of(cfg)
-    sol = solve_dispersion(sec["parity"], geom, media)
-    grid = _resolve_field_grid(cfg, sol, geom)
+    sol = solve_dispersion(sec["parity"], _geometry_of(cfg), media)
+    grid = _resolve_field_grid(cfg, sol)
     state = SppState(alpha_mag=sec["alpha_mag"],
                      alpha_phase=sec["alpha_phase"],
                      xi_mag=sec["xi_mag"], xi_phase=sec["xi_phase"])
     if compare:
         coherent = SppState(alpha_mag=sec["alpha_mag"],
                             alpha_phase=sec["alpha_phase"])
-        samples = compare_states(sol, geom, coherent, state, grid=grid,
+        samples = compare_states(sol, coherent, state, grid=grid,
                                  textbook_squeeze=textbook)
     else:
-        samples = h_field_mean(sol, geom, state, grid=grid,
+        samples = h_field_mean(sol, state, grid=grid,
                                textbook_squeeze=textbook)
     rows = []
     for i, x in enumerate(samples.xs):
@@ -397,98 +417,18 @@ def _cmd_field(cfg, out_path, compare: bool, textbook: bool) -> int:
     return 0
 
 
-def _verify_checks(cfg, tolerance, printed_labels=False):
-    """Yield (check, parity, omega, value, tol, passed) tuples."""
-    from . import oracles
-
-    omega = cfg["verify"]["omega"]
-    metal = _metal_of(cfg)
-    dielectric = _dielectric_of(cfg)
-    geom = _geometry_of(cfg)
-    media = make_medium_set(metal, dielectric, omega)
-
-    def tol(default):
-        return default if tolerance is None else tolerance
-
-    for parity in PARITIES:
-        try:
-            sol = solve_dispersion(parity, geom, media)
-        except (DispersionError, ValueError) as exc:
-            yield ("solve", parity.name, omega, math.nan, tol(1e-10),
-                   False, f"{type(exc).__name__}: {exc}")
-            continue
-
-        value = abs(ccr_check(sol, geom, media,
-                              printed_labels=printed_labels) - 1.0)
-        yield ("ccr_closure", parity.name, omega, value, tol(1e-12),
-               value <= tol(1e-12), "")
-
-        ell = min(1.0 / max(abs(sol.k_spp.imag), 1e-20),
-                  400.0 * math.pi / sol.k_spp.real)
-        pairs = {
-            SAME_DIRECTION: (0.317 * ell, 0.93 * ell),
-            CROSS_DIRECTION: (1.531 * ell, 0.214 * ell),
-        }
-        for kind, (x, xp) in pairs.items():
-            name = f"commutator_{kind}"
-            try:
-                closed = commutator(kind, x, xp, sol)
-                numeric = commutator_numeric(kind, x, xp, sol)
-                scale = max(abs(closed), abs(numeric), 1e-12)
-                value = abs(closed - numeric) / scale
-                yield (name, parity.name, omega, value, tol(1e-6),
-                       value <= tol(1e-6), "")
-            except (ValueError, oracles.QuadratureError) as exc:
-                yield (name, parity.name, omega, math.nan, tol(1e-6), False,
-                       f"{type(exc).__name__}: {exc}")
-
-        try:
-            value = green_identity_check(sol, geom, media)
-            yield ("green_identity", parity.name, omega, value, tol(1e-6),
-                   value <= tol(1e-6), "")
-        except (ValueError, oracles.QuadratureError) as exc:
-            yield ("green_identity", parity.name, omega, math.nan, tol(1e-6),
-                   False, f"{type(exc).__name__}: {exc}")
-
-        n_closed = normalization(sol, geom)
-        n_quad = oracles.normalization_quadrature(sol)
-        value = abs(n_closed - n_quad) / abs(n_quad)
-        yield ("normalization_quadrature", parity.name, omega, value,
-               tol(1e-8), value <= tol(1e-8), "")
-
-        zc = 1.0 / sol.nu0.real
-        depths = np.concatenate([
-            -np.linspace(0.05, 2.0, 20) * zc,
-            np.linspace(0.0321, 0.9679, 20) * geom.d,
-            geom.d + np.linspace(0.05, 2.0, 20) * zc,
-        ])
-        value = max(oracles.curl_consistency_error(sol, z) for z in depths)
-        yield ("curl_consistency", parity.name, omega, value, tol(1e-6),
-               value <= tol(1e-6), "")
-
-    thick = oracles.thick_film_degeneracy(metal, dielectric, omega,
-                                          d=cfg["verify"]["thick_d"])
-    value = thick["rel_split"]
-    yield ("thick_film_parity_split", "both", omega, value, tol(1e-8),
-           value <= tol(1e-8), "")
-    value = max(thick["rel_offset_symmetric"],
-                thick["rel_offset_antisymmetric"])
-    yield ("thick_film_single_interface", "both", omega, value, tol(1e-9),
-           value <= tol(1e-9), "")
-
-
 def _cmd_verify(cfg, out_path, tolerance, printed_labels=False) -> int:
+    records = run_checks(_metal_of(cfg), _dielectric_of(cfg),
+                         _geometry_of(cfg), cfg["verify"]["omega"],
+                         cfg["verify"]["thick_d"], tolerance, printed_labels)
     rows = []
-    all_pass = True
-    for (check, parity, omega, value, tol, ok, note) in _verify_checks(
-            cfg, tolerance, printed_labels):
-        status = "pass" if ok else "FAIL"
-        all_pass &= ok
-        note_field = note.replace(",", ";") if note else ""
-        rows.append([check, parity, _g(omega), _g(value), _g(tol), status,
-                     note_field])
-        print(f"{check:28s} {parity:13s} {_g(value):>24s} "
-              f"(tol {tol:g}) {status}")
+    for r in records:
+        status = "pass" if r.passed else "FAIL"
+        rows.append([r.check, r.parity, _g(r.omega), _g(r.value),
+                     _g(r.tolerance), status, r.note.replace(",", ";")])
+        print(f"{r.check:28s} {r.parity:13s} {_g(r.value):>24s} "
+              f"(tol {r.tolerance:g}) {status}")
+    all_pass = all(r.passed for r in records)
     meta = ["slabspp verification report"] + _media_meta(cfg)
     header = ["check", "parity", "omega_rad_s", "value", "tolerance",
               "status", "note"]

@@ -44,9 +44,7 @@ __all__ = [
     "DispersionError",
     "NonConvergence",
     "BranchViolation",
-    "DispersionPole",
     "decay_constants",
-    "dispersion_residual",
     "single_interface_root",
     "solve_dispersion",
     "classify_mode",
@@ -68,6 +66,7 @@ D_MIN = 1e-10
 
 _MAX_NEWTON = 80
 _MAX_MULLER = 60
+_TOL = 1e-12  # relative step size at which Newton and Muller stop
 
 
 class DispersionError(Exception):
@@ -80,10 +79,6 @@ class NonConvergence(DispersionError):
 
 class BranchViolation(DispersionError):
     """Converged root has a non-decaying transverse profile (Re(nu) <= 0)."""
-
-
-class DispersionPole(DispersionError):
-    """Residual evaluated exactly on a pole of the interface ratio."""
 
 
 @dataclass(frozen=True)
@@ -147,29 +142,6 @@ def decay_constants(k: complex, media: MediumSet) -> tuple[complex, complex]:
     return nu0, num
 
 
-def dispersion_residual(k: complex, geom: SlabGeometry, media: MediumSet,
-                        parity: Parity) -> complex:
-    """Characteristic function whose roots are the slab modes.
-
-    Evaluates ``exp(num*d) -+ (r - 1)/(r + 1)`` with the interface ratio
-    ``r = eps_m*nu0/(eps_d*num)`` (upper sign: antisymmetric).  Raises
-    :class:`DispersionPole` if the ratio sits exactly on the pole ``r = -1``.
-
-    Note the exponential factor overflows double precision once
-    ``Re(num)*d`` exceeds ~709 (films several microns thick); the root
-    finder itself uses an equivalent bounded form and is not affected.
-    """
-    nu0, num = decay_constants(k, media)
-    r = (media.eps_m * nu0) / (media.eps_d * num)
-    denom = r + 1.0
-    if denom == 0:
-        raise DispersionPole(
-            "interface ratio eps_m*nu0/(eps_d*num) == -1; "
-            "residual has a pole at this wavenumber"
-        )
-    return cmath.exp(num * geom.d) - parity.pm * (r - 1.0) / denom
-
-
 def single_interface_root(media: MediumSet) -> complex:
     """Bound-mode wavenumber of a single metal/dielectric interface.
 
@@ -193,9 +165,11 @@ def _scaled_system(k: complex, d: float, media: MediumSet, pm: int):
     Antisymmetric (pm=-1): F = tanh(num*d/2)*eps_d*num + eps_m*nu0
     Symmetric     (pm=+1): F = tanh(num*d/2)*eps_m*nu0 + eps_d*num
 
-    These are algebraically equivalent to the exponential characteristic
-    function but stay O(eps*nu) for arbitrarily thick films (tanh saturates
-    instead of exp blowing up), which keeps Newton well conditioned.
+    Their zeros are the slab modes.  They are algebraically equivalent to
+    the exponential form ``exp(num*d) - pm*(r - 1)/(r + 1)`` with
+    ``r = eps_m*nu0/(eps_d*num)``, but stay O(eps*nu) for arbitrarily thick
+    films (tanh saturates where exp overflows), which keeps Newton well
+    conditioned.
     """
     k = complex(k)
     k0sq = media.k0 * media.k0
@@ -218,8 +192,8 @@ def _scaled_system(k: complex, d: float, media: MediumSet, pm: int):
     return f, df, scale, nu0, num
 
 
-def _newton(k: complex, d: float, media: MediumSet, pm: int,
-            tol: float) -> Optional[tuple[complex, tuple]]:
+def _newton(k: complex, d: float, media: MediumSet,
+            pm: int) -> Optional[tuple[complex, tuple]]:
     """Damped Newton iteration on the bounded residual.
 
     Returns ``(k, system)`` with the accepted root and its
@@ -239,19 +213,20 @@ def _newton(k: complex, d: float, media: MediumSet, pm: int,
             except ZeroDivisionError:
                 lam *= 0.5
                 continue
-            if abs(system[0]) <= abs(f) or abs(lam * step) <= tol * abs(k_try):
+            if (abs(system[0]) <= abs(f)
+                    or abs(lam * step) <= _TOL * abs(k_try)):
                 break
             lam *= 0.5
         else:
             return None
         k, f, df = k_try, system[0], system[1]
-        if abs(lam * step) <= tol * max(abs(k), 1.0 / d):
+        if abs(lam * step) <= _TOL * max(abs(k), 1.0 / d):
             return k, system
     return None
 
 
-def _muller(k: complex, d: float, media: MediumSet, pm: int,
-            tol: float) -> Optional[tuple[complex, tuple]]:
+def _muller(k: complex, d: float, media: MediumSet,
+            pm: int) -> Optional[tuple[complex, tuple]]:
     """Muller's method fallback (quadratic interpolation, complex-capable).
 
     Returns ``(k, system)`` like :func:`_newton`, or None on failure.
@@ -284,7 +259,7 @@ def _muller(k: complex, d: float, media: MediumSet, pm: int,
             system = _scaled_system(x3, d, media, pm)
         except ZeroDivisionError:
             return None
-        if abs(x3 - x2) <= tol * abs(x3):
+        if abs(x3 - x2) <= _TOL * abs(x3):
             return x3, system
         x0, x1, x2 = x1, x2, x3
         f0, f1, f2 = f1, f2, system[0]
@@ -344,8 +319,7 @@ class ModeSolution:
 
 
 def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
-                     guess: Optional[complex] = None,
-                     tol: float = 1e-12) -> ModeSolution:
+                     guess: Optional[complex] = None) -> ModeSolution:
     """Find the bound TM slab mode of the given parity.
 
     Seeds damped Newton (bounded tanh-form residual, analytic derivative)
@@ -362,12 +336,12 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
     seeds = _seed_list(media, guess)
     found = None
     for seed in seeds:
-        found = _newton(seed, geom.d, media, parity.pm, tol)
+        found = _newton(seed, geom.d, media, parity.pm)
         if found is not None:
             break
     if found is None:
         for seed in seeds:
-            found = _muller(seed, geom.d, media, parity.pm, tol)
+            found = _muller(seed, geom.d, media, parity.pm)
             if found is not None:
                 break
     if found is None:

@@ -24,16 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import ModeSolution, SlabGeometry
-from .modes import green_coefficient
-from .quantization import beta_prime, noise_amplitudes
+from .dispersion import ModeSolution
+from .modes import green_coefficient, h_field_operator_bracket
+from .quantization import beta_prime
 
 __all__ = [
     "NeutralModeSingularity",
     "SppState",
     "ladder_mean",
-    "langevin_mean",
-    "h_field_operator_bracket",
     "FieldSamples",
     "default_grid",
     "h_field_mean",
@@ -88,38 +86,6 @@ def ladder_mean(state: SppState, textbook_squeeze: bool = False) -> complex:
     return mu * alpha - nu * alpha
 
 
-def langevin_mean(sol: ModeSolution, x: float, a0: complex) -> complex:
-    """Mean of the propagating operator at x, launched with mean a0 at x=0.
-
-    The Langevin source terms are zero-mean, so only the homogeneous
-    propagation phase survives: a0 * exp(i k_spp x).
-    """
-    return complex(a0) * cmath.exp(1j * sol.k_spp * x)
-
-
-def h_field_operator_bracket(sol: ModeSolution, geom: SlabGeometry,
-                             z: float) -> complex:
-    """Magnetic-type profile bracket d(b_x)/dz - i k b_z at depth z."""
-    if geom.d != sol.geom.d:
-        raise ValueError(
-            f"geometry mismatch: solution found for d={sol.geom.d!r}, "
-            f"got d={geom.d!r}"
-        )
-    k = sol.k_spp
-    nu0 = sol.nu0
-    num = sol.num
-    pm = sol.parity.pm
-    d = geom.d
-    if z < 0.0:
-        return (nu0 - k * k / nu0) * cmath.exp(nu0 * z)
-    if z <= d:
-        a = sol.amplitude
-        e1 = cmath.exp(-num * z)
-        e2 = cmath.exp(num * (z - d))
-        return a * ((-num + k * k / num) * e1 + pm * (num - k * k / num) * e2)
-    return pm * (-nu0 + k * k / nu0) * cmath.exp(-nu0 * (z - d))
-
-
 @dataclass
 class FieldSamples:
     """Mean field sampled on a separable (x, z) grid.
@@ -134,31 +100,30 @@ class FieldSamples:
     meta: dict = field(default_factory=dict)
 
 
-def default_grid(sol: ModeSolution,
-                 geom: SlabGeometry) -> tuple[np.ndarray, np.ndarray]:
+def default_grid(sol: ModeSolution) -> tuple[np.ndarray, np.ndarray]:
     """Five decay lengths of x at 500 samples; z at the two interfaces."""
     ki = abs(sol.k_spp.imag)
     if ki < _IM_K_FLOOR:
         raise NeutralModeSingularity(
             "neutral mode: no finite decay length to set the grid")
     xs = np.linspace(0.0, 5.0 / ki, 500)
-    zs = np.array([0.0, geom.d])
+    zs = np.array([0.0, sol.geom.d])
     return xs, zs
 
 
-def _field_prefactor(sol: ModeSolution, geom: SlabGeometry) -> complex:
+def _field_prefactor(sol: ModeSolution) -> complex:
     ki = sol.k_spp.imag
     if abs(ki) < _IM_K_FLOOR:
         raise NeutralModeSingularity(
             f"Im(k_spp) = {ki!r}: launch normalization diverges for a "
             "neutral mode")
-    beta = beta_prime(sol, geom, noise_amplitudes(sol.media))
-    dval = green_coefficient(sol, geom).d_value
+    beta = beta_prime(sol)
+    dval = green_coefficient(sol).d_value
     return 1j * dval * cmath.sqrt(complex(beta / (2.0 * ki)))
 
 
-def h_field_mean(sol: ModeSolution, geom: SlabGeometry, state: SppState,
-                 grid=None, textbook_squeeze: bool = False) -> FieldSamples:
+def h_field_mean(sol: ModeSolution, state: SppState, grid=None,
+                 textbook_squeeze: bool = False) -> FieldSamples:
     """Mean magnetic field of the launched state on a sampling grid.
 
     ``grid`` is an ``(xs, zs)`` pair of 1-D arrays (defaults to
@@ -166,11 +131,11 @@ def h_field_mean(sol: ModeSolution, geom: SlabGeometry, state: SppState,
     |values| is monotone along x at fixed z.
     """
     if grid is None:
-        grid = default_grid(sol, geom)
+        grid = default_grid(sol)
     xs, zs = (np.asarray(g, dtype=float) for g in grid)
-    pref = _field_prefactor(sol, geom) * ladder_mean(state, textbook_squeeze)
+    pref = _field_prefactor(sol) * ladder_mean(state, textbook_squeeze)
     xphase = np.exp(1j * sol.k_spp * xs)
-    zprof = np.array([h_field_operator_bracket(sol, geom, z) for z in zs])
+    zprof = np.array([h_field_operator_bracket(sol, z) for z in zs])
     values = pref * np.outer(xphase, zprof)
     meta = {
         "omega_rad_s": sol.omega,
@@ -184,9 +149,8 @@ def h_field_mean(sol: ModeSolution, geom: SlabGeometry, state: SppState,
     return FieldSamples(xs=xs, zs=zs, values=values, meta=meta)
 
 
-def compare_states(sol: ModeSolution, geom: SlabGeometry, state_a: SppState,
-                   state_b: SppState, grid=None,
-                   textbook_squeeze: bool = False) -> FieldSamples:
+def compare_states(sol: ModeSolution, state_a: SppState, state_b: SppState,
+                   grid=None, textbook_squeeze: bool = False) -> FieldSamples:
     """Pointwise difference of the mean fields of two launched states.
 
     The mean is linear in the ladder mean, so the result equals the mean
@@ -194,10 +158,10 @@ def compare_states(sol: ModeSolution, geom: SlabGeometry, state_a: SppState,
     two; identical states give exact zeros.
     """
     if grid is None:
-        grid = default_grid(sol, geom)
-    fa = h_field_mean(sol, geom, state_a, grid=grid,
+        grid = default_grid(sol)
+    fa = h_field_mean(sol, state_a, grid=grid,
                       textbook_squeeze=textbook_squeeze)
-    fb = h_field_mean(sol, geom, state_b, grid=grid,
+    fb = h_field_mean(sol, state_b, grid=grid,
                       textbook_squeeze=textbook_squeeze)
     meta = dict(fa.meta)
     meta["state"] = f"{state_a.describe()} minus {state_b.describe()}"

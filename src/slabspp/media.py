@@ -22,22 +22,13 @@ __all__ = [
     "C_LIGHT",
     "EPS0",
     "HBAR",
-    "GAIN",
-    "LOSS",
-    "NEUTRAL",
     "DrudeMetalSpec",
     "DielectricSpec",
     "MediumSet",
     "drude_epsilon",
     "dielectric_epsilon",
-    "classify_medium",
     "make_medium_set",
 ]
-
-# Medium regime labels (sign of Im(eps) under the exp(-i*omega*t) convention).
-GAIN = "gain"
-LOSS = "loss"
-NEUTRAL = "neutral"
 
 
 @dataclass(frozen=True)
@@ -124,20 +115,6 @@ def dielectric_epsilon(spec: DielectricSpec) -> complex:
     """
     n = complex(spec.n_real, spec.n_imag)
     return n * n
-
-
-def classify_medium(eps: complex) -> str:
-    """Classify a permittivity by the sign of its imaginary part.
-
-    Returns ``"gain"`` for ``Im(eps) < 0``, ``"loss"`` for ``Im(eps) > 0`` and
-    ``"neutral"`` for exactly zero.
-    """
-    im = complex(eps).imag
-    if im < 0.0:
-        return GAIN
-    if im > 0.0:
-        return LOSS
-    return NEUTRAL
 
 
 def make_medium_set(metal, dielectric, omega: float) -> MediumSet:

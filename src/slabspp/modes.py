@@ -5,7 +5,8 @@ each cladding and two counter-decaying partials inside the film.  All field
 quantities downstream (quantization weights, magnetic field means, the
 resonant part of the Green tensor) are built from the same two-component
 bracket ``(b_x(z), b_z(z))``; the full profile just multiplies it by the
-in-plane phase ``exp(i*k_spp*x)``.
+in-plane phase ``exp(i*k_spp*x)``, and :func:`h_field_operator_bracket` is
+its magnetic-type combination.
 
 ``normalization`` evaluates, in closed form, the unconjugated pairing of the
 profile with its transverse-flipped self, weighted by the local
@@ -21,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import ModeSolution, SlabGeometry
+from .dispersion import ModeSolution
 
 __all__ = [
     "DegenerateResidue",
     "profile_bracket",
-    "mode_profile",
+    "h_field_operator_bracket",
     "normalization",
     "GreenCoefficient",
     "green_coefficient",
@@ -36,14 +37,6 @@ __all__ = [
 
 class DegenerateResidue(Exception):
     """Pole strength of the Green tensor is numerically undefined."""
-
-
-def _check_geom(sol: ModeSolution, geom: SlabGeometry) -> None:
-    if geom.d != sol.geom.d:
-        raise ValueError(
-            f"geometry mismatch: solution was found for d={sol.geom.d!r}, "
-            f"got d={geom.d!r}"
-        )
 
 
 def profile_bracket(sol: ModeSolution, z: float) -> tuple[complex, complex]:
@@ -75,12 +68,24 @@ def profile_bracket(sol: ModeSolution, z: float) -> tuple[complex, complex]:
     return pm * e, pm * (1j * k / nu0) * e
 
 
-def mode_profile(sol: ModeSolution, x: float, z: float) -> np.ndarray:
-    """Vector-potential profile (A_x, A_z) at the point (x, z)."""
-    return cmath.exp(1j * sol.k_spp * x) * np.array(profile_bracket(sol, z))
+def h_field_operator_bracket(sol: ModeSolution, z: float) -> complex:
+    """Magnetic-type profile bracket d(b_x)/dz - i k b_z at depth z."""
+    k = sol.k_spp
+    nu0 = sol.nu0
+    num = sol.num
+    pm = sol.parity.pm
+    d = sol.geom.d
+    if z < 0.0:
+        return (nu0 - k * k / nu0) * cmath.exp(nu0 * z)
+    if z <= d:
+        a = sol.amplitude
+        e1 = cmath.exp(-num * z)
+        e2 = cmath.exp(num * (z - d))
+        return a * ((-num + k * k / num) * e1 + pm * (num - k * k / num) * e2)
+    return pm * (-nu0 + k * k / nu0) * cmath.exp(-nu0 * (z - d))
 
 
-def normalization(sol: ModeSolution, geom: SlabGeometry) -> complex:
+def normalization(sol: ModeSolution) -> complex:
     """Closed-form permittivity-weighted self-pairing of the profile.
 
     Integrates eps(z) * (b_x^2 - b_z^2) over the whole z axis (no complex
@@ -88,12 +93,11 @@ def normalization(sol: ModeSolution, geom: SlabGeometry) -> complex:
     instead, which reduces to the usual energy-like norm when all media are
     lossless).
     """
-    _check_geom(sol, geom)
     k = sol.k_spp
     nu0 = sol.nu0
     num = sol.num
     pm = sol.parity.pm
-    d = geom.d
+    d = sol.geom.d
     a2 = sol.amplitude * sol.amplitude
     eps_d = sol.media.eps_d
     eps_m = sol.media.eps_m
@@ -115,15 +119,14 @@ class GreenCoefficient:
     n_prime: complex
 
 
-def green_coefficient(sol: ModeSolution, geom: SlabGeometry) -> GreenCoefficient:
+def green_coefficient(sol: ModeSolution) -> GreenCoefficient:
     """Residue coefficient of the bound-mode pole.
 
     Equals ``-eps_m / (4 * N' * k_spp)`` where N' is :func:`normalization`;
     raises :class:`DegenerateResidue` if the denominator underflows (a mode
     sitting exactly on a normalization zero, e.g. at a parity degeneracy).
     """
-    _check_geom(sol, geom)
-    n_prime = normalization(sol, geom)
+    n_prime = normalization(sol)
     denom = 4.0 * n_prime * sol.k_spp
     if abs(denom) < 1e-30:
         raise DegenerateResidue(
@@ -133,8 +136,7 @@ def green_coefficient(sol: ModeSolution, geom: SlabGeometry) -> GreenCoefficient
     return GreenCoefficient(d_value=-sol.media.eps_m / denom, n_prime=n_prime)
 
 
-def green_tensor(sol: ModeSolution, geom: SlabGeometry,
-                 r: tuple[float, float],
+def green_tensor(sol: ModeSolution, r: tuple[float, float],
                  r_prime: tuple[float, float]) -> np.ndarray:
     """Resonant (bound-mode) part of the Green tensor between two points.
 
@@ -142,7 +144,7 @@ def green_tensor(sol: ModeSolution, geom: SlabGeometry,
     over the (x, z) components.  Symmetric under simultaneous swap and
     transpose (reciprocity).
     """
-    coeff = green_coefficient(sol, geom)
+    coeff = green_coefficient(sol)
     x, z = r
     xp, zp = r_prime
     phase = cmath.exp(1j * sol.k_spp * abs(x - xp))

@@ -5,7 +5,8 @@ adaptive quadrature of the defining integrals, finite differences of the
 defining derivatives, explicit thick-film limits, or contour integrals that
 locate the dispersion roots without the root finder -- sharing as little
 code as possible with the formulas under test.  The test suite runs all of
-them; the ``verify`` CLI subcommand runs all but the contour root oracle.
+them; the verify pass (:mod:`slabspp.verify`) runs all but the contour root
+oracle.
 
 The adaptive quadrature is :func:`quad`, QUADPACK's globally adaptive
 Gauss-Kronrod scheme in pure Python: it integrates a real or a complex
@@ -19,8 +20,6 @@ the way numpy divides a complex by a real, so their values keep the rounding
 of the earlier numpy-scalar integrands bit for bit.
 
 Nothing here needs scipy, so no part of the package loads it.
-``quantization`` and ``cli`` import this module inside the functions that
-run quadrature, so the other subcommands do not load it either.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .dispersion import (
     solve_dispersion,
 )
 from .media import MediumSet, make_medium_set
-from .modes import profile_bracket
+from .modes import h_field_operator_bracket, profile_bracket
 
 __all__ = [
     "QuadratureError",
@@ -113,6 +112,7 @@ _EPS = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 _EPSREL = 1e-11  # relative target of every quadrature
 _LIMIT = 300     # most subintervals of one quadrature
+_FD_STEP = 1e-12  # central-difference step of curl_consistency_error (m)
 
 
 class QuadratureError(RuntimeError):
@@ -288,17 +288,15 @@ def normalization_quadrature(sol: ModeSolution) -> complex:
                                    0.0, np.inf))
 
 
-def curl_consistency_error(sol: ModeSolution, z: float,
-                           h: float = 1e-12) -> float:
+def curl_consistency_error(sol: ModeSolution, z: float) -> float:
     """Relative mismatch between the magnetic bracket and a finite difference.
 
-    Differentiates the tangential profile component centrally with step
-    ``h`` (meters) and combines it with the transverse component; ``z`` must
-    sit at least ``h`` away from both interfaces so the stencil stays in one
+    Differentiates the tangential profile component centrally with a 1e-12 m
+    step and combines it with the transverse component; ``z`` must sit more
+    than one step away from both interfaces so the stencil stays in one
     region.
     """
-    from .fields import h_field_operator_bracket
-
+    h = _FD_STEP
     d = sol.geom.d
     if min(abs(z), abs(z - d)) <= h:
         raise ValueError(f"z={z!r} too close to an interface for step h={h!r}")
@@ -306,7 +304,7 @@ def curl_consistency_error(sol: ModeSolution, z: float,
     bx_m, _ = profile_bracket(sol, z - h)
     _, bz = profile_bracket(sol, z)
     fd = (bx_p - bx_m) * (1.0 / (2.0 * h)) - 1j * sol.k_spp * bz
-    ref = h_field_operator_bracket(sol, sol.geom, z)
+    ref = h_field_operator_bracket(sol, z)
     if ref == 0:
         # e.g. the exact midplane of the symmetric mode; a relative error
         # is meaningless there and the finite difference is pure noise

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracles
 from .media import EPS0, HBAR, MediumSet
-from .dispersion import ModeSolution, SlabGeometry
+from .dispersion import ModeSolution
 from .modes import green_coefficient, profile_bracket
 
 __all__ = [
@@ -48,21 +49,6 @@ __all__ = [
 
 SAME_DIRECTION = "same_direction"
 CROSS_DIRECTION = "cross_direction"
-
-
-def _check_geom(sol: ModeSolution, geom: SlabGeometry) -> None:
-    if geom.d != sol.geom.d:
-        raise ValueError(
-            f"geometry mismatch: solution found for d={sol.geom.d!r}, "
-            f"got d={geom.d!r}"
-        )
-
-
-def _check_media(sol: ModeSolution, media: MediumSet) -> None:
-    m = sol.media
-    if (media.omega, media.eps_d, media.eps_m) != (m.omega, m.eps_d, m.eps_m):
-        raise ValueError("media mismatch: solution was found for a different "
-                         "medium set")
 
 
 @dataclass(frozen=True)
@@ -92,18 +78,17 @@ def _sinc(x: float) -> float:
     return math.sin(x) / x
 
 
-def overlap_terms(sol: ModeSolution, geom: SlabGeometry) -> tuple[float, float]:
+def overlap_terms(sol: ModeSolution) -> tuple[float, float]:
     """Region integrals of |bracket|^2: (both claddings, film).
 
     These are the only two geometric quantities entering beta_prime and
     gamma_prime; sharing a single code path makes their ratio exact.
     """
-    _check_geom(sol, geom)
     k2 = abs(sol.k_spp) ** 2
     a0 = sol.nu0.real
     am = sol.num.real
     bm = sol.num.imag
-    d = geom.d
+    d = sol.geom.d
     t_clad = (1.0 + k2 / abs(sol.nu0) ** 2) / a0
     amp2 = abs(sol.amplitude) ** 2
     direct = (1.0 + k2 / abs(sol.num) ** 2) * (-math.expm1(-2.0 * am * d)) / am
@@ -113,19 +98,19 @@ def overlap_terms(sol: ModeSolution, geom: SlabGeometry) -> tuple[float, float]:
     return t_clad, t_film
 
 
-def beta_prime(sol: ModeSolution, geom: SlabGeometry,
-               amplitudes: NoiseAmplitudes) -> float:
+def beta_prime(sol: ModeSolution) -> float:
     """Noise-overlap weight: integral of |alpha(z)| |bracket(z)|^2 over z.
 
-    Real and strictly positive for any bound mode with at least one
+    The weights are the :func:`noise_amplitudes` of the mode's media.  Real
+    and strictly positive for any bound mode with at least one
     non-transparent medium.
     """
-    t_clad, t_film = overlap_terms(sol, geom)
+    amplitudes = noise_amplitudes(sol.media)
+    t_clad, t_film = overlap_terms(sol)
     return amplitudes.alpha_d * t_clad + amplitudes.alpha_m * t_film
 
 
-def gamma_prime(sol: ModeSolution, geom: SlabGeometry, media: MediumSet,
-                printed_labels: bool = False,
+def gamma_prime(sol: ModeSolution, printed_labels: bool = False,
                 magnitudes: bool = False) -> float:
     """Gain/loss overlap weight: integral of Im eps(z) |bracket(z)|^2.
 
@@ -136,10 +121,9 @@ def gamma_prime(sol: ModeSolution, geom: SlabGeometry, media: MediumSet,
     |Im eps| instead of the signed values, which is the flavor entering the
     commutation closure in amplifying systems.
     """
-    _check_media(sol, media)
-    t_clad, t_film = overlap_terms(sol, geom)
-    w_d = media.eps_d.imag
-    w_m = media.eps_m.imag
+    t_clad, t_film = overlap_terms(sol)
+    w_d = sol.media.eps_d.imag
+    w_m = sol.media.eps_m.imag
     if magnitudes:
         w_d = abs(w_d)
         w_m = abs(w_m)
@@ -148,18 +132,16 @@ def gamma_prime(sol: ModeSolution, geom: SlabGeometry, media: MediumSet,
     return w_d * t_clad + w_m * t_film
 
 
-def ccr_check(sol: ModeSolution, geom: SlabGeometry, media: MediumSet,
-              printed_labels: bool = False) -> float:
+def ccr_check(sol: ModeSolution, printed_labels: bool = False) -> float:
     """Equal-point commutator of the launched mode operator.
 
     Returns beta_prime / (2 hbar eps0 omega^2 gamma_prime) with the
     magnitude flavor of gamma_prime; exactly 1 when the two weights are
     assembled consistently, regardless of loss or gain.
     """
-    beta = beta_prime(sol, geom, noise_amplitudes(media))
-    gamma = gamma_prime(sol, geom, media, printed_labels=printed_labels,
-                        magnitudes=True)
-    return beta / (2.0 * HBAR * EPS0 * media.omega**2 * gamma)
+    beta = beta_prime(sol)
+    gamma = gamma_prime(sol, printed_labels=printed_labels, magnitudes=True)
+    return beta / (2.0 * HBAR * EPS0 * sol.omega**2 * gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +181,9 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
     as the analytic continuation the closed form represents).  Used to
     cross-check :func:`commutator`.
     """
-    from . import oracles
-
     amp = noise_amplitudes(sol.media)
     z_quad = oracles.weighted_abs2_quadrature(sol, amp.alpha_d, amp.alpha_m)
-    beta = beta_prime(sol, sol.geom, amp)
+    beta = beta_prime(sol)
     k = sol.k_spp
     two_ki = 2.0 * k.imag
     if kind == SAME_DIRECTION:
@@ -232,8 +212,7 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
 # Green-tensor overlap identity
 # ---------------------------------------------------------------------------
 
-def green_identity_check(sol: ModeSolution, geom: SlabGeometry,
-                         media: MediumSet, samples=None) -> float:
+def green_identity_check(sol: ModeSolution) -> float:
     """Verify the medium-overlap identity of the resonant Green tensor.
 
     The integral of Im(eps(s)) G(r, s) G^*(s, r') over the source plane
@@ -241,30 +220,26 @@ def green_identity_check(sol: ModeSolution, geom: SlabGeometry,
     x-profile.  This evaluates the left side by quadrature (z numerically,
     x semi-analytically with continuation for amplified modes) and the right
     side from the closed forms, returning the worst relative Frobenius
-    deviation over the sample point pairs.
+    deviation over four point pairs that span all three regions, a few
+    decay lengths apart along x.
     """
-    from . import oracles
-
-    _check_geom(sol, geom)
-    _check_media(sol, media)
     k = sol.k_spp
     kr, ki = k.real, k.imag
-    coeff = green_coefficient(sol, geom)
+    coeff = green_coefficient(sol)
     dsq = abs(coeff.d_value) ** 2
-    gamma_closed = gamma_prime(sol, geom, media)
+    gamma_closed = gamma_prime(sol)
     gamma_quad = oracles.weighted_abs2_quadrature(
-        sol, media.eps_d.imag, media.eps_m.imag)
+        sol, sol.media.eps_d.imag, sol.media.eps_m.imag)
 
-    if samples is None:
-        ell = 1.0 / max(abs(ki), abs(kr) / 20.0)
-        zc = 0.4 / sol.nu0.real
-        d = geom.d
-        samples = [
-            ((0.0, -zc), (0.0, 0.5 * d)),
-            ((0.8 * ell, 0.5 * d), (0.0, d + zc)),
-            ((0.3 * ell, d + 0.7 * zc), (1.7 * ell, -0.5 * zc)),
-            ((0.2 * ell, 0.25 * d), (0.2 * ell, 0.75 * d)),
-        ]
+    ell = 1.0 / max(abs(ki), abs(kr) / 20.0)
+    zc = 0.4 / sol.nu0.real
+    d = sol.geom.d
+    samples = [
+        ((0.0, -zc), (0.0, 0.5 * d)),
+        ((0.8 * ell, 0.5 * d), (0.0, d + zc)),
+        ((0.3 * ell, d + 0.7 * zc), (1.7 * ell, -0.5 * zc)),
+        ((0.2 * ell, 0.25 * d), (0.2 * ell, 0.75 * d)),
+    ]
 
     worst = 0.0
     for (xa, za), (xb, zb) in samples:
@@ -285,8 +260,6 @@ def green_identity_check(sol: ModeSolution, geom: SlabGeometry,
 
 def _x_overlap_numeric(k: complex, x: float, x_prime: float) -> complex:
     """Quadrature of exp(ik|x-s|) exp(-ik*|s-x'|) over the source line."""
-    from . import oracles
-
     lo, hi = (x, x_prime) if x <= x_prime else (x_prime, x)
     ik, mik_conj = 1j * k, -1j * k.conjugate()
 

@@ -1,0 +1,136 @@
+"""The verify pass: every closed form of one system against its oracle.
+
+At one frequency, each parity's mode is solved and checked for the
+commutator closure, both spatial commutators, the Green-tensor overlap
+identity, the normalization and the curl of the profile; a thick film then
+checks the parity degeneracy and the single-interface limit.  Each check
+gives one :class:`CheckRecord`; the ``verify`` CLI subcommand writes them
+as its report.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import oracles
+from .dispersion import (
+    PARITIES,
+    DispersionError,
+    SlabGeometry,
+    solve_dispersion,
+)
+from .media import make_medium_set
+from .modes import normalization
+from .quantization import (
+    CROSS_DIRECTION,
+    SAME_DIRECTION,
+    ccr_check,
+    commutator,
+    commutator_numeric,
+    green_identity_check,
+)
+
+__all__ = ["CheckRecord", "run_checks"]
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    """Outcome of one check: its value passes when at most ``tolerance``.
+
+    ``parity`` is a parity name, or ``"both"`` for the thick-film checks;
+    ``note`` holds the error that stopped a failed check (``value`` is then
+    NaN).
+    """
+
+    check: str
+    parity: str
+    omega: float
+    value: float
+    tolerance: float
+    note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.tolerance
+
+
+def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
+               thick_d: float, tolerance: float | None = None,
+               printed_labels: bool = False) -> list[CheckRecord]:
+    """Run the 14 checks in report order and return their records.
+
+    ``metal`` and ``dielectric`` are as accepted by
+    :func:`slabspp.media.make_medium_set`; ``thick_d`` is the film thickness
+    of the degeneracy checks.  ``tolerance`` replaces every check's own
+    tolerance; ``printed_labels`` is passed to :func:`ccr_check`.  A parity
+    whose mode cannot be solved gives one failed ``solve`` record instead of
+    its six checks.
+    """
+    records: list[CheckRecord] = []
+
+    def tol_of(default):
+        return default if tolerance is None else tolerance
+
+    def check(name, parity, default_tol, compute):
+        try:
+            value, note = float(compute()), ""
+        except (ValueError, oracles.QuadratureError) as exc:
+            value, note = math.nan, f"{type(exc).__name__}: {exc}"
+        records.append(CheckRecord(name, parity, omega, value,
+                                   tol_of(default_tol), note))
+
+    media = make_medium_set(metal, dielectric, omega)
+    for parity in PARITIES:
+        try:
+            sol = solve_dispersion(parity, geom, media)
+        except (DispersionError, ValueError) as exc:
+            records.append(CheckRecord("solve", parity.name, omega, math.nan,
+                                       tol_of(1e-10),
+                                       f"{type(exc).__name__}: {exc}"))
+            continue
+
+        check("ccr_closure", parity.name, 1e-12,
+              lambda: abs(ccr_check(sol, printed_labels) - 1.0))
+
+        ell = min(1.0 / max(abs(sol.k_spp.imag), 1e-20),
+                  400.0 * math.pi / sol.k_spp.real)
+        pairs = {
+            SAME_DIRECTION: (0.317 * ell, 0.93 * ell),
+            CROSS_DIRECTION: (1.531 * ell, 0.214 * ell),
+        }
+        for kind, (x, xp) in pairs.items():
+            def deviation():
+                closed = commutator(kind, x, xp, sol)
+                numeric = commutator_numeric(kind, x, xp, sol)
+                return abs(closed - numeric) / max(abs(closed), abs(numeric),
+                                                   1e-12)
+            check(f"commutator_{kind}", parity.name, 1e-6, deviation)
+
+        check("green_identity", parity.name, 1e-6,
+              lambda: green_identity_check(sol))
+
+        def normalization_deviation():
+            n_quad = oracles.normalization_quadrature(sol)
+            return abs(normalization(sol) - n_quad) / abs(n_quad)
+        check("normalization_quadrature", parity.name, 1e-8,
+              normalization_deviation)
+
+        zc = 1.0 / sol.nu0.real
+        depths = np.concatenate([
+            -np.linspace(0.05, 2.0, 20) * zc,
+            np.linspace(0.0321, 0.9679, 20) * geom.d,
+            geom.d + np.linspace(0.05, 2.0, 20) * zc,
+        ])
+        check("curl_consistency", parity.name, 1e-6,
+              lambda: max(oracles.curl_consistency_error(sol, z)
+                          for z in depths))
+
+    thick = oracles.thick_film_degeneracy(metal, dielectric, omega, d=thick_d)
+    check("thick_film_parity_split", "both", 1e-8, lambda: thick["rel_split"])
+    check("thick_film_single_interface", "both", 1e-9,
+          lambda: max(thick["rel_offset_symmetric"],
+                      thick["rel_offset_antisymmetric"]))
+    return records

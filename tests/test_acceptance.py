@@ -68,7 +68,7 @@ def test_criterion_1_ccr_closure():
             media = _media(kappa, omega=omega)
             for parity in PARITIES:
                 sol = solve_dispersion(parity, GEOM, media)
-                worst = max(worst, abs(ccr_check(sol, GEOM, media) - 1.0))
+                worst = max(worst, abs(ccr_check(sol) - 1.0))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
     _report(1, ok, f"worst |ccr-1| = {worst:.3e} over 5x4x2 grid "
@@ -107,7 +107,7 @@ def test_criterion_3_green_identity():
     worst = 0.0
     for parity in PARITIES:
         sol = solve_dispersion(parity, GEOM, media)
-        worst = max(worst, green_identity_check(sol, GEOM, media))
+        worst = max(worst, green_identity_check(sol))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-6 and elapsed < 10.0
     _report(3, ok, f"worst identity deviation = {worst:.3e} (tol 1e-6), "
@@ -280,7 +280,7 @@ def test_criterion_6_normalization_oracle():
         geom = SlabGeometry(d)
         media = _media(kappa, n_real, omega)
         sol = solve_dispersion(PARITIES[i % 2], geom, media)
-        closed = normalization(sol, geom)
+        closed = normalization(sol)
         quad = normalization_quadrature(sol)
         worst = max(worst, abs(closed - quad) / abs(quad))
     elapsed = time.monotonic() - t0
@@ -313,7 +313,7 @@ def test_criterion_7_field_propagation():
         ims = {}
         for parity in PARITIES:
             sol = solve_dispersion(parity, GEOM, media)
-            samples = h_field_mean(sol, GEOM, state)
+            samples = h_field_mean(sol, state)
             slope = np.polyfit(samples.xs,
                                np.log(np.abs(samples.values[:, 0])), 1)[0]
             rel = abs(slope + sol.k_spp.imag) / abs(sol.k_spp.imag)
@@ -368,12 +368,12 @@ def test_criterion_9_state_reduction_and_growth():
     squeezed = SppState(alpha_mag=math.sqrt(7.0), alpha_phase=1.5,
                         xi_mag=1.0, xi_phase=0.0)
 
-    base = h_field_mean(sol, GEOM, coherent)
-    zero = compare_states(sol, GEOM, coherent, unsqueezed)
+    base = h_field_mean(sol, coherent)
+    zero = compare_states(sol, coherent, unsqueezed)
     scale = np.abs(base.values).max()
     reduction = np.abs(zero.values).max() / scale
 
-    diff = compare_states(sol, GEOM, coherent, squeezed)
+    diff = compare_states(sol, coherent, squeezed)
     mags = np.abs(diff.values[:, 0])
     nonzero = mags[0] > 0
     growing = bool(np.all(np.diff(mags) > 0))

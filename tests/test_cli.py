@@ -189,6 +189,30 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+_BAD_CONFIGS = {
+    "x_max": ("[field]\nx_max = abc\n", "field"),
+    "x_points-negative": ("[field]\nx_points = -3\n", "field"),
+    "x_points-zero": ("[field]\nx_points = 0\n", "field"),
+    "d": ("[geometry]\nd = -1\n", "dispersion"),
+    "omega_p": ("[metal]\nomega_p = -1\n", "dispersion"),
+    "eps-zero": ("[metal]\neps_re = 0\neps_im = 0\n", "dispersion"),
+    "thick_d": ("[verify]\nthick_d = -1\n", "verify"),
+}
+
+
+@pytest.mark.parametrize("ini, command", _BAD_CONFIGS.values(),
+                         ids=_BAD_CONFIGS.keys())
+def test_bad_config_value_exits_2(tmp_path, capsys, ini, command):
+    p = tmp_path / "bad.ini"
+    p.write_text(ini)
+    out = tmp_path / "out.csv"
+    assert _run("--config", str(p), "--out", str(out), command) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # -- import cost ------------------------------------------------------------
 
 # Runs ``python -m slabspp`` in a fresh interpreter and prints the exit status

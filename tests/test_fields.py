@@ -17,7 +17,6 @@ from slabspp import (
     h_field_mean,
     h_field_operator_bracket,
     ladder_mean,
-    langevin_mean,
     make_medium_set,
     solve_dispersion,
 )
@@ -63,17 +62,9 @@ def test_ladder_mean_squeeze_conventions():
     assert textbook != pytest.approx(ladder_mean(SQUEEZED), rel=1e-6)
 
 
-def test_langevin_mean_propagates():
-    sol = _amplified()
-    a0 = 0.7 - 0.2j
-    for x in (0.0, 2.5e-7, 1.0e-6):
-        assert langevin_mean(sol, x, a0) == a0 * cmath.exp(
-            1j * sol.k_spp * x)
-
-
 def test_default_grid():
     sol = _amplified()
-    xs, zs = default_grid(sol, GEOM)
+    xs, zs = default_grid(sol)
     assert xs[0] == 0.0
     assert xs[-1] == pytest.approx(5.0 / abs(sol.k_spp.imag), rel=1e-15)
     assert len(xs) == 500
@@ -83,7 +74,7 @@ def test_default_grid():
 def test_field_envelope_rate_matches_mode():
     """log|<H>| must be a straight line with slope -Im(k)."""
     for sol in (_amplified(), _amplified(ANTISYMMETRIC), _attenuated()):
-        samples = h_field_mean(sol, GEOM, COHERENT)
+        samples = h_field_mean(sol, COHERENT)
         logs = np.log(np.abs(samples.values[:, 0]))
         slope = np.polyfit(samples.xs, logs, 1)[0]
         assert slope == pytest.approx(-sol.k_spp.imag, rel=1e-6)
@@ -91,7 +82,7 @@ def test_field_envelope_rate_matches_mode():
 
 def test_field_grows_for_amplified_mode():
     sol = _amplified()
-    samples = h_field_mean(sol, GEOM, COHERENT)
+    samples = h_field_mean(sol, COHERENT)
     mags = np.abs(samples.values[:, 0])
     assert np.all(np.diff(mags) > 0)
     meta = samples.meta
@@ -102,7 +93,7 @@ def test_field_grows_for_amplified_mode():
 
 def test_field_decays_for_attenuated_mode():
     sol = _attenuated()
-    samples = h_field_mean(sol, GEOM, COHERENT)
+    samples = h_field_mean(sol, COHERENT)
     mags = np.abs(samples.values[:, 0])
     assert np.all(np.diff(mags) < 0)
 
@@ -110,40 +101,40 @@ def test_field_decays_for_attenuated_mode():
 def test_field_shape_and_z_slices():
     sol = _amplified()
     grid = (np.linspace(0.0, 1e-6, 41), np.array([0.0, 3e-8, 6e-8]))
-    samples = h_field_mean(sol, GEOM, COHERENT, grid=grid)
+    samples = h_field_mean(sol, COHERENT, grid=grid)
     assert samples.values.shape == (41, 3)
     # the two interface rows differ only by the bracket ratio, uniformly in x
     ratio = samples.values[:, 2] / samples.values[:, 0]
-    expected = (h_field_operator_bracket(sol, GEOM, 6e-8)
-                / h_field_operator_bracket(sol, GEOM, 0.0))
+    expected = (h_field_operator_bracket(sol, 6e-8)
+                / h_field_operator_bracket(sol, 0.0))
     assert np.allclose(ratio, expected, rtol=1e-12)
 
 
 def test_symmetric_bracket_node_at_midplane():
     sol = _amplified()
-    assert h_field_operator_bracket(sol, GEOM, 0.5 * GEOM.d) == 0j
+    assert h_field_operator_bracket(sol, 0.5 * GEOM.d) == 0j
     anti = _amplified(ANTISYMMETRIC)
-    assert h_field_operator_bracket(anti, GEOM, 0.5 * GEOM.d) != 0j
+    assert h_field_operator_bracket(anti, 0.5 * GEOM.d) != 0j
 
 
 def test_compare_states_is_pointwise_difference():
     sol = _amplified()
     grid = (np.linspace(0.0, 8e-7, 25), np.array([0.0]))
-    diff = compare_states(sol, GEOM, COHERENT, SQUEEZED, grid=grid)
-    a = h_field_mean(sol, GEOM, COHERENT, grid=grid)
-    b = h_field_mean(sol, GEOM, SQUEEZED, grid=grid)
+    diff = compare_states(sol, COHERENT, SQUEEZED, grid=grid)
+    a = h_field_mean(sol, COHERENT, grid=grid)
+    b = h_field_mean(sol, SQUEEZED, grid=grid)
     assert np.array_equal(diff.values, a.values - b.values)
 
 
 def test_compare_identical_states_is_zero():
     sol = _amplified()
-    diff = compare_states(sol, GEOM, COHERENT, COHERENT)
+    diff = compare_states(sol, COHERENT, COHERENT)
     assert np.all(diff.values == 0)
 
 
 def test_compare_grows_along_x_when_amplified():
     sol = _amplified()
-    diff = compare_states(sol, GEOM, COHERENT, SQUEEZED)
+    diff = compare_states(sol, COHERENT, SQUEEZED)
     mags = np.abs(diff.values[:, 0])
     assert mags[0] > 0
     assert np.all(np.diff(mags) > 0)
@@ -156,9 +147,9 @@ def test_neutral_mode_rejected():
     sol = solve_dispersion(SYMMETRIC, GEOM, media)
     assert sol.k_spp.imag == 0.0
     with pytest.raises(NeutralModeSingularity):
-        h_field_mean(sol, GEOM, COHERENT)
+        h_field_mean(sol, COHERENT)
     with pytest.raises(NeutralModeSingularity):
-        default_grid(sol, GEOM)
+        default_grid(sol)
 
 
 def test_state_describe():

@@ -10,7 +10,6 @@ from slabspp import (
     HBAR,
     DielectricSpec,
     DrudeMetalSpec,
-    classify_medium,
     dielectric_epsilon,
     drude_epsilon,
     make_medium_set,
@@ -39,12 +38,6 @@ def test_dielectric_epsilon_exact_imag():
     eps = dielectric_epsilon(spec)
     assert eps.imag == 2.0 * 0.9726 * -0.063
     assert eps.real == 0.9726 * 0.9726 - 0.063 * 0.063
-
-
-def test_classify_medium_signs():
-    assert classify_medium(2.0 + 1e-300j) == "loss"
-    assert classify_medium(2.0 - 1e-300j) == "gain"
-    assert classify_medium(complex(-7.5, 0.0)) == "neutral"
 
 
 def test_pinned_constants_match_scipy():
@@ -101,18 +94,6 @@ def test_dielectric_imag_identity(n_real, n_imag):
 @given(omega=st.floats(1e13, 1e17))
 def test_drude_imag_positive(omega):
     assert drude_epsilon(SILVERISH, omega).imag > 0.0
-
-
-@given(n_imag=st.floats(-0.5, 0.5))
-def test_classification_matches_sign(n_imag):
-    eps = dielectric_epsilon(DielectricSpec(1.3, n_imag))
-    kind = classify_medium(eps)
-    if eps.imag > 0:
-        assert kind == "loss"
-    elif eps.imag < 0:
-        assert kind == "gain"
-    else:
-        assert kind == "neutral"
 
 
 def test_sqrt_roundtrip_is_consistent():

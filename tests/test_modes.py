@@ -15,7 +15,6 @@ from slabspp import (
     green_coefficient,
     green_tensor,
     make_medium_set,
-    mode_profile,
     normalization,
     profile_bracket,
     solve_dispersion,
@@ -67,16 +66,8 @@ def test_parity_reflection_symmetry():
             assert hi[1] == pytest.approx(-pm * lo[1], rel=1e-12)
 
 
-def test_mode_profile_carries_phase():
-    sol = _solution()
-    x, z = 2.3e-7, 1.1e-8
-    expected = (cmath.exp(1j * sol.k_spp * x)
-                * np.array(profile_bracket(sol, z)))
-    assert np.allclose(mode_profile(sol, x, z), expected, rtol=0, atol=0)
-
-
 def test_normalization_frozen():
-    n = normalization(_solution(), GEOM)
+    n = normalization(_solution())
     assert n == pytest.approx(8.44733644531343e-07 + 1.2096675739551472e-07j,
                               rel=1e-12)
 
@@ -85,14 +76,14 @@ def test_normalization_against_quadrature():
     for parity in PARITIES:
         for kappa in (0.0, -0.08):
             sol = _solution(parity, kappa)
-            closed = normalization(sol, GEOM)
+            closed = normalization(sol)
             quad = normalization_quadrature(sol)
             assert abs(closed - quad) <= 1e-10 * abs(quad)
 
 
 def test_green_coefficient_frozen():
     sol = _solution()
-    gc = green_coefficient(sol, GEOM)
+    gc = green_coefficient(sol)
     assert gc.d_value == pytest.approx(
         0.12961519147473613 - 0.00811895821586082j, rel=1e-12)
     # defining algebra, not just the frozen number
@@ -104,8 +95,8 @@ def test_green_tensor_reciprocity():
     sol = _solution(ANTISYMMETRIC)
     r = (1.7e-7, -2.1e-8)
     rp = (4.4e-7, 3.3e-8)
-    g = green_tensor(sol, GEOM, r, rp)
-    g_swapped = green_tensor(sol, GEOM, rp, r)
+    g = green_tensor(sol, r, rp)
+    g_swapped = green_tensor(sol, rp, r)
     assert np.allclose(g, g_swapped.T, rtol=1e-13, atol=0)
     assert g.shape == (2, 2)
 
@@ -114,8 +105,8 @@ def test_green_tensor_separable():
     sol = _solution()
     r = (2.0e-7, 1.0e-8)
     rp = (5.0e-8, 4.0e-8)
-    g = green_tensor(sol, GEOM, r, rp)
-    gc = green_coefficient(sol, GEOM)
+    g = green_tensor(sol, r, rp)
+    gc = green_coefficient(sol)
     b = profile_bracket(sol, r[1])
     bp = profile_bracket(sol, rp[1])
     phase = cmath.exp(1j * sol.k_spp * abs(r[0] - rp[0]))
@@ -130,13 +121,4 @@ def test_degenerate_residue_guard():
         num=good.num, amplitude=good.amplitude, residual=good.residual,
         regime=good.regime, media=good.media, geom=good.geom)
     with pytest.raises(DegenerateResidue):
-        green_coefficient(broken, GEOM)
-
-
-def test_geometry_mismatch_rejected():
-    sol = _solution()
-    other = SlabGeometry(61e-9)
-    with pytest.raises(ValueError):
-        normalization(sol, other)
-    with pytest.raises(ValueError):
-        green_coefficient(sol, other)
+        green_coefficient(broken)

@@ -330,7 +330,7 @@ def _reference_curl_error(sol, z, h=1e-12):
     bx_m = _ndarray_bracket(sol, z - h)[0]
     bz = _ndarray_bracket(sol, z)[1]
     fd = (bx_p - bx_m) / (2.0 * h) - 1j * sol.k_spp * bz
-    ref = h_field_operator_bracket(sol, sol.geom, z)
+    ref = h_field_operator_bracket(sol, z)
     return abs(fd - ref) / abs(ref)
 
 

@@ -47,7 +47,7 @@ def test_noise_amplitudes_definition():
 
 def test_overlap_terms_frozen():
     sol, _ = _mode()
-    t_clad, t_film = overlap_terms(sol, GEOM)
+    t_clad, t_film = overlap_terms(sol)
     assert t_clad == pytest.approx(1.1221238857727994e-06, rel=1e-12)
     assert t_film == pytest.approx(2.6849819945116405e-08, rel=1e-12)
     assert t_clad > 0 and t_film > 0
@@ -58,22 +58,21 @@ def test_beta_prime_matches_quadrature():
         for parity in PARITIES:
             sol, media = _mode(kappa, parity)
             amps = noise_amplitudes(media)
-            closed = beta_prime(sol, GEOM, amps)
+            closed = beta_prime(sol)
             quad = weighted_abs2_quadrature(sol, amps.alpha_d, amps.alpha_m)
             assert closed == pytest.approx(quad, rel=1e-9)
 
 
 def test_beta_prime_frozen():
-    sol, media = _mode()
-    assert beta_prime(sol, GEOM, noise_amplitudes(media)) == pytest.approx(
-        7.641638269517958e-21, rel=1e-12)
+    sol, _ = _mode()
+    assert beta_prime(sol) == pytest.approx(7.641638269517958e-21, rel=1e-12)
 
 
 def test_gamma_prime_flavors():
-    sol, media = _mode()
-    mag = gamma_prime(sol, GEOM, media, magnitudes=True)
-    signed = gamma_prime(sol, GEOM, media)
-    printed = gamma_prime(sol, GEOM, media, printed_labels=True)
+    sol, _ = _mode()
+    mag = gamma_prime(sol, magnitudes=True)
+    signed = gamma_prime(sol)
+    printed = gamma_prime(sol, printed_labels=True)
     assert mag == pytest.approx(1.77602516068208e-07, rel=1e-12)
     assert signed == pytest.approx(-1.7163834514863186e-07, rel=1e-12)
     assert printed == pytest.approx(1.2045085439427838e-07, rel=1e-12)
@@ -85,9 +84,9 @@ def test_gamma_label_swap_invisible_when_weights_match():
     """If Im(eps_d) == Im(eps_m), swapping the region labels changes nothing."""
     _, media = _mode()
     kappa = media.eps_m.imag / (2.0 * 0.9726)
-    sol, media_eq = _mode(kappa)
-    a = gamma_prime(sol, GEOM, media_eq)
-    b = gamma_prime(sol, GEOM, media_eq, printed_labels=True)
+    sol, _ = _mode(kappa)
+    a = gamma_prime(sol)
+    b = gamma_prime(sol, printed_labels=True)
     assert b == pytest.approx(a, rel=1e-12)
 
 
@@ -95,25 +94,25 @@ def test_ccr_exact_on_grid():
     for omega in (2e15, 4.8e15):
         for kappa in (0.0, -0.063, -0.08):
             for parity in PARITIES:
-                sol, media = _mode(kappa, parity, omega)
-                assert abs(ccr_check(sol, GEOM, media) - 1.0) <= 1e-14
+                sol, _ = _mode(kappa, parity, omega)
+                assert abs(ccr_check(sol) - 1.0) <= 1e-14
 
 
 def test_ccr_printed_labels_break_closure():
-    sol, media = _mode()
-    ratio = ccr_check(sol, GEOM, media, printed_labels=True)
+    sol, _ = _mode()
+    ratio = ccr_check(sol, printed_labels=True)
     assert abs(ratio - 1.0) > 0.1
 
 
 def test_ccr_ratio_of_frozen_weights():
     sol, media = _mode()
-    beta = beta_prime(sol, GEOM, noise_amplitudes(media))
-    gamma = gamma_prime(sol, GEOM, media, magnitudes=True)
+    beta = beta_prime(sol)
+    gamma = gamma_prime(sol, magnitudes=True)
     assert beta == pytest.approx(7.641638269517958e-21, rel=1e-12)
     assert gamma == pytest.approx(1.77602516068208e-07, rel=1e-12)
     ratio = beta / (2.0 * HBAR * EPS0 * media.omega**2 * gamma)
     assert ratio == pytest.approx(1.0, abs=1e-14)
-    assert ccr_check(sol, GEOM, media) == ratio
+    assert ccr_check(sol) == ratio
 
 
 def test_same_direction_commutator_at_zero_separation():
@@ -157,14 +156,5 @@ def test_unknown_kind_rejected():
 def test_green_identity_gain_and_loss():
     for kappa in (-0.08, 0.063):
         for parity in PARITIES:
-            sol, media = _mode(kappa, parity)
-            assert green_identity_check(sol, GEOM, media) < 1e-10
-
-
-def test_media_mismatch_rejected():
-    sol, media = _mode()
-    other = make_medium_set(METAL, DielectricSpec(0.9726, -0.08), 4.9e15)
-    with pytest.raises(ValueError):
-        ccr_check(sol, GEOM, other)
-    with pytest.raises(ValueError):
-        gamma_prime(sol, GEOM, other)
+            sol, _ = _mode(kappa, parity)
+            assert green_identity_check(sol) < 1e-10

@@ -1,0 +1,68 @@
+"""The verify pass as a library call, and the CLI report written from it."""
+
+import math
+
+from slabspp import DielectricSpec, DrudeMetalSpec, SlabGeometry
+from slabspp.cli import load_config, main
+from slabspp.verify import run_checks
+
+# each check with its default tolerance, in report order
+_PER_PARITY = (("ccr_closure", 1e-12), ("commutator_same_direction", 1e-6),
+               ("commutator_cross_direction", 1e-6), ("green_identity", 1e-6),
+               ("normalization_quadrature", 1e-8), ("curl_consistency", 1e-6))
+_ORDER = ([(check, parity, tol) for parity in ("symmetric", "antisymmetric")
+           for check, tol in _PER_PARITY]
+          + [("thick_film_parity_split", "both", 1e-8),
+             ("thick_film_single_interface", "both", 1e-9)])
+
+
+def _default_checks(d=None):
+    cfg = load_config(None)
+    return run_checks(
+        DrudeMetalSpec(cfg["metal"]["omega_p"], cfg["metal"]["gamma"]),
+        DielectricSpec(cfg["dielectric"]["n_real"],
+                       cfg["dielectric"]["n_imag"]),
+        SlabGeometry(cfg["geometry"]["d"] if d is None else d),
+        cfg["verify"]["omega"], cfg["verify"]["thick_d"])
+
+
+def _report_rows(path):
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith("#")]
+    assert lines[0] == "check,parity,omega_rad_s,value,tolerance,status,note"
+    return [line.split(",") for line in lines[1:]]
+
+
+def _row(record):
+    return [record.check, record.parity, f"{record.omega:.17g}",
+            f"{record.value:.17g}", f"{record.tolerance:.17g}",
+            "pass" if record.passed else "FAIL", record.note]
+
+
+def test_default_pass_runs_every_check_in_order(tmp_path):
+    records = _default_checks()
+    assert [(r.check, r.parity, r.tolerance) for r in records] == _ORDER
+    assert all(r.passed and r.note == "" for r in records)
+    out = tmp_path / "report.csv"
+    assert main(["--out", str(out), "verify"]) == 0
+    assert _report_rows(out) == [_row(r) for r in records]
+
+
+def test_unsolvable_film_fails_each_parity(tmp_path):
+    records = _default_checks(d=5e-11)  # below the solver's thickness floor
+    assert [(r.check, r.parity, r.passed) for r in records] == [
+        ("solve", "symmetric", False), ("solve", "antisymmetric", False),
+        ("thick_film_parity_split", "both", True),
+        ("thick_film_single_interface", "both", True)]
+    for r in records[:2]:
+        assert math.isnan(r.value)
+        assert r.note.startswith("ValueError: film thickness")
+    config = tmp_path / "thin.ini"
+    config.write_text("[geometry]\nd = 5e-11\n")
+    out = tmp_path / "report.csv"
+    assert main(["--config", str(config), "--out", str(out), "verify"]) == 1
+    assert [row[:2] + row[5:6] for row in _report_rows(out)] == [
+        ["solve", "symmetric", "FAIL"], ["solve", "antisymmetric", "FAIL"],
+        ["thick_film_parity_split", "both", "pass"],
+        ["thick_film_single_interface", "both", "pass"]]
+
