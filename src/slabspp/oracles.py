@@ -7,6 +7,9 @@ locate the dispersion roots without the root finder -- sharing as little
 code as possible with the formulas under test.  The test suite runs all of
 them; the verify pass (:mod:`slabspp.verify`) runs all but the contour root
 oracle.
+:func:`weighted_abs2_quadrature` returns the region integrals of |bracket|^2
+unweighted, so one quadrature of a mode serves each weighting its callers
+apply.
 
 The adaptive quadrature is :func:`quad`, QUADPACK's globally adaptive
 Gauss-Kronrod scheme in pure Python: it integrates a real or a complex
@@ -238,15 +241,16 @@ def signed_tail_integral(k_im: float) -> float:
     return math.copysign(val, k_im)
 
 
-def weighted_abs2_quadrature(sol: ModeSolution, w_d: float,
-                             w_m: float) -> float:
-    """Quadrature of w(z) |bracket(z)|^2 with per-region constant weights.
+def weighted_abs2_quadrature(sol: ModeSolution) -> tuple[float, float]:
+    """Region integrals of |bracket(z)|^2 by quadrature: (claddings, film).
 
-    ``w_d`` applies in both claddings, ``w_m`` in the film.  The infinite
-    tails are integrated as such (no analytic shortcut), after rescaling z
-    by the cladding decay rate so the transformed integrand has O(1)
-    support -- the raw meter-scale variable would underflow the adaptive
-    rule's initial mesh.
+    The first term is the lower plus the upper cladding, the second the
+    film: the numerical twin of :func:`slabspp.quantization.overlap_terms`.
+    Callers weight the two terms per region themselves.  The infinite tails
+    are integrated as such (no analytic shortcut), after rescaling z by the
+    cladding decay rate so the transformed integrand has O(1) support --
+    the raw meter-scale variable would underflow the adaptive rule's
+    initial mesh.
     """
     d = sol.geom.d
     s = 2.0 * sol.nu0.real  # |bracket|^2 decay rate in the claddings
@@ -255,14 +259,9 @@ def weighted_abs2_quadrature(sol: ModeSolution, w_d: float,
         bx, bz = profile_bracket(sol, z)
         return abs(bx) ** 2 + abs(bz) ** 2
 
-    total = 0.0
-    if w_d != 0.0:
-        lower = complex_quad(lambda u: dens(u / s) / s, -np.inf, 0.0)
-        upper = complex_quad(lambda u: dens(d + u / s) / s, 0.0, np.inf)
-        total += w_d * (lower + upper)
-    if w_m != 0.0:
-        total += w_m * complex_quad(dens, 0.0, d)
-    return total
+    lower = complex_quad(lambda u: dens(u / s) / s, -np.inf, 0.0)
+    upper = complex_quad(lambda u: dens(d + u / s) / s, 0.0, np.inf)
+    return lower + upper, complex_quad(dens, 0.0, d)
 
 
 def normalization_quadrature(sol: ModeSolution) -> complex:

@@ -172,17 +172,21 @@ def commutator(kind: str, x: float, x_prime: float,
 
 
 def commutator_numeric(kind: str, x: float, x_prime: float,
-                       sol: ModeSolution) -> complex:
+                       sol: ModeSolution,
+                       z_terms: tuple[float, float]) -> complex:
     """Commutator from the defining source integrals, by quadrature.
 
-    The z integral of the noise-weighted |bracket|^2 and the x integral over
-    the shared source region are both evaluated numerically (the semi-infinite
-    x integral of an amplified mode is evaluated on the reflected ray, i.e.
-    as the analytic continuation the closed form represents).  Used to
-    cross-check :func:`commutator`.
+    ``z_terms`` are the mode's region integrals of |bracket|^2 by
+    quadrature, ``oracles.weighted_abs2_quadrature(sol)``; they are weighted
+    here with the noise amplitudes, as :func:`beta_prime` weights the closed
+    forms.  The x integral over the shared source region is evaluated
+    numerically (the semi-infinite x integral of an amplified mode is
+    evaluated on the reflected ray, i.e. as the analytic continuation the
+    closed form represents).  Used to cross-check :func:`commutator`.
     """
     amp = noise_amplitudes(sol.media)
-    z_quad = oracles.weighted_abs2_quadrature(sol, amp.alpha_d, amp.alpha_m)
+    t_clad, t_film = z_terms
+    z_quad = amp.alpha_d * t_clad + amp.alpha_m * t_film
     beta = beta_prime(sol)
     k = sol.k_spp
     two_ki = 2.0 * k.imag
@@ -212,24 +216,28 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
 # Green-tensor overlap identity
 # ---------------------------------------------------------------------------
 
-def green_identity_check(sol: ModeSolution) -> float:
+def green_identity_check(sol: ModeSolution,
+                         z_terms: tuple[float, float]) -> float:
     """Verify the medium-overlap identity of the resonant Green tensor.
 
     The integral of Im(eps(s)) G(r, s) G^*(s, r') over the source plane
     factorizes into gamma_prime (signed) times an exactly integrable
-    x-profile.  This evaluates the left side by quadrature (z numerically,
-    x semi-analytically with continuation for amplified modes) and the right
-    side from the closed forms, returning the worst relative Frobenius
-    deviation over four point pairs that span all three regions, a few
-    decay lengths apart along x.
+    x-profile.  This evaluates the left side by quadrature -- z from
+    ``z_terms``, the region integrals ``oracles.weighted_abs2_quadrature(sol)``
+    weighted with signed Im eps as :func:`gamma_prime` weights the closed
+    forms; x semi-analytically with continuation for amplified modes -- and
+    the right side from the closed forms, returning the worst relative
+    Frobenius deviation over four point pairs that span all three regions,
+    a few decay lengths apart along x.
     """
     k = sol.k_spp
     kr, ki = k.real, k.imag
     coeff = green_coefficient(sol)
     dsq = abs(coeff.d_value) ** 2
     gamma_closed = gamma_prime(sol)
-    gamma_quad = oracles.weighted_abs2_quadrature(
-        sol, sol.media.eps_d.imag, sol.media.eps_m.imag)
+    t_clad, t_film = z_terms
+    gamma_quad = sol.media.eps_d.imag * t_clad + sol.media.eps_m.imag * t_film
+    tail = oracles.signed_tail_integral(ki)
 
     ell = 1.0 / max(abs(ki), abs(kr) / 20.0)
     zc = 0.4 / sol.nu0.real
@@ -245,7 +253,7 @@ def green_identity_check(sol: ModeSolution) -> float:
     for (xa, za), (xb, zb) in samples:
         outer = np.outer(profile_bracket(sol, za),
                          np.conj(profile_bracket(sol, zb)))
-        lhs = dsq * gamma_quad * _x_overlap_numeric(k, xa, xb) * outer
+        lhs = dsq * gamma_quad * _x_overlap_numeric(k, xa, xb, tail) * outer
         delta = abs(xa - xb)
         braces = (cmath.exp(1j * k * delta) / k
                   + cmath.exp(-1j * k.conjugate() * delta) / k.conjugate())
@@ -258,8 +266,13 @@ def green_identity_check(sol: ModeSolution) -> float:
     return worst
 
 
-def _x_overlap_numeric(k: complex, x: float, x_prime: float) -> complex:
-    """Quadrature of exp(ik|x-s|) exp(-ik*|s-x'|) over the source line."""
+def _x_overlap_numeric(k: complex, x: float, x_prime: float,
+                       tail: float) -> complex:
+    """Quadrature of exp(ik|x-s|) exp(-ik*|s-x'|) over the source line.
+
+    ``tail`` is ``oracles.signed_tail_integral(k.imag)``, the integral of
+    each semi-infinite end.
+    """
     lo, hi = (x, x_prime) if x <= x_prime else (x_prime, x)
     ik, mik_conj = 1j * k, -1j * k.conjugate()
 
@@ -267,7 +280,6 @@ def _x_overlap_numeric(k: complex, x: float, x_prime: float) -> complex:
         return (cmath.exp(ik * abs(x - s))
                 * cmath.exp(mik_conj * abs(s - x_prime)))
 
-    tail = oracles.signed_tail_integral(k.imag)
     c_lo = cmath.exp(ik * (x - lo)) * cmath.exp(mik_conj * (x_prime - lo))
     c_hi = cmath.exp(ik * (hi - x)) * cmath.exp(mik_conj * (hi - x_prime))
     total = (c_lo + c_hi) * tail

@@ -67,7 +67,8 @@ def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
     of the degeneracy checks.  ``tolerance`` replaces every check's own
     tolerance; ``printed_labels`` is passed to :func:`ccr_check`.  A parity
     whose mode cannot be solved gives one failed ``solve`` record instead of
-    its six checks.
+    its six checks.  Each mode's region integrals of |b|^2 are integrated
+    once, for both commutator checks and the Green identity.
     """
     records: list[CheckRecord] = []
 
@@ -95,6 +96,18 @@ def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
         check("ccr_closure", parity.name, 1e-12,
               lambda: abs(ccr_check(sol, printed_labels) - 1.0))
 
+        # one quadrature of the region integrals of |b|^2 serves the three
+        # checks that weight them; if it fails, each of them fails with it
+        try:
+            z_quad = oracles.weighted_abs2_quadrature(sol)
+        except (ValueError, oracles.QuadratureError) as exc:
+            z_quad = exc
+
+        def z_terms():
+            if isinstance(z_quad, Exception):
+                raise z_quad
+            return z_quad
+
         ell = min(1.0 / max(abs(sol.k_spp.imag), 1e-20),
                   400.0 * math.pi / sol.k_spp.real)
         pairs = {
@@ -104,13 +117,13 @@ def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
         for kind, (x, xp) in pairs.items():
             def deviation():
                 closed = commutator(kind, x, xp, sol)
-                numeric = commutator_numeric(kind, x, xp, sol)
+                numeric = commutator_numeric(kind, x, xp, sol, z_terms())
                 return abs(closed - numeric) / max(abs(closed), abs(numeric),
                                                    1e-12)
             check(f"commutator_{kind}", parity.name, 1e-6, deviation)
 
         check("green_identity", parity.name, 1e-6,
-              lambda: green_identity_check(sol))
+              lambda: green_identity_check(sol, z_terms()))
 
         def normalization_deviation():
             n_quad = oracles.normalization_quadrature(sol)

@@ -44,6 +44,7 @@ from slabspp.oracles import (
     curl_consistency_error,
     normalization_quadrature,
     thick_film_degeneracy,
+    weighted_abs2_quadrature,
 )
 
 METAL = DrudeMetalSpec(14.02e15, 6.25e13)
@@ -83,6 +84,7 @@ def test_criterion_2_commutator_oracle_equivalence():
     worst = 0.0
     for kappa in (0.0, -0.08):  # one attenuated, one amplified mode
         sol = solve_dispersion(SYMMETRIC, GEOM, _media(kappa))
+        z_terms = weighted_abs2_quadrature(sol)
         ell = min(1.0 / abs(sol.k_spp.imag),
                   400.0 * math.pi / sol.k_spp.real)
         for _ in range(10):
@@ -90,7 +92,7 @@ def test_criterion_2_commutator_oracle_equivalence():
             x, xp = hi * ell, lo * ell
             for kind in (SAME_DIRECTION, CROSS_DIRECTION):
                 closed = commutator(kind, x, xp, sol)
-                numeric = commutator_numeric(kind, x, xp, sol)
+                numeric = commutator_numeric(kind, x, xp, sol, z_terms)
                 dev = abs(closed - numeric) / max(abs(closed), abs(numeric))
                 worst = max(worst, dev)
     elapsed = time.monotonic() - t0
@@ -107,7 +109,8 @@ def test_criterion_3_green_identity():
     worst = 0.0
     for parity in PARITIES:
         sol = solve_dispersion(parity, GEOM, media)
-        worst = max(worst, green_identity_check(sol))
+        worst = max(worst, green_identity_check(
+            sol, weighted_abs2_quadrature(sol)))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-6 and elapsed < 10.0
     _report(3, ok, f"worst identity deviation = {worst:.3e} (tol 1e-6), "

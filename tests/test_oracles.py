@@ -15,6 +15,7 @@ from slabspp import (
     h_field_operator_bracket,
     make_medium_set,
     noise_amplitudes,
+    overlap_terms,
     solve_dispersion,
 )
 from slabspp import oracles
@@ -172,17 +173,6 @@ def test_signed_tail_integral():
                                                          rel=1e-10)
     with pytest.raises(ValueError):
         signed_tail_integral(0.0)
-
-
-def test_weighted_abs2_positive_and_scales():
-    sol = _mode()
-    one = weighted_abs2_quadrature(sol, 1.0, 1.0)
-    scaled = weighted_abs2_quadrature(sol, 2.0, 2.0)
-    assert one > 0.0
-    assert scaled == pytest.approx(2.0 * one, rel=1e-10)
-    clad_only = weighted_abs2_quadrature(sol, 1.0, 0.0)
-    film_only = weighted_abs2_quadrature(sol, 0.0, 1.0)
-    assert clad_only + film_only == pytest.approx(one, rel=1e-10)
 
 
 def test_curl_consistency_away_from_interfaces():
@@ -352,10 +342,22 @@ def test_normalization_quadrature_matches_ndarray_reference(parity, kappa):
 def test_weighted_abs2_matches_ndarray_reference(parity, kappa):
     sol = _mode(parity, kappa)
     amps = noise_amplitudes(sol.media)
+    t_clad, t_film = weighted_abs2_quadrature(sol)
     for w_d, w_m in ((amps.alpha_d, amps.alpha_m),
                      (sol.media.eps_d.imag, sol.media.eps_m.imag)):
-        assert (weighted_abs2_quadrature(sol, w_d, w_m)
+        assert (w_d * t_clad + w_m * t_film
                 == _reference_weighted_abs2(sol, w_d, w_m))
+
+
+@_CLADDINGS
+@_PARITIES
+def test_weighted_abs2_matches_overlap_terms(parity, kappa):
+    """The quadrature twin of the closed-form region integrals, term by term."""
+    sol = _mode(parity, kappa)
+    for numeric, closed in zip(weighted_abs2_quadrature(sol),
+                               overlap_terms(sol), strict=True):
+        assert numeric > 0.0
+        assert numeric == pytest.approx(closed, rel=1e-10)
 
 
 @_CLADDINGS
@@ -393,6 +395,7 @@ def _scipy_quad(f, a, b):
 def _oracle_values(sol):
     """Every quadrature oracle of the verify pass for one mode."""
     amps = noise_amplitudes(sol.media)
+    t_clad, t_film = weighted_abs2_quadrature(sol)
     k = sol.k_spp
     ell = min(1.0 / abs(k.imag), 400.0 * math.pi / k.real)
     x, x_prime = 1.531 * ell, 0.214 * ell  # the verify cross-direction pair
@@ -403,10 +406,9 @@ def _oracle_values(sol):
 
     return {
         "normalization": normalization_quadrature(sol),
-        "noise_weights": weighted_abs2_quadrature(sol, amps.alpha_d,
-                                                  amps.alpha_m),
-        "im_eps_weights": weighted_abs2_quadrature(
-            sol, sol.media.eps_d.imag, sol.media.eps_m.imag),
+        "noise_weights": amps.alpha_d * t_clad + amps.alpha_m * t_film,
+        "im_eps_weights": (sol.media.eps_d.imag * t_clad
+                           + sol.media.eps_m.imag * t_film),
         "signed_tail": signed_tail_integral(k.imag),
         "cross_x_integral": complex_quad_chunked(cross, x_prime, x,
                                                  2.0 * k.real),

@@ -2,7 +2,7 @@
 
 import math
 
-from slabspp import DielectricSpec, DrudeMetalSpec, SlabGeometry
+from slabspp import DielectricSpec, DrudeMetalSpec, SlabGeometry, oracles
 from slabspp.cli import load_config, main
 from slabspp.verify import run_checks
 
@@ -66,3 +66,49 @@ def test_unsolvable_film_fails_each_parity(tmp_path):
         ["thick_film_parity_split", "both", "pass"],
         ["thick_film_single_interface", "both", "pass"]]
 
+
+
+def test_each_mode_integrates_its_regions_and_x_tail_once(monkeypatch):
+    """One verify pass: one |b|^2 region quadrature per mode, <= 2 x-tails."""
+    z_calls, tail_calls = [], []
+    z_quadrature = oracles.weighted_abs2_quadrature
+    tail_integral = oracles.signed_tail_integral
+
+    def counted_z(sol):
+        z_calls.append(sol.parity.name)
+        return z_quadrature(sol)
+
+    def counted_tail(k_im):
+        tail_calls.append(k_im)
+        return tail_integral(k_im)
+
+    monkeypatch.setattr(oracles, "weighted_abs2_quadrature", counted_z)
+    monkeypatch.setattr(oracles, "signed_tail_integral", counted_tail)
+    records = _default_checks()
+    assert all(r.passed for r in records)
+    assert sorted(z_calls) == ["antisymmetric", "symmetric"]
+    # each parity's mode has its own Im k
+    assert len(set(tail_calls)) == 2
+    assert all(tail_calls.count(k_im) <= 2 for k_im in tail_calls)
+
+
+def test_failed_region_quadrature_fails_its_three_checks(monkeypatch,
+                                                         tmp_path):
+    def fail(sol):
+        raise oracles.QuadratureError("injected")
+
+    monkeypatch.setattr(oracles, "weighted_abs2_quadrature", fail)
+    weighted = {"commutator_same_direction", "commutator_cross_direction",
+                "green_identity"}
+    records = _default_checks()
+    assert [(r.check, r.parity) for r in records] == [
+        (check, parity) for check, parity, _ in _ORDER]
+    for r in records:
+        if r.check in weighted:
+            assert not r.passed and math.isnan(r.value)
+            assert r.note == "QuadratureError: injected"
+        else:
+            assert r.passed and r.note == ""
+    out = tmp_path / "report.csv"
+    assert main(["--out", str(out), "verify"]) == 1
+    assert _report_rows(out) == [_row(r) for r in records]
