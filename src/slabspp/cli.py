@@ -41,6 +41,7 @@ from .dispersion import (
 from .fields import (
     NeutralModeSingularity,
     SppState,
+    auto_x_max,
     compare_states,
     h_field_mean,
 )
@@ -69,6 +70,13 @@ def _parse_z_values(text: str):
     return text  # resolved later against the geometry
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _positive(text: str) -> float:
     value = float(text)
     if not (value > 0.0 and math.isfinite(value)):
@@ -92,19 +100,19 @@ def _count(text: str) -> int:
 
 def _parse_x_max(text: str):
     text = text.strip()
-    return text if text == "auto" else float(text)
+    return text if text == "auto" else _finite(text)
 
 
 _SCHEMA = {
     "metal": {
         "omega_p": (_positive, "1.402e16"),
         "gamma": (_non_negative, "6.25e13"),
-        "eps_re": (float, None),
-        "eps_im": (float, None),
+        "eps_re": (_finite, None),
+        "eps_im": (_finite, None),
     },
     "dielectric": {
         "n_real": (_positive, "0.9726"),
-        "n_imag": (float, "-0.063"),
+        "n_imag": (_finite, "-0.063"),
     },
     "geometry": {
         "d": (_positive, "6e-08"),
@@ -117,19 +125,19 @@ _SCHEMA = {
     },
     "gain-sweep": {
         "omega": (_positive, "4.8e15"),
-        "kappa_min": (float, "-0.1"),
-        "kappa_max": (float, "0.0"),
+        "kappa_min": (_finite, "-0.1"),
+        "kappa_max": (_finite, "0.0"),
         "kappa_points": (_count, "41"),
         "parities": (_parse_parities, "both"),
     },
     "field": {
         "omega": (_positive, "4.8e15"),
         "parity": (parity_from_name, "symmetric"),
-        "alpha_mag": (float, "2.6457513110645907"),
-        "alpha_phase": (float, "1.5"),
-        "xi_mag": (float, "0.0"),
-        "xi_phase": (float, "0.0"),
-        "x_min": (float, "0.0"),
+        "alpha_mag": (_finite, "2.6457513110645907"),
+        "alpha_phase": (_finite, "1.5"),
+        "xi_mag": (_finite, "0.0"),
+        "xi_phase": (_finite, "0.0"),
+        "x_min": (_finite, "0.0"),
         "x_max": (_parse_x_max, "auto"),
         "x_points": (_count, "500"),
         "z_values": (_parse_z_values, "interfaces"),
@@ -360,14 +368,7 @@ def _cmd_gain_sweep(cfg, out_path) -> int:
 
 def _resolve_field_grid(cfg, sol):
     sec = cfg["field"]
-    if sec["x_max"] == "auto":
-        ki = abs(sol.k_spp.imag)
-        if ki < 1e-20:
-            raise NeutralModeSingularity(
-                "neutral mode: set an explicit x_max")
-        x_max = 5.0 / ki
-    else:
-        x_max = sec["x_max"]
+    x_max = auto_x_max(sol) if sec["x_max"] == "auto" else sec["x_max"]
     xs = np.linspace(sec["x_min"], x_max, sec["x_points"])
     ztext = sec["z_values"]
     if ztext.strip() == "interfaces":
@@ -385,7 +386,10 @@ def _resolve_field_grid(cfg, sol):
 def _cmd_field(cfg, out_path, compare: bool, textbook: bool) -> int:
     sec = cfg["field"]
     media = make_medium_set(_metal_of(cfg), _dielectric_of(cfg), sec["omega"])
-    sol = solve_dispersion(sec["parity"], _geometry_of(cfg), media)
+    try:
+        sol = solve_dispersion(sec["parity"], _geometry_of(cfg), media)
+    except ValueError as exc:  # e.g. a film below the solver's floor D_MIN
+        return _report_error(exc)
     grid = _resolve_field_grid(cfg, sol)
     state = SppState(alpha_mag=sec["alpha_mag"],
                      alpha_phase=sec["alpha_phase"],
@@ -475,6 +479,12 @@ def _build_parser():
     return ap
 
 
+def _report_error(exc: Exception) -> int:
+    """One ``error:`` line on stderr for a refused run; its exit status."""
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
@@ -502,9 +512,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DispersionError, NeutralModeSingularity) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _report_error(exc)
     raise AssertionError("unreachable")
+
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ __all__ = [
     "SppState",
     "ladder_mean",
     "FieldSamples",
+    "auto_x_max",
     "default_grid",
     "h_field_mean",
     "compare_states",
@@ -100,13 +101,18 @@ class FieldSamples:
     meta: dict = field(default_factory=dict)
 
 
-def default_grid(sol: ModeSolution) -> tuple[np.ndarray, np.ndarray]:
-    """Five decay lengths of x at 500 samples; z at the two interfaces."""
+def auto_x_max(sol: ModeSolution) -> float:
+    """End of the automatic x window from 0: five decay lengths, 5/|Im k|."""
     ki = abs(sol.k_spp.imag)
     if ki < _IM_K_FLOOR:
         raise NeutralModeSingularity(
             "neutral mode: no finite decay length to set the grid")
-    xs = np.linspace(0.0, 5.0 / ki, 500)
+    return 5.0 / ki
+
+
+def default_grid(sol: ModeSolution) -> tuple[np.ndarray, np.ndarray]:
+    """x over :func:`auto_x_max` at 500 samples; z at the two interfaces."""
+    xs = np.linspace(0.0, auto_x_max(sol), 500)
     zs = np.array([0.0, sol.geom.d])
     return xs, zs
 

@@ -166,6 +166,17 @@ def test_field_neutral_mode_fails_cleanly(tmp_path, capsys):
     assert "NeutralModeSingularity" in capsys.readouterr().err
 
 
+def test_field_below_solver_floor_fails_cleanly(tmp_path, capsys):
+    p = tmp_path / "thin.ini"
+    p.write_text("[geometry]\nd = 5e-11\n")  # positive, below D_MIN
+    out = tmp_path / "f.csv"
+    assert _run("--config", str(p), "--out", str(out), "field") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ValueError: film thickness 5e-11 m")
+    assert not out.exists()
+
+
 def test_verify_passes_on_defaults(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert _run("--out", str(out), "verify") == 0
@@ -197,6 +208,17 @@ _BAD_CONFIGS = {
     "omega_p": ("[metal]\nomega_p = -1\n", "dispersion"),
     "eps-zero": ("[metal]\neps_re = 0\neps_im = 0\n", "dispersion"),
     "thick_d": ("[verify]\nthick_d = -1\n", "verify"),
+    "eps_re-nan": ("[metal]\neps_re = nan\neps_im = 0.1\n", "dispersion"),
+    "eps_im-inf": ("[metal]\neps_re = -7.5\neps_im = inf\n", "dispersion"),
+    "n_imag-nan": ("[dielectric]\nn_imag = nan\n", "field"),
+    "kappa_min-inf": ("[gain-sweep]\nkappa_min = -inf\n", "gain-sweep"),
+    "kappa_max-nan": ("[gain-sweep]\nkappa_max = nan\n", "gain-sweep"),
+    "alpha_mag-inf": ("[field]\nalpha_mag = inf\n", "field"),
+    "alpha_phase-nan": ("[field]\nalpha_phase = nan\n", "field"),
+    "xi_mag-nan": ("[field]\nxi_mag = nan\n", "field"),
+    "xi_phase-inf": ("[field]\nxi_phase = -inf\n", "field"),
+    "x_min-nan": ("[field]\nx_min = nan\n", "field"),
+    "x_max-inf": ("[field]\nx_max = inf\n", "field"),
 }
 
 
