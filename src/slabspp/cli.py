@@ -516,6 +516,5 @@ def main(argv=None) -> int:
     raise AssertionError("unreachable")
 
 
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -6,10 +6,9 @@ defining derivatives, explicit thick-film limits, or contour integrals that
 locate the dispersion roots without the root finder -- sharing as little
 code as possible with the formulas under test.  The test suite runs all of
 them; the verify pass (:mod:`slabspp.verify`) runs all but the contour root
-oracle.
-:func:`weighted_abs2_quadrature` returns the region integrals of |bracket|^2
-unweighted, so one quadrature of a mode serves each weighting its callers
-apply.
+oracle.  :func:`weighted_abs2_quadrature` returns the region integrals of
+|bracket|^2 unweighted, so one quadrature of a mode serves every weighting
+its callers apply.
 
 The adaptive quadrature is :func:`quad`, QUADPACK's globally adaptive
 Gauss-Kronrod scheme in pure Python: it integrates a real or a complex
