@@ -380,6 +380,8 @@ def _resolve_field_grid(cfg, sol):
             raise ConfigError(f"field: bad z_values {ztext!r}") from None
         if zs.size == 0:
             raise ConfigError("field: z_values is empty")
+        if not np.all(np.isfinite(zs)):
+            raise ConfigError(f"field: z_values must be finite: {ztext!r}")
     return xs, zs
 
 

@@ -219,6 +219,7 @@ _BAD_CONFIGS = {
     "xi_phase-inf": ("[field]\nxi_phase = -inf\n", "field"),
     "x_min-nan": ("[field]\nx_min = nan\n", "field"),
     "x_max-inf": ("[field]\nx_max = inf\n", "field"),
+    "z_values-nan": ("[field]\nz_values = 0, nan\n", "field"),
 }
 
 

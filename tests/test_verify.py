@@ -67,7 +67,6 @@ def test_unsolvable_film_fails_each_parity(tmp_path):
         ["thick_film_single_interface", "both", "pass"]]
 
 
-
 def test_each_mode_integrates_its_regions_and_x_tail_once(monkeypatch):
     """One verify pass: one |b|^2 region quadrature per mode, <= 2 x-tails."""
     z_calls, tail_calls = [], []
