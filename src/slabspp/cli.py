@@ -27,14 +27,13 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from .dispersion import (
     PARITIES,
     DispersionError,
     SlabGeometry,
     dispersion_sweep,
     gain_sweep,
+    linspace,
     parity_from_name,
     solve_dispersion,
 )
@@ -298,8 +297,8 @@ def _media_meta(cfg):
 
 def _cmd_dispersion(cfg, out_path) -> int:
     sec = cfg["dispersion"]
-    omegas = np.linspace(sec["omega_min"], sec["omega_max"],
-                         sec["omega_points"])
+    omegas = linspace(sec["omega_min"], sec["omega_max"],
+                      sec["omega_points"])
     rows_out = []
     failures = 0
     rows = dispersion_sweep(sec["parities"], _geometry_of(cfg),
@@ -331,8 +330,8 @@ def _cmd_dispersion(cfg, out_path) -> int:
 
 def _cmd_gain_sweep(cfg, out_path) -> int:
     sec = cfg["gain-sweep"]
-    kappas = np.linspace(sec["kappa_min"], sec["kappa_max"],
-                         sec["kappa_points"])
+    kappas = linspace(sec["kappa_min"], sec["kappa_max"],
+                      sec["kappa_points"])
     result = gain_sweep(sec["parities"], _geometry_of(cfg), _metal_of(cfg),
                         cfg["dielectric"]["n_real"], kappas, sec["omega"])
     rows_out = []
@@ -369,18 +368,18 @@ def _cmd_gain_sweep(cfg, out_path) -> int:
 def _resolve_field_grid(cfg, sol):
     sec = cfg["field"]
     x_max = auto_x_max(sol) if sec["x_max"] == "auto" else sec["x_max"]
-    xs = np.linspace(sec["x_min"], x_max, sec["x_points"])
+    xs = linspace(sec["x_min"], x_max, sec["x_points"])
     ztext = sec["z_values"]
     if ztext.strip() == "interfaces":
-        zs = np.array([0.0, sol.geom.d])
+        zs = [0.0, sol.geom.d]
     else:
         try:
-            zs = np.array([float(t) for t in ztext.split(",") if t.strip()])
+            zs = [float(t) for t in ztext.split(",") if t.strip()]
         except ValueError:
             raise ConfigError(f"field: bad z_values {ztext!r}") from None
-        if zs.size == 0:
+        if not zs:
             raise ConfigError("field: z_values is empty")
-        if not np.all(np.isfinite(zs)):
+        if not all(math.isfinite(z) for z in zs):
             raise ConfigError(f"field: z_values must be finite: {ztext!r}")
     return xs, zs
 
@@ -447,6 +446,13 @@ def _cmd_verify(cfg, out_path, tolerance, printed_labels=False) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    try:
+        return _positive(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="slabspp",
@@ -458,7 +464,7 @@ def _build_parser():
                     help="INI configuration file (defaults used if omitted)")
     ap.add_argument("--out", metavar="PATH",
                     help="output file (per-command default otherwise)")
-    ap.add_argument("--tolerance", type=float, metavar="TOL",
+    ap.add_argument("--tolerance", type=_tolerance, metavar="TOL",
                     help="override every verification tolerance")
     ap.add_argument("--printed-gamma-labels", action="store_true",
                     help="use the historical swapped region labels in the "

@@ -49,6 +49,7 @@ __all__ = [
     "solve_dispersion",
     "classify_mode",
     "SweepRow",
+    "linspace",
     "dispersion_sweep",
     "GainCrossing",
     "GainSweepResult",
@@ -433,6 +434,27 @@ def _continuation(parity, xs, media_of, geom, canonical_seed_of):
             rows.append(SweepRow(x=x, parity=parity, solution=None,
                                  error=f"{type(exc).__name__}: {exc}"))
     return rows
+
+
+def linspace(a: float, b: float, n: int) -> list[float]:
+    """``n`` evenly spaced floats from ``a`` to ``b``, as ``numpy.linspace``.
+
+    Point ``i`` is ``a + i*step`` with ``step = (b - a)/(n - 1)`` and the
+    last point is exactly ``b``, bit for bit as numpy computes them
+    (including numpy's fallback for a step that underflows to zero), so the
+    sweep grids need no numpy.
+    """
+    if n == 1:
+        return [0.0 * (b - a) + a]  # numpy's sign of zero for a == -0.0
+    div = n - 1
+    delta = b - a
+    step = delta / div
+    if step:
+        points = [a + i * step for i in range(div)]
+    else:
+        points = [a + i / div * delta for i in range(div)]
+    points.append(b)
+    return points
 
 
 def dispersion_sweep(parities: Sequence[Parity], geom: SlabGeometry,

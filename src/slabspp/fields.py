@@ -21,12 +21,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dispersion import ModeSolution
 from .modes import green_coefficient, h_field_operator_bracket
 from .quantization import beta_prime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NeutralModeSingularity",
@@ -112,6 +114,8 @@ def auto_x_max(sol: ModeSolution) -> float:
 
 def default_grid(sol: ModeSolution) -> tuple[np.ndarray, np.ndarray]:
     """x over :func:`auto_x_max` at 500 samples; z at the two interfaces."""
+    import numpy as np  # here, so that importing slabspp loads no numpy
+
     xs = np.linspace(0.0, auto_x_max(sol), 500)
     zs = np.array([0.0, sol.geom.d])
     return xs, zs
@@ -136,6 +140,8 @@ def h_field_mean(sol: ModeSolution, state: SppState, grid=None,
     :func:`default_grid`).  The x dependence is a single exponential, so
     |values| is monotone along x at fixed z.
     """
+    import numpy as np  # here, so that importing slabspp loads no numpy
+
     if grid is None:
         grid = default_grid(sol)
     xs, zs = (np.asarray(g, dtype=float) for g in grid)

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dispersion import ModeSolution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DegenerateResidue",
@@ -44,7 +46,7 @@ def profile_bracket(sol: ModeSolution, z: float) -> tuple[complex, complex]:
 
     Returns the pair ``(b_x, b_z)`` as Python complex numbers, not an array:
     the quadrature oracles call this once per integration node, where
-    building a numpy array would cost more than the arithmetic.
+    building an array would cost more than the arithmetic.
 
     Tangential component and the magnetic-type combination are continuous
     across both interfaces by construction.
@@ -144,6 +146,8 @@ def green_tensor(sol: ModeSolution, r: tuple[float, float],
     over the (x, z) components.  Symmetric under simultaneous swap and
     transpose (reciprocity).
     """
+    import numpy as np  # here, so that importing slabspp loads no numpy
+
     coeff = green_coefficient(sol)
     x, z = r
     xp, zp = r_prime

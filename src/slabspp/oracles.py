@@ -19,9 +19,11 @@ than the arithmetic.  The tail substitutions of
 :func:`normalization_quadrature` and the central difference of
 :func:`curl_consistency_error` multiply by a reciprocal instead of dividing,
 the way numpy divides a complex by a real, so their values keep the rounding
-of the earlier numpy-scalar integrands bit for bit.
+of the earlier numpy-scalar integrands bit for bit.  The contour root
+oracle :func:`contour_slab_roots` sums its trapezoid nodes one by one in
+``cmath`` as well.
 
-Nothing here needs scipy, so no part of the package loads it.
+Nothing here needs numpy or scipy, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ import math
 import sys
 from operator import mul
 
-import numpy as np
-
 from .dispersion import (
     ANTISYMMETRIC,
     SYMMETRIC,
     ModeSolution,
     SlabGeometry,
+    linspace,
     single_interface_root,
     solve_dispersion,
 )
@@ -208,8 +209,7 @@ def complex_quad_chunked(f, a, b, phase_rate: float) -> complex:
     if b <= a:
         return 0j
     n = int(min(40000, max(1, math.ceil((b - a) * abs(phase_rate) / math.pi))))
-    # Python floats, so the integrand sees no numpy scalars
-    edges = np.linspace(a, b, n + 1).tolist()
+    edges = linspace(a, b, n + 1)
     total = 0j
     err_sum = 0.0
     mass = 0.0  # un-cancelled magnitude, sets the absolute noise floor
@@ -236,7 +236,7 @@ def signed_tail_integral(k_im: float) -> float:
         raise ValueError("neutral mode: semi-infinite overlap diverges")
     rate = 2.0 * abs(k_im)
     # substitute u = rate*t so the adaptive rule integrates on an O(1) scale
-    val = complex_quad(lambda u: math.exp(-u) / rate, 0.0, np.inf)
+    val = complex_quad(lambda u: math.exp(-u) / rate, 0.0, math.inf)
     return math.copysign(val, k_im)
 
 
@@ -258,8 +258,8 @@ def weighted_abs2_quadrature(sol: ModeSolution) -> tuple[float, float]:
         bx, bz = profile_bracket(sol, z)
         return abs(bx) ** 2 + abs(bz) ** 2
 
-    lower = complex_quad(lambda u: dens(u / s) / s, -np.inf, 0.0)
-    upper = complex_quad(lambda u: dens(d + u / s) / s, 0.0, np.inf)
+    lower = complex_quad(lambda u: dens(u / s) / s, -math.inf, 0.0)
+    upper = complex_quad(lambda u: dens(d + u / s) / s, 0.0, math.inf)
     return lower + upper, complex_quad(dens, 0.0, d)
 
 
@@ -280,10 +280,10 @@ def normalization_quadrature(sol: ModeSolution) -> complex:
         return bx * bx - bz * bz
 
     return (eps_d * complex_quad(lambda u: pair(u / s) * (1.0 / s),
-                                 -np.inf, 0.0)
+                                 -math.inf, 0.0)
             + eps_m * complex_quad(pair, 0.0, d)
             + eps_d * complex_quad(lambda u: pair(d + u / s) * (1.0 / s),
-                                   0.0, np.inf))
+                                   0.0, math.inf))
 
 
 def curl_consistency_error(sol: ModeSolution, z: float) -> float:
@@ -346,7 +346,7 @@ class ContourError(RuntimeError):
     """The argument-principle contour does not isolate the two slab modes."""
 
 
-def _continued_sqrt(k, beta: complex, center: complex):
+def _continued_sqrt(k: complex, beta: complex, center: complex) -> complex:
     """sqrt(k**2 - beta**2), analytic on a disk about ``center`` free of +-beta.
 
     Each factor (k -+ beta)/(center -+ beta) stays in the right half plane on
@@ -356,8 +356,8 @@ def _continued_sqrt(k, beta: complex, center: complex):
     s_c = cmath.sqrt(center * center - beta * beta)
     if s_c.real < 0.0:
         s_c = -s_c
-    return (s_c * np.sqrt((k - beta) / (center - beta))
-            * np.sqrt((k + beta) / (center + beta)))
+    return (s_c * cmath.sqrt((k - beta) / (center - beta))
+            * cmath.sqrt((k + beta) / (center + beta)))
 
 
 def contour_slab_roots(geom: SlabGeometry, media: MediumSet,
@@ -378,9 +378,10 @@ def contour_slab_roots(geom: SlabGeometry, media: MediumSet,
     count is 1, its ``s_1`` is the zero itself (Delves & Lyness, *Math.
     Comp.* 21, 1967); splitting ``D`` this way keeps full precision when
     the two modes nearly coincide (thick films).  The contour integrals use
-    the trapezoidal rule in the scaled variable ``z = (k - center)/radius``.
-    No seed, Newton or Muller step and no tanh form is involved, so the
-    result is independent of :func:`solve_dispersion`.
+    the trapezoidal rule in the scaled variable ``z = (k - center)/radius``,
+    summed node by node in ``cmath``.  No seed, Newton or Muller step and no
+    tanh form is involved, so the result is independent of
+    :func:`solve_dispersion`.
 
     ``radius`` defaults to half the distance from the center to the nearest
     branch point ``+-n*k0``, ``+-sqrt(eps_m)*k0``.  Raises
@@ -403,20 +404,26 @@ def contour_slab_roots(geom: SlabGeometry, media: MediumSet,
             f"disk of radius {radius:.4e} around {center:.6e} holds a branch "
             f"point of nu0 or num (nearest at distance {clearance:.4e})")
 
-    z = np.exp(2j * np.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES)
-    k = center + radius * z
-    nu0 = _continued_sqrt(k, betas[0], center)
-    num = _continued_sqrt(k, betas[1], center)
-    p = eps_m * nu0 + eps_d * num
-    m = eps_m * nu0 - eps_d * num
-    e = np.exp(-num * d)
-    dp = k * (eps_m / nu0 + eps_d / num)
-    dme = (k * (eps_m / nu0 - eps_d / num) - d * (k / num) * m) * e  # (m*e)'
-    moments = {}
-    for parity, sign in ((SYMMETRIC, -1.0), (ANTISYMMETRIC, 1.0)):
-        # z * (df/dz) / f on |z| = 1, with k = center + radius*z
-        w = radius * z * (dp + sign * dme) / (p + sign * m * e)
-        moments[parity.name] = (complex(np.mean(w)), complex(np.mean(w * z)))
+    signs = {SYMMETRIC.name: -1.0, ANTISYMMETRIC.name: 1.0}
+    sums = {name: [0j, 0j] for name in signs}
+    for j in range(_CONTOUR_NODES):
+        z = cmath.exp(2j * math.pi * j / _CONTOUR_NODES)
+        k = center + radius * z
+        nu0 = _continued_sqrt(k, betas[0], center)
+        num = _continued_sqrt(k, betas[1], center)
+        p = eps_m * nu0 + eps_d * num
+        m = eps_m * nu0 - eps_d * num
+        e = cmath.exp(-num * d)
+        dp = k * (eps_m / nu0 + eps_d / num)
+        # (m*e)'
+        dme = (k * (eps_m / nu0 - eps_d / num) - d * (k / num) * m) * e
+        for name, sign in signs.items():
+            # z * (df/dz) / f on |z| = 1, with k = center + radius*z
+            w = radius * z * (dp + sign * dme) / (p + sign * m * e)
+            sums[name][0] += w
+            sums[name][1] += w * z
+    moments = {name: (s0 / _CONTOUR_NODES, s1 / _CONTOUR_NODES)
+               for name, (s0, s1) in sums.items()}
     counts = {name: s0 for name, (s0, _) in moments.items()}
     if not sum(abs(s0 - 1.0) for s0 in counts.values()) <= 1e-6:
         raise ContourError(

@@ -26,8 +26,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import oracles
 from .media import EPS0, HBAR, MediumSet
 from .dispersion import ModeSolution
@@ -251,19 +249,25 @@ def green_identity_check(sol: ModeSolution,
 
     worst = 0.0
     for (xa, za), (xb, zb) in samples:
-        outer = np.outer(profile_bracket(sol, za),
-                         np.conj(profile_bracket(sol, zb)))
-        lhs = dsq * gamma_quad * _x_overlap_numeric(k, xa, xb, tail) * outer
+        # the 2x2 outer product of the bracket at a with the conjugate at b
+        outer = [ca * cb.conjugate() for ca in profile_bracket(sol, za)
+                 for cb in profile_bracket(sol, zb)]
+        lhs = dsq * gamma_quad * _x_overlap_numeric(k, xa, xb, tail)
         delta = abs(xa - xb)
         braces = (cmath.exp(1j * k * delta) / k
                   + cmath.exp(-1j * k.conjugate() * delta) / k.conjugate())
-        rhs = (dsq * gamma_closed * abs(k) ** 2 / (2.0 * kr * ki)
-               * braces) * outer
-        denom = np.linalg.norm(rhs)
+        rhs = dsq * gamma_closed * abs(k) ** 2 / (2.0 * kr * ki) * braces
+        denom = _frobenius([rhs * c for c in outer])
         if denom == 0.0:
             raise ValueError("degenerate sample pair: closed form vanished")
-        worst = max(worst, np.linalg.norm(lhs - rhs) / denom)
+        worst = max(worst,
+                    _frobenius([lhs * c - rhs * c for c in outer]) / denom)
     return worst
+
+
+def _frobenius(entries: list[complex]) -> float:
+    """Frobenius norm of a matrix given as its list of complex entries."""
+    return math.hypot(*(c.real for c in entries), *(c.imag for c in entries))
 
 
 def _x_overlap_numeric(k: complex, x: float, x_prime: float,

@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import oracles
 from .dispersion import (
     PARITIES,
     DispersionError,
     SlabGeometry,
+    linspace,
     solve_dispersion,
 )
 from .media import make_medium_set
@@ -132,11 +131,10 @@ def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
               normalization_deviation)
 
         zc = 1.0 / sol.nu0.real
-        depths = np.concatenate([
-            -np.linspace(0.05, 2.0, 20) * zc,
-            np.linspace(0.0321, 0.9679, 20) * geom.d,
-            geom.d + np.linspace(0.05, 2.0, 20) * zc,
-        ])
+        cladding = linspace(0.05, 2.0, 20)
+        depths = ([-t * zc for t in cladding]
+                  + [t * geom.d for t in linspace(0.0321, 0.9679, 20)]
+                  + [geom.d + t * zc for t in cladding])
         check("curl_consistency", parity.name, 1e-6,
               lambda: max(oracles.curl_consistency_error(sol, z)
                           for z in depths))

@@ -193,6 +193,16 @@ def test_verify_tolerance_override_forces_failure(tmp_path):
     assert "FAIL" in out.read_text()
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-6", "inf", "tiny"])
+def test_bad_tolerance_is_usage_error(tmp_path, capsys, tol):
+    out = tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        _run(f"--tolerance={tol}", "--out", str(out), "verify")
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.ini"
     p.write_text("[metal]\nunobtainium = 1\n")
@@ -238,9 +248,13 @@ def test_bad_config_value_exits_2(tmp_path, capsys, ini, command):
 
 # -- import cost ------------------------------------------------------------
 
+# The numpy and scipy modules loaded in this interpreter, as a JSON list.
+_HEAVY = ("json.dumps(sorted(m for m in sys.modules "
+          "if m.split('.')[0] in ('numpy', 'scipy')))")
+
 # Runs ``python -m slabspp`` in a fresh interpreter and prints the exit status
-# and the scipy modules loaded by then.
-_CHILD = """
+# and the numpy and scipy modules loaded by then.
+_CHILD = f"""
 import json, runpy, sys
 sys.argv = ["slabspp", *sys.argv[1:]]
 code = None
@@ -248,8 +262,8 @@ try:
     runpy.run_module("slabspp", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m == "scipy" or m.startswith("scipy."))]))
+print(json.dumps(code))
+print({_HEAVY})
 """
 
 
@@ -267,10 +281,11 @@ def _child_env():
     ("verify",),
 ], ids=["dispersion", "gain-sweep", "field", "field-compare", "verify"])
 def test_no_subcommand_loads_scipy(tmp_path, argv):
-    """A cold CLI run loads no scipy, ``verify`` and its quadratures included.
+    """A cold CLI run loads no scipy, and none but ``field`` loads numpy.
 
-    Runs in a subprocess because other test modules import scipy into this
-    interpreter.
+    ``verify`` and its quadratures included; ``field`` returns its samples
+    as arrays.  Runs in a subprocess because other test modules import numpy
+    and scipy into this interpreter.
     """
     out = tmp_path / "out.csv"
     proc = subprocess.run(
@@ -278,16 +293,28 @@ def test_no_subcommand_loads_scipy(tmp_path, argv):
          "--out", str(out), *argv],
         env=_child_env(), capture_output=True, text=True, timeout=120,
         check=True)
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0, proc.stderr
-    assert loaded == []
+    *_, code, loaded = proc.stdout.splitlines()
+    assert json.loads(code) == 0, proc.stderr
+    loaded = json.loads(loaded)
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    if argv[0] != "field":
+        assert loaded == []
+
+
+def _heavy_modules_after(statement: str) -> list:
+    """numpy and scipy modules that ``statement`` loads in a fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import json, sys; {statement}; "
+                               f"print({_HEAVY})"],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+        check=True)
+    return json.loads(proc.stdout)
 
 
 def test_oracles_import_loads_no_scipy():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import json, sys, slabspp.oracles; print(json.dumps(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy')))"],
-        env=_child_env(), capture_output=True, text=True, timeout=120,
-        check=True)
-    assert json.loads(proc.stdout) == []
+    """The oracles run on the standard library: no scipy and no numpy."""
+    assert _heavy_modules_after("import slabspp.oracles") == []
+
+
+def test_package_import_loads_no_numpy():
+    assert _heavy_modules_after("import slabspp") == []

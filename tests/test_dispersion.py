@@ -9,7 +9,7 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from slabspp import dispersion
@@ -30,6 +30,9 @@ from slabspp import (
     single_interface_root,
     solve_dispersion,
 )
+from slabspp.cli import load_config
+from slabspp.dispersion import linspace
+from slabspp.fields import auto_x_max
 from slabspp.oracles import contour_slab_roots
 
 METAL = DrudeMetalSpec(14.02e15, 6.25e13)
@@ -300,3 +303,47 @@ def test_root_property(kappa, d_nm):
     assert sol.residual <= 1e-10
     assert sol.nu0.real > 0 and sol.num.real > 0
     assert sol.k_spp.real > 0
+
+
+# -- grids ------------------------------------------------------------------
+
+def _bits(values):
+    """Exact identity of a float list: sign of zero and NaNs included."""
+    return [float(v).hex() for v in values]
+
+
+def _numpy_linspace(a, b, n):
+    with np.errstate(all="ignore"):  # b - a may overflow to inf
+        return np.linspace(a, b, n).tolist()
+
+
+@settings(deadline=None, max_examples=300)
+@given(a=st.floats(allow_nan=False, allow_infinity=False),
+       b=st.floats(allow_nan=False, allow_infinity=False),
+       n=st.integers(1, 2000))
+@example(a=1.5, b=1.5, n=7)            # a == b
+@example(a=-0.0, b=-0.0, n=1)
+@example(a=3.0, b=-2.0, n=2000)        # a > b
+@example(a=0.0, b=5e-324, n=3)         # step underflows to zero
+@example(a=-1e308, b=1e308, n=5)       # b - a overflows
+def test_linspace_matches_numpy_bit_for_bit(a, b, n):
+    assert _bits(linspace(a, b, n)) == _bits(_numpy_linspace(a, b, n))
+
+
+def test_linspace_matches_numpy_on_default_cli_grids():
+    cfg = load_config(None)
+    disp, gain, field = cfg["dispersion"], cfg["gain-sweep"], cfg["field"]
+    media = make_medium_set(
+        DrudeMetalSpec(cfg["metal"]["omega_p"], cfg["metal"]["gamma"]),
+        DielectricSpec(cfg["dielectric"]["n_real"],
+                       cfg["dielectric"]["n_imag"]),
+        field["omega"])
+    sol = solve_dispersion(field["parity"], SlabGeometry(cfg["geometry"]["d"]),
+                           media)
+    grids = [
+        (disp["omega_min"], disp["omega_max"], disp["omega_points"]),
+        (gain["kappa_min"], gain["kappa_max"], gain["kappa_points"]),
+        (field["x_min"], auto_x_max(sol), field["x_points"]),
+    ]
+    for a, b, n in grids:
+        assert _bits(linspace(a, b, n)) == _bits(_numpy_linspace(a, b, n))

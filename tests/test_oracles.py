@@ -19,6 +19,12 @@ from slabspp import (
     solve_dispersion,
 )
 from slabspp import oracles
+from slabspp.modes import green_coefficient, profile_bracket
+from slabspp.quantization import (
+    _x_overlap_numeric,
+    gamma_prime,
+    green_identity_check,
+)
 from slabspp.oracles import (
     ContourError,
     QuadratureError,
@@ -436,3 +442,94 @@ def test_oracles_match_scipy_quadpack(monkeypatch, omega, d, kappa):
         for name, value in native.items():
             assert value == pytest.approx(reference[name], rel=1e-12,
                                           abs=0), (parity.name, name)
+
+
+# Reference copies of the ndarray code two oracles ran before they became
+# scalar Python: the vectorised contour sum of ``contour_slab_roots`` and the
+# ``np.outer``/``np.linalg.norm`` form of ``green_identity_check``.  numpy's
+# complex products and sums round differently from Python's, so the two
+# agree to rounding, not bit for bit.
+
+def _ndarray_continued_sqrt(k, beta, center):
+    s_c = cmath.sqrt(center * center - beta * beta)
+    if s_c.real < 0.0:
+        s_c = -s_c
+    return (s_c * np.sqrt((k - beta) / (center - beta))
+            * np.sqrt((k + beta) / (center + beta)))
+
+
+def _reference_contour_roots(geom, media):
+    k0 = media.k0
+    eps_d, eps_m = media.eps_d, media.eps_m
+    d = geom.d
+    center = k0 * cmath.sqrt(eps_m * eps_d / (eps_m + eps_d))
+    betas = (k0 * cmath.sqrt(eps_d), k0 * cmath.sqrt(eps_m))
+    radius = 0.5 * min(abs(center - s * b) for b in betas for s in (1, -1))
+    z = np.exp(2j * np.pi * np.arange(256) / 256)
+    k = center + radius * z
+    nu0 = _ndarray_continued_sqrt(k, betas[0], center)
+    num = _ndarray_continued_sqrt(k, betas[1], center)
+    p = eps_m * nu0 + eps_d * num
+    m = eps_m * nu0 - eps_d * num
+    e = np.exp(-num * d)
+    dp = k * (eps_m / nu0 + eps_d / num)
+    dme = (k * (eps_m / nu0 - eps_d / num) - d * (k / num) * m) * e
+    roots = {}
+    for parity, sign in ((SYMMETRIC, -1.0), (ANTISYMMETRIC, 1.0)):
+        w = radius * z * (dp + sign * dme) / (p + sign * m * e)
+        roots[parity.name] = center + radius * complex(np.mean(w * z))
+    return roots
+
+
+@_CLADDINGS
+@pytest.mark.parametrize("n_real, d", [(0.9726, 60e-9), (1.9726, 60e-9),
+                                       (0.9726, 2e-6)],
+                         ids=["n0.97-60nm", "n1.97-60nm", "n0.97-2um"])
+def test_contour_roots_match_ndarray_reference(n_real, d, kappa):
+    geom = SlabGeometry(d)
+    media = make_medium_set(METAL, DielectricSpec(n_real, kappa), 4.8e15)
+    roots = contour_slab_roots(geom, media)
+    reference = _reference_contour_roots(geom, media)
+    assert set(roots) == set(reference) == {p.name for p in PARITIES}
+    for name, k in roots.items():
+        assert abs(k - reference[name]) <= 1e-13 * abs(reference[name]), name
+
+
+def _reference_green_identity(sol, z_terms):
+    k = sol.k_spp
+    kr, ki = k.real, k.imag
+    dsq = abs(green_coefficient(sol).d_value) ** 2
+    gamma_closed = gamma_prime(sol)
+    t_clad, t_film = z_terms
+    gamma_quad = sol.media.eps_d.imag * t_clad + sol.media.eps_m.imag * t_film
+    tail = signed_tail_integral(ki)
+    ell = 1.0 / max(abs(ki), abs(kr) / 20.0)
+    zc = 0.4 / sol.nu0.real
+    d = sol.geom.d
+    samples = [
+        ((0.0, -zc), (0.0, 0.5 * d)),
+        ((0.8 * ell, 0.5 * d), (0.0, d + zc)),
+        ((0.3 * ell, d + 0.7 * zc), (1.7 * ell, -0.5 * zc)),
+        ((0.2 * ell, 0.25 * d), (0.2 * ell, 0.75 * d)),
+    ]
+    worst = 0.0
+    for (xa, za), (xb, zb) in samples:
+        outer = np.outer(profile_bracket(sol, za),
+                         np.conj(profile_bracket(sol, zb)))
+        lhs = dsq * gamma_quad * _x_overlap_numeric(k, xa, xb, tail) * outer
+        delta = abs(xa - xb)
+        braces = (cmath.exp(1j * k * delta) / k
+                  + cmath.exp(-1j * k.conjugate() * delta) / k.conjugate())
+        rhs = (dsq * gamma_closed * abs(k) ** 2 / (2.0 * kr * ki)
+               * braces) * outer
+        worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
+    return worst
+
+
+@_CLADDINGS
+@_PARITIES
+def test_green_identity_matches_ndarray_reference(parity, kappa):
+    sol = _mode(parity, kappa)
+    z_terms = weighted_abs2_quadrature(sol)
+    assert green_identity_check(sol, z_terms) == pytest.approx(
+        _reference_green_identity(sol, z_terms), rel=0, abs=1e-15)
