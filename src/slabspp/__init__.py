@@ -64,6 +64,7 @@ from .quantization import (
     overlap_terms,
 )
 from .fields import (
+    FieldOverflowError,
     FieldSamples,
     NeutralModeSingularity,
     SppState,

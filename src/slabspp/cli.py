@@ -38,6 +38,7 @@ from .dispersion import (
     solve_dispersion,
 )
 from .fields import (
+    FieldOverflowError,
     NeutralModeSingularity,
     SppState,
     auto_x_max,
@@ -403,11 +404,9 @@ def _cmd_field(cfg, out_path, compare: bool, textbook: bool) -> int:
     else:
         samples = h_field_mean(sol, state, grid=grid,
                                textbook_squeeze=textbook)
-    rows = []
-    for i, x in enumerate(samples.xs):
-        for j, z in enumerate(samples.zs):
-            v = samples.values[i, j]
-            rows.append([_g(x), _g(z), _g(v.real), _g(v.imag), _g(abs(v))])
+    rows = [[_g(x), _g(z), _g(v.real), _g(v.imag), _g(abs(v))]
+            for x, row in zip(samples.xs, samples.rows)
+            for z, v in zip(samples.zs, row)]
     meta = (["slabspp mean magnetic field"
              + (" (coherent minus squeezed)" if compare else "")]
             + _media_meta(cfg) + [
@@ -519,7 +518,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DispersionError, NeutralModeSingularity) as exc:
+    except (DispersionError, NeutralModeSingularity,
+            FieldOverflowError) as exc:
         return _report_error(exc)
     raise AssertionError("unreachable")
 

@@ -13,7 +13,13 @@ principal branch is used, contributing a fixed overall factor i.
 
 The mean is ill-defined for exactly neutral modes (Im k = 0): the
 launch-normalization diverges.  :class:`NeutralModeSingularity` is raised
-instead of returning infinities.
+instead of returning infinities, and :class:`FieldOverflowError` where a
+sample of an amplified mode's growing field, or the ladder mean of a
+strongly squeezed state, leaves the float range.
+
+The samples are computed in scalar Python and kept as lists;
+:attr:`FieldSamples.values` gives them as an ndarray, and is the only place
+this module loads numpy.
 """
 
 from __future__ import annotations
@@ -21,9 +27,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .dispersion import ModeSolution
+from .dispersion import ModeSolution, linspace
 from .modes import green_coefficient, h_field_operator_bracket
 from .quantization import beta_prime
 
@@ -32,6 +39,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "NeutralModeSingularity",
+    "FieldOverflowError",
     "SppState",
     "ladder_mean",
     "FieldSamples",
@@ -46,6 +54,10 @@ _IM_K_FLOOR = 1e-20
 
 class NeutralModeSingularity(Exception):
     """Field normalization diverges for a mode with Im(k_spp) == 0."""
+
+
+class FieldOverflowError(OverflowError):
+    """A mean-field sample, or the state's ladder mean, is not finite."""
 
 
 @dataclass(frozen=True)
@@ -93,14 +105,23 @@ def ladder_mean(state: SppState, textbook_squeeze: bool = False) -> complex:
 class FieldSamples:
     """Mean field sampled on a separable (x, z) grid.
 
-    ``values[i, j]`` corresponds to ``(xs[i], zs[j])``; ``meta`` carries
-    scalar context (mode, state, prefactor) for CSV headers.
+    ``xs`` and ``zs`` are lists of floats and ``rows[i][j]`` is the complex
+    sample at ``(xs[i], zs[j])``; ``meta`` carries scalar context (mode,
+    state, prefactor) for CSV headers.
     """
 
-    xs: np.ndarray
-    zs: np.ndarray
-    values: np.ndarray
+    xs: list[float]
+    zs: list[float]
+    rows: list[list[complex]]
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """``rows`` as a complex 2-D array: ``values[i, j] == rows[i][j]``."""
+        import numpy as np  # here, so that only callers of values load it
+
+        return np.array(self.rows, dtype=complex).reshape(len(self.xs),
+                                                          len(self.zs))
 
 
 def auto_x_max(sol: ModeSolution) -> float:
@@ -112,13 +133,9 @@ def auto_x_max(sol: ModeSolution) -> float:
     return 5.0 / ki
 
 
-def default_grid(sol: ModeSolution) -> tuple[np.ndarray, np.ndarray]:
+def default_grid(sol: ModeSolution) -> tuple[list[float], list[float]]:
     """x over :func:`auto_x_max` at 500 samples; z at the two interfaces."""
-    import numpy as np  # here, so that importing slabspp loads no numpy
-
-    xs = np.linspace(0.0, auto_x_max(sol), 500)
-    zs = np.array([0.0, sol.geom.d])
-    return xs, zs
+    return linspace(0.0, auto_x_max(sol), 500), [0.0, sol.geom.d]
 
 
 def _field_prefactor(sol: ModeSolution) -> complex:
@@ -132,23 +149,50 @@ def _field_prefactor(sol: ModeSolution) -> complex:
     return 1j * dval * cmath.sqrt(complex(beta / (2.0 * ki)))
 
 
+def _finite_row(row: list[complex], x: float, what: str) -> list[complex]:
+    """``row``, unless the modulus of a sample at ``x`` is not finite.
+
+    A sample with finite parts can still have a modulus beyond the float
+    range, for which ``abs`` raises instead of returning inf.
+    """
+    try:
+        if all(math.isfinite(abs(v)) for v in row):
+            return row
+    except OverflowError:
+        pass
+    raise FieldOverflowError(f"{what} overflows at x = {x!r} m")
+
+
 def h_field_mean(sol: ModeSolution, state: SppState, grid=None,
                  textbook_squeeze: bool = False) -> FieldSamples:
     """Mean magnetic field of the launched state on a sampling grid.
 
-    ``grid`` is an ``(xs, zs)`` pair of 1-D arrays (defaults to
+    ``grid`` is an ``(xs, zs)`` pair of 1-D float sequences (defaults to
     :func:`default_grid`).  The x dependence is a single exponential, so
-    |values| is monotone along x at fixed z.
+    |H| is monotone along x at fixed z.  Raises :class:`FieldOverflowError`,
+    naming the state and the first x that overflows, instead of returning
+    infinite or NaN samples.
     """
-    import numpy as np  # here, so that importing slabspp loads no numpy
-
     if grid is None:
         grid = default_grid(sol)
-    xs, zs = (np.asarray(g, dtype=float) for g in grid)
-    pref = _field_prefactor(sol) * ladder_mean(state, textbook_squeeze)
-    xphase = np.exp(1j * sol.k_spp * xs)
-    zprof = np.array([h_field_operator_bracket(sol, z) for z in zs])
-    values = pref * np.outer(xphase, zprof)
+    xs, zs = ([float(v) for v in g] for g in grid)
+    what = f"mean field of {state.describe()}"
+    try:
+        pref = _field_prefactor(sol) * ladder_mean(state, textbook_squeeze)
+    except OverflowError as exc:  # cosh/sinh of a large squeeze modulus
+        raise FieldOverflowError(
+            f"{what}: the ladder mean overflows ({exc})") from None
+    ik = 1j * sol.k_spp
+    zprof = [h_field_operator_bracket(sol, z) for z in zs]
+    rows = []
+    for x in xs:
+        try:
+            phase = cmath.exp(ik * x)
+        except OverflowError:
+            raise FieldOverflowError(f"{what} overflows at x = {x!r} m"
+                                     ) from None
+        # a finite phase can still overflow the product, which is not raised
+        rows.append(_finite_row([pref * (phase * p) for p in zprof], x, what))
     meta = {
         "omega_rad_s": sol.omega,
         "parity": sol.parity.name,
@@ -158,7 +202,7 @@ def h_field_mean(sol: ModeSolution, state: SppState, grid=None,
         "state": state.describe(),
         "textbook_squeeze": textbook_squeeze,
     }
-    return FieldSamples(xs=xs, zs=zs, values=values, meta=meta)
+    return FieldSamples(xs=xs, zs=zs, rows=rows, meta=meta)
 
 
 def compare_states(sol: ModeSolution, state_a: SppState, state_b: SppState,
@@ -177,5 +221,7 @@ def compare_states(sol: ModeSolution, state_a: SppState, state_b: SppState,
                       textbook_squeeze=textbook_squeeze)
     meta = dict(fa.meta)
     meta["state"] = f"{state_a.describe()} minus {state_b.describe()}"
-    return FieldSamples(xs=fa.xs, zs=fa.zs, values=fa.values - fb.values,
-                        meta=meta)
+    rows = [_finite_row([a - b for a, b in zip(ra, rb)], x,
+                        f"mean field of {meta['state']}")
+            for x, ra, rb in zip(fa.xs, fa.rows, fb.rows)]
+    return FieldSamples(xs=fa.xs, zs=fa.zs, rows=rows, meta=meta)

@@ -64,11 +64,17 @@ def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
     ``metal`` and ``dielectric`` are as accepted by
     :func:`slabspp.media.make_medium_set`; ``thick_d`` is the film thickness
     of the degeneracy checks.  ``tolerance`` replaces every check's own
-    tolerance; ``printed_labels`` is passed to :func:`ccr_check`.  A parity
-    whose mode cannot be solved gives one failed ``solve`` record instead of
-    its six checks.  Each mode's region integrals of |b|^2 are integrated
-    once, for both commutator checks and the Green identity.
+    tolerance and must be positive and finite (``ValueError`` otherwise, as
+    for the CLI's ``--tolerance``); ``printed_labels`` is passed to
+    :func:`ccr_check`.  A parity whose mode cannot be solved gives one
+    failed ``solve`` record instead of its six checks.  Each mode's region
+    integrals of |b|^2 are integrated once, for both commutator checks and
+    the Green identity.
     """
+    if tolerance is not None and not (tolerance > 0.0
+                                      and math.isfinite(tolerance)):
+        raise ValueError(
+            f"tolerance must be positive and finite, not {tolerance!r}")
     records: list[CheckRecord] = []
 
     def tol_of(default):

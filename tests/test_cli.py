@@ -177,6 +177,25 @@ def test_field_below_solver_floor_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ini, argv, message", [
+    ("[field]\nx_max = 1.0\n", ("field",),
+     "mean field of coherent(|a|=2.64575, phase=1.5) overflows at x = "),
+    ("[field]\nxi_mag = 800\n", ("field", "--compare"),
+     "mean field of squeezed(|a|=2.64575, phase=1.5, |xi|=800, xi_phase=0): "
+     "the ladder mean overflows"),
+], ids=["long-x-window", "huge-squeeze"])
+def test_field_overflow_fails_cleanly(tmp_path, capsys, ini, argv, message):
+    """An overflowing sample is one error line and no file, not inf rows."""
+    p = tmp_path / "run.ini"
+    p.write_text(ini)
+    out = tmp_path / "f.csv"
+    assert _run("--config", str(p), "--out", str(out), *argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: FieldOverflowError: {message}")
+    assert not out.exists()
+
+
 def test_verify_passes_on_defaults(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert _run("--out", str(out), "verify") == 0
@@ -281,11 +300,12 @@ def _child_env():
     ("verify",),
 ], ids=["dispersion", "gain-sweep", "field", "field-compare", "verify"])
 def test_no_subcommand_loads_scipy(tmp_path, argv):
-    """A cold CLI run loads no scipy, and none but ``field`` loads numpy.
+    """A cold CLI run loads neither scipy nor numpy.
 
-    ``verify`` and its quadratures included; ``field`` returns its samples
-    as arrays.  Runs in a subprocess because other test modules import numpy
-    and scipy into this interpreter.
+    ``verify`` and its quadratures included, and ``field``, which writes its
+    samples from lists and never asks for :attr:`FieldSamples.values`.  Runs
+    in a subprocess because other test modules import numpy and scipy into
+    this interpreter.
     """
     out = tmp_path / "out.csv"
     proc = subprocess.run(
@@ -295,10 +315,7 @@ def test_no_subcommand_loads_scipy(tmp_path, argv):
         check=True)
     *_, code, loaded = proc.stdout.splitlines()
     assert json.loads(code) == 0, proc.stderr
-    loaded = json.loads(loaded)
-    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
-    if argv[0] != "field":
-        assert loaded == []
+    assert json.loads(loaded) == []
 
 
 def _heavy_modules_after(statement: str) -> list:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from slabspp import (
     SYMMETRIC,
     DielectricSpec,
     DrudeMetalSpec,
+    FieldOverflowError,
     NeutralModeSingularity,
     SlabGeometry,
     SppState,
@@ -20,6 +22,7 @@ from slabspp import (
     make_medium_set,
     solve_dispersion,
 )
+from slabspp.cli import load_config, main
 
 METAL = DrudeMetalSpec(14.02e15, 6.25e13)
 GEOM = SlabGeometry(60e-9)
@@ -117,13 +120,72 @@ def test_symmetric_bracket_node_at_midplane():
     assert h_field_operator_bracket(anti, 0.5 * GEOM.d) != 0j
 
 
+def _bits(rows):
+    """Complex samples as hex pairs, so that equality is bit for bit."""
+    return [[(v.real.hex(), v.imag.hex()) for v in row] for row in rows]
+
+
+def test_values_and_field_csv_are_the_rows(tmp_path):
+    """``values`` and the default ``field`` CSV carry ``rows`` unrounded."""
+    cfg = load_config(None)
+    sec = cfg["field"]
+    media = make_medium_set(
+        DrudeMetalSpec(cfg["metal"]["omega_p"], cfg["metal"]["gamma"]),
+        DielectricSpec(cfg["dielectric"]["n_real"],
+                       cfg["dielectric"]["n_imag"]), sec["omega"])
+    sol = solve_dispersion(sec["parity"], SlabGeometry(cfg["geometry"]["d"]),
+                           media)
+    samples = h_field_mean(sol, SppState(sec["alpha_mag"], sec["alpha_phase"]))
+    values = samples.values
+    assert values.shape == (len(samples.xs), len(samples.zs)) == (500, 2)
+    assert values.dtype == np.complex128
+    assert _bits(values.tolist()) == _bits(samples.rows)
+
+    out = tmp_path / "field.csv"
+    assert main(["--out", str(out), "field"]) == 0
+    cells = [line.split(",") for line in out.read_text().splitlines()
+             if not line.startswith("#")][1:]
+    assert cells == [[f"{x:.17g}", f"{z:.17g}", f"{v.real:.17g}",
+                      f"{v.imag:.17g}", f"{abs(v):.17g}"]
+                     for x, row in zip(samples.xs, samples.rows)
+                     for z, v in zip(samples.zs, row)]
+
+
+def test_overflowing_samples_raise():
+    sol = _amplified()
+    # e^{ikx} itself leaves the float range at x = 1 m
+    with pytest.raises(FieldOverflowError, match="overflows at x = 1.0 m"):
+        h_field_mean(sol, COHERENT, grid=([0.0, 1.0], [0.0]))
+    # |e^{ikx}| ~ 1e299: the sample of a unit displacement is finite, that
+    # of a large one is not
+    x = 690.0 / abs(sol.k_spp.imag)
+    grid = ([x], [0.0])
+    unit = abs(h_field_mean(sol, SppState(alpha_mag=1.0), grid=grid).rows[0][0])
+    assert 1e280 < unit < 1e300
+    with pytest.raises(FieldOverflowError,
+                       match=re.escape(f"overflows at x = {x!r} m")):
+        h_field_mean(sol, SppState(alpha_mag=1e20), grid=([0.0, x], [0.0]))
+    with pytest.raises(FieldOverflowError, match="ladder mean overflows"):
+        compare_states(sol, COHERENT,
+                       SppState(alpha_mag=1.0, xi_mag=800.0))
+    # two samples of modulus 1.5e308 whose difference has modulus 2e308: at
+    # xi_phase = acos(tanh r) the squeezed ladder mean is alpha (1 - i nu)/mu
+    alpha = 1.5e308 / unit
+    squeezed = SppState(alpha_mag=alpha, xi_mag=3.0,
+                        xi_phase=math.acos(math.tanh(3.0)))
+    assert abs(h_field_mean(sol, squeezed, grid=grid).rows[0][0]) < 1.6e308
+    with pytest.raises(FieldOverflowError, match="minus squeezed"):
+        compare_states(sol, SppState(alpha_mag=alpha), squeezed, grid=grid)
+
+
 def test_compare_states_is_pointwise_difference():
     sol = _amplified()
     grid = (np.linspace(0.0, 8e-7, 25), np.array([0.0]))
     diff = compare_states(sol, COHERENT, SQUEEZED, grid=grid)
     a = h_field_mean(sol, COHERENT, grid=grid)
     b = h_field_mean(sol, SQUEEZED, grid=grid)
-    assert np.array_equal(diff.values, a.values - b.values)
+    assert _bits(diff.rows) == _bits([[u - v for u, v in zip(ru, rv)]
+                                      for ru, rv in zip(a.rows, b.rows)])
 
 
 def test_compare_identical_states_is_zero():

@@ -9,6 +9,10 @@ Runs ``slabspp`` in-process and compares each output file with its copy in
   -0.063 (gain) and 0.02 (loss), omega in {2, 3, 4.8, 6, 7}e15 rad/s and
   d in {20, 60, 200} nm, named ``verify_op<i>_<gain|loss>`` in that order.
 
+Every output is computed in scalar Python, so no copy depends on numpy's
+SIMD dispatch (numpy's complex multiply fuses multiply-adds where the CPU
+has FMA, and then rounds differently from Python's).
+
 A change that is not meant to move any output value must leave every copy
 as it is.  A change that is meant to move values regenerates the copies with
 

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from slabspp import DielectricSpec, DrudeMetalSpec, SlabGeometry, oracles
 from slabspp.cli import load_config, main
 from slabspp.verify import run_checks
@@ -16,14 +18,14 @@ _ORDER = ([(check, parity, tol) for parity in ("symmetric", "antisymmetric")
              ("thick_film_single_interface", "both", 1e-9)])
 
 
-def _default_checks(d=None):
+def _default_checks(d=None, tolerance=None):
     cfg = load_config(None)
     return run_checks(
         DrudeMetalSpec(cfg["metal"]["omega_p"], cfg["metal"]["gamma"]),
         DielectricSpec(cfg["dielectric"]["n_real"],
                        cfg["dielectric"]["n_imag"]),
         SlabGeometry(cfg["geometry"]["d"] if d is None else d),
-        cfg["verify"]["omega"], cfg["verify"]["thick_d"])
+        cfg["verify"]["omega"], cfg["verify"]["thick_d"], tolerance)
 
 
 def _report_rows(path):
@@ -46,6 +48,14 @@ def test_default_pass_runs_every_check_in_order(tmp_path):
     out = tmp_path / "report.csv"
     assert main(["--out", str(out), "verify"]) == 0
     assert _report_rows(out) == [_row(r) for r in records]
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0,
+                                       -1e-6])
+def test_bad_tolerance_rejected(tolerance):
+    """The CLI's ``--tolerance`` rule, for library callers too."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        _default_checks(tolerance=tolerance)
 
 
 def test_unsolvable_film_fails_each_parity(tmp_path):
