@@ -9,69 +9,38 @@ Workflow: build media (:mod:`slabspp.media`), solve the complex dispersion
 solved for.  :mod:`slabspp.oracles` recomputes the closed forms by
 quadrature, :mod:`slabspp.verify` runs them all as one pass of checks, and
 :mod:`slabspp.cli` wraps everything in a command line.
+
+``import slabspp`` loads no submodule.  ``from slabspp import X`` takes ``X``
+from the ``__all__`` of the workflow module that declares it, and loads that
+module on first use.
 """
 
-from .media import (
-    C_LIGHT,
-    EPS0,
-    HBAR,
-    DielectricSpec,
-    DrudeMetalSpec,
-    MediumSet,
-    dielectric_epsilon,
-    drude_epsilon,
-    make_medium_set,
-)
-from .dispersion import (
-    ANTISYMMETRIC,
-    PARITIES,
-    SYMMETRIC,
-    BranchViolation,
-    GainSweepResult,
-    ModeSolution,
-    NonConvergence,
-    Parity,
-    SlabGeometry,
-    SweepRow,
-    classify_mode,
-    decay_constants,
-    dispersion_sweep,
-    gain_sweep,
-    parity_from_name,
-    single_interface_root,
-    solve_dispersion,
-)
-from .modes import (
-    DegenerateResidue,
-    GreenCoefficient,
-    green_coefficient,
-    green_tensor,
-    h_field_operator_bracket,
-    normalization,
-    profile_bracket,
-)
-from .quantization import (
-    CROSS_DIRECTION,
-    SAME_DIRECTION,
-    NoiseAmplitudes,
-    beta_prime,
-    ccr_check,
-    commutator,
-    commutator_numeric,
-    gamma_prime,
-    green_identity_check,
-    noise_amplitudes,
-    overlap_terms,
-)
-from .fields import (
-    FieldOverflowError,
-    FieldSamples,
-    NeutralModeSingularity,
-    SppState,
-    compare_states,
-    default_grid,
-    h_field_mean,
-    ladder_mean,
-)
-
 __version__ = "0.1.0"
+
+# the modules whose ``__all__`` the package exports, in workflow order
+_API_MODULES = ("media", "dispersion", "modes", "quantization", "fields")
+
+
+def __getattr__(name):
+    """Resolve a submodule or public name on first use (PEP 562).
+
+    A submodule name loads that submodule alone: ``from . import oracles``
+    inside the package probes this function first.
+    """
+    import importlib.util
+
+    if not name.startswith("_"):
+        if importlib.util.find_spec(f"{__name__}.{name}") is not None:
+            return _submodule(name)
+        for module_name in _API_MODULES:
+            module = _submodule(module_name)
+            if name in module.__all__:
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _submodule(name):
+    # what the import statement calls, so ``-X importtime`` reports the load
+    # (``importlib.import_module`` does not); a fromlist returns the submodule
+    return __import__(f"{__name__}.{name}", fromlist=["__name__"])

@@ -15,7 +15,8 @@ lines and 17-significant-digit floats, written atomically (temp file plus
 rename) so reruns are byte-identical and never observed half-written.
 
 Exit status: 0 on full success, 1 if any row failed to converge or any
-verification check failed, 2 on usage/configuration errors.
+verification check failed, 2 on usage/configuration errors (an unwritable
+``--out`` included).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import configparser
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -37,22 +39,17 @@ from .dispersion import (
     parity_from_name,
     solve_dispersion,
 )
-from .fields import (
-    FieldOverflowError,
-    NeutralModeSingularity,
-    SppState,
-    auto_x_max,
-    compare_states,
-    h_field_mean,
-)
 from .media import DielectricSpec, DrudeMetalSpec, make_medium_set
-from .verify import run_checks
 
 __all__ = ["main", "ConfigError", "load_config", "dump_config"]
 
 
 class ConfigError(Exception):
     """Invalid or unknown configuration content."""
+
+
+class _OutputError(Exception):
+    """The output file cannot be written."""
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +257,32 @@ def _g(x: float) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".slabspp-", suffix=".tmp")
+    """Replace ``path`` by ``text`` through a temp file and a rename.
+
+    An existing file keeps its mode and a new one gets the mode of a plain
+    ``open(path, "w")``.  No temp file is left behind, and an ``OSError``
+    becomes :class:`_OutputError`.
+    """
+    tmp = None
     try:
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)  # the umask can only be read by setting it
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".slabspp-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise _OutputError(
+            f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _write_csv(path, meta_lines, header, rows, trailer_lines=()):
@@ -367,6 +380,8 @@ def _cmd_gain_sweep(cfg, out_path) -> int:
 
 
 def _resolve_field_grid(cfg, sol):
+    from .fields import auto_x_max
+
     sec = cfg["field"]
     x_max = auto_x_max(sol) if sec["x_max"] == "auto" else sec["x_max"]
     xs = linspace(sec["x_min"], x_max, sec["x_points"])
@@ -386,24 +401,28 @@ def _resolve_field_grid(cfg, sol):
 
 
 def _cmd_field(cfg, out_path, compare: bool, textbook: bool) -> int:
+    from .fields import (FieldOverflowError, NeutralModeSingularity, SppState,
+                         compare_states, h_field_mean)
+
     sec = cfg["field"]
     media = make_medium_set(_metal_of(cfg), _dielectric_of(cfg), sec["omega"])
-    try:
-        sol = solve_dispersion(sec["parity"], _geometry_of(cfg), media)
-    except ValueError as exc:  # e.g. a film below the solver's floor D_MIN
-        return _report_error(exc)
-    grid = _resolve_field_grid(cfg, sol)
     state = SppState(alpha_mag=sec["alpha_mag"],
                      alpha_phase=sec["alpha_phase"],
                      xi_mag=sec["xi_mag"], xi_phase=sec["xi_phase"])
-    if compare:
-        coherent = SppState(alpha_mag=sec["alpha_mag"],
-                            alpha_phase=sec["alpha_phase"])
-        samples = compare_states(sol, coherent, state, grid=grid,
-                                 textbook_squeeze=textbook)
-    else:
-        samples = h_field_mean(sol, state, grid=grid,
-                               textbook_squeeze=textbook)
+    try:
+        # ValueError: e.g. a film below the solver's floor D_MIN
+        sol = solve_dispersion(sec["parity"], _geometry_of(cfg), media)
+        grid = _resolve_field_grid(cfg, sol)
+        if compare:
+            coherent = SppState(alpha_mag=sec["alpha_mag"],
+                                alpha_phase=sec["alpha_phase"])
+            samples = compare_states(sol, coherent, state, grid=grid,
+                                     textbook_squeeze=textbook)
+        else:
+            samples = h_field_mean(sol, state, grid=grid,
+                                   textbook_squeeze=textbook)
+    except (ValueError, NeutralModeSingularity, FieldOverflowError) as exc:
+        return _report_error(exc)
     rows = [[_g(x), _g(z), _g(v.real), _g(v.imag), _g(abs(v))]
             for x, row in zip(samples.xs, samples.rows)
             for z, v in zip(samples.zs, row)]
@@ -422,6 +441,8 @@ def _cmd_field(cfg, out_path, compare: bool, textbook: bool) -> int:
 
 
 def _cmd_verify(cfg, out_path, tolerance, printed_labels=False) -> int:
+    from .verify import run_checks
+
     records = run_checks(_metal_of(cfg), _dielectric_of(cfg),
                          _geometry_of(cfg), cfg["verify"]["omega"],
                          cfg["verify"]["thick_d"], tolerance, printed_labels)
@@ -518,8 +539,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DispersionError, NeutralModeSingularity,
-            FieldOverflowError) as exc:
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except DispersionError as exc:
         return _report_error(exc)
     raise AssertionError("unreachable")
 

@@ -308,15 +308,23 @@ class ModeSolution:
     """
 
     parity: Parity
-    omega: float
     k_spp: complex
     nu0: complex
     num: complex
     amplitude: complex
     residual: float
-    regime: str
     media: MediumSet
     geom: SlabGeometry
+
+    @property
+    def omega(self) -> float:
+        """Angular frequency of the mode, ``media.omega``."""
+        return self.media.omega
+
+    @property
+    def regime(self) -> str:
+        """Propagation regime, :func:`classify_mode` of ``k_spp``."""
+        return classify_mode(self.k_spp)
 
 
 def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
@@ -370,13 +378,11 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
     amp = 1.0 / (1.0 + parity.pm * cmath.exp(-num * geom.d))
     return ModeSolution(
         parity=parity,
-        omega=media.omega,
         k_spp=root,
         nu0=nu0,
         num=num,
         amplitude=amp,
         residual=residual,
-        regime=classify_mode(root),
         media=media,
         geom=geom,
     )
@@ -396,7 +402,7 @@ class SweepRow:
     error: Optional[str] = None
 
 
-def _continuation(parity, xs, media_of, geom, canonical_seed_of):
+def _continuation(parity, xs, media_of, geom):
     """March a root along grid xs, re-seeding when the branch hops."""
     rows: list[SweepRow] = []
     hist_x: list[float] = []
@@ -418,11 +424,12 @@ def _continuation(parity, xs, media_of, geom, canonical_seed_of):
             if trend is not None:
                 dev = abs(sol.k_spp - pred)
                 if dev > 10.0 * (trend + 1e-9 * abs(sol.k_spp)):
-                    # suspicious jump: retry from the canonical seed and keep
-                    # whichever root continues the tracked branch
+                    # suspicious jump: retry from the single-interface root
+                    # and keep whichever root continues the tracked branch
                     try:
                         alt = solve_dispersion(
-                            parity, geom, media, guess=canonical_seed_of(media))
+                            parity, geom, media,
+                            guess=single_interface_root(media))
                         if abs(alt.k_spp - pred) < dev:
                             sol = alt
                     except DispersionError:
@@ -475,7 +482,6 @@ def dispersion_sweep(parities: Sequence[Parity], geom: SlabGeometry,
             parity, omegas,
             media_of=lambda w: make_medium_set(metal, dielectric, w),
             geom=geom,
-            canonical_seed_of=single_interface_root,
         ))
     return rows
 
@@ -516,8 +522,7 @@ def gain_sweep(parities: Sequence[Parity], geom: SlabGeometry, metal,
     rows: list[SweepRow] = []
     crossings: dict[str, Optional[GainCrossing]] = {}
     for parity in parities:
-        prows = _continuation(parity, kappas, media_of, geom,
-                              canonical_seed_of=single_interface_root)
+        prows = _continuation(parity, kappas, media_of, geom)
         rows.extend(prows)
         crossings[parity.name] = _find_crossing(parity, prows, media_of, geom)
     return GainSweepResult(rows=rows, crossings=crossings)

@@ -222,6 +222,37 @@ def test_bad_tolerance_is_usage_error(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_output_mode_follows_umask(tmp_path, umask):
+    """A new output gets ``0o666 & ~umask``; a rerun keeps the file's mode."""
+    cfg = _small_config(tmp_path)
+    out = tmp_path / "disp.csv"
+    old = os.umask(umask)
+    try:
+        assert _run("--config", cfg, "--out", str(out), "dispersion") == 0
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+        out.chmod(0o640)
+        assert _run("--config", cfg, "--out", str(out), "dispersion") == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("a-directory", "Is a directory"),
+    ("missing/out.csv", "No such file or directory"),
+], ids=["out-is-directory", "parent-missing"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, target, reason):
+    """One error line, exit 2 and no temp file, not a traceback."""
+    (tmp_path / "a-directory").mkdir()
+    out = tmp_path / target
+    assert _run("--config", _small_config(tmp_path), "--out", str(out),
+                "dispersion") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {out}: {reason}"]
+    assert not list(tmp_path.rglob(".slabspp-*"))
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.ini"
     p.write_text("[metal]\nunobtainium = 1\n")
@@ -271,8 +302,12 @@ def test_bad_config_value_exits_2(tmp_path, capsys, ini, command):
 _HEAVY = ("json.dumps(sorted(m for m in sys.modules "
           "if m.split('.')[0] in ('numpy', 'scipy')))")
 
-# Runs ``python -m slabspp`` in a fresh interpreter and prints the exit status
-# and the numpy and scipy modules loaded by then.
+# The ``slabspp`` submodules loaded in this interpreter, as a JSON list.
+_OWN = ("json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules "
+        "if m.startswith('slabspp.')))")
+
+# Runs ``python -m slabspp`` in a fresh interpreter and prints the exit status,
+# the numpy and scipy modules loaded by then, and the slabspp submodules.
 _CHILD = f"""
 import json, runpy, sys
 sys.argv = ["slabspp", *sys.argv[1:]]
@@ -283,7 +318,15 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps(code))
 print({_HEAVY})
+print({_OWN})
 """
+
+# The slabspp submodules a cold subcommand loads: what it runs, no more.
+_SWEEP_MODULES = ["cli", "dispersion", "media"]
+_FIELD_MODULES = ["cli", "dispersion", "fields", "media", "modes", "oracles",
+                  "quantization"]
+_VERIFY_MODULES = ["cli", "dispersion", "media", "modes", "oracles",
+                   "quantization", "verify"]
 
 
 def _child_env():
@@ -295,17 +338,20 @@ def _child_env():
     return env
 
 
-@pytest.mark.parametrize("argv", [
-    ("dispersion",), ("gain-sweep",), ("field",), ("field", "--compare"),
-    ("verify",),
+@pytest.mark.parametrize("argv, modules", [
+    (("dispersion",), _SWEEP_MODULES), (("gain-sweep",), _SWEEP_MODULES),
+    (("field",), _FIELD_MODULES), (("field", "--compare"), _FIELD_MODULES),
+    (("verify",), _VERIFY_MODULES),
 ], ids=["dispersion", "gain-sweep", "field", "field-compare", "verify"])
-def test_no_subcommand_loads_scipy(tmp_path, argv):
-    """A cold CLI run loads neither scipy nor numpy.
+def test_no_subcommand_loads_scipy(tmp_path, argv, modules):
+    """A cold CLI run loads neither scipy nor numpy, and only its own modules.
 
     ``verify`` and its quadratures included, and ``field``, which writes its
-    samples from lists and never asks for :attr:`FieldSamples.values`.  Runs
-    in a subprocess because other test modules import numpy and scipy into
-    this interpreter.
+    samples from lists and never asks for :attr:`FieldSamples.values`.
+    ``dispersion`` and ``gain-sweep`` load no ``fields`` or ``verify``,
+    ``field`` no ``verify`` and ``verify`` no ``fields``.  Runs in a
+    subprocess because other test modules import numpy and scipy into this
+    interpreter.
     """
     out = tmp_path / "out.csv"
     proc = subprocess.run(
@@ -313,25 +359,28 @@ def test_no_subcommand_loads_scipy(tmp_path, argv):
          "--out", str(out), *argv],
         env=_child_env(), capture_output=True, text=True, timeout=120,
         check=True)
-    *_, code, loaded = proc.stdout.splitlines()
+    *_, code, heavy, own = proc.stdout.splitlines()
     assert json.loads(code) == 0, proc.stderr
-    assert json.loads(loaded) == []
+    assert json.loads(heavy) == []
+    assert json.loads(own) == modules
 
 
-def _heavy_modules_after(statement: str) -> list:
-    """numpy and scipy modules that ``statement`` loads in a fresh process."""
+def _modules_after(statement: str) -> tuple[list, list]:
+    """numpy/scipy modules and slabspp submodules ``statement`` loads, fresh."""
     proc = subprocess.run(
         [sys.executable, "-c", f"import json, sys; {statement}; "
-                               f"print({_HEAVY})"],
+                               f"print({_HEAVY}); print({_OWN})"],
         env=_child_env(), capture_output=True, text=True, timeout=120,
         check=True)
-    return json.loads(proc.stdout)
+    heavy, own = proc.stdout.splitlines()
+    return json.loads(heavy), json.loads(own)
 
 
 def test_oracles_import_loads_no_scipy():
     """The oracles run on the standard library: no scipy and no numpy."""
-    assert _heavy_modules_after("import slabspp.oracles") == []
+    assert _modules_after("import slabspp.oracles")[0] == []
 
 
 def test_package_import_loads_no_numpy():
-    assert _heavy_modules_after("import slabspp") == []
+    """``import slabspp`` loads no numpy and no submodule either."""
+    assert _modules_after("import slabspp") == ([], [])

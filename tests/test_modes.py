@@ -117,8 +117,8 @@ def test_green_tensor_separable():
 def test_degenerate_residue_guard():
     good = _solution()
     broken = ModeSolution(
-        parity=good.parity, omega=good.omega, k_spp=0j, nu0=good.nu0,
+        parity=good.parity, k_spp=0j, nu0=good.nu0,
         num=good.num, amplitude=good.amplitude, residual=good.residual,
-        regime=good.regime, media=good.media, geom=good.geom)
+        media=good.media, geom=good.geom)
     with pytest.raises(DegenerateResidue):
         green_coefficient(broken)
