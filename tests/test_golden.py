@@ -5,6 +5,8 @@ Runs ``slabspp`` in-process and compares each output file with its copy in
 
 - the default configuration's ``dispersion``, ``gain-sweep``, ``field``,
   ``field --compare`` and ``verify`` outputs;
+- ``field`` and ``field --compare`` for a squeezed state (``xi_mag`` 1,
+  ``xi_phase`` 0.7), named ``field_squeezed`` and ``field_compare_squeezed``;
 - ``verify`` at the benchmark's 30 operating points: n_real 0.9726, n_imag
   -0.063 (gain) and 0.02 (loss), omega in {2, 3, 4.8, 6, 7}e15 rad/s and
   d in {20, 60, 200} nm, named ``verify_op<i>_<gain|loss>`` in that order.
@@ -34,11 +36,14 @@ from slabspp.cli import main
 GOLDEN = Path(__file__).with_name("golden")
 
 # name -> (INI text, or None for the defaults; subcommand arguments)
+_SQUEEZED = "[field]\nxi_mag = 1.0\nxi_phase = 0.7\n"
 CASES = {
     "dispersion": (None, ("dispersion",)),
     "gain_sweep": (None, ("gain-sweep",)),
     "field": (None, ("field",)),
     "field_compare": (None, ("field", "--compare")),
+    "field_squeezed": (_SQUEEZED, ("field",)),
+    "field_compare_squeezed": (_SQUEEZED, ("field", "--compare")),
     "verify": (None, ("verify",)),
 }
 _OP_POINTS = [(omega, d) for omega in (2e15, 3e15, 4.8e15, 6e15, 7e15)
