@@ -63,15 +63,21 @@ def _parse_parities(text: str):
     return (parity_from_name(text),)
 
 
-def _parse_z_values(text: str):
-    return text  # resolved later against the geometry
-
-
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError("must be finite")
     return value
+
+
+def _parse_z_values(text: str):
+    text = text.strip()
+    if text == "interfaces":
+        return text
+    depths = tuple(_finite(t) for t in text.split(",") if t.strip())
+    if not depths:
+        raise ValueError("no depth given")
+    return depths
 
 
 def _positive(text: str) -> float:
@@ -237,6 +243,8 @@ def dump_config(cfg) -> str:
                 continue
             if isinstance(val, float):
                 lines.append(f"{key} = {_g(val)}")
+            elif isinstance(val, tuple) and isinstance(val[0], float):
+                lines.append(f"{key} = " + ", ".join(map(_g, val)))  # depths
             elif isinstance(val, tuple):  # parity tuple
                 lines.append(f"{key} = "
                              + ("both" if len(val) > 1 else val[0].name))
@@ -379,30 +387,9 @@ def _cmd_gain_sweep(cfg, out_path) -> int:
     return 1 if failures else 0
 
 
-def _resolve_field_grid(cfg, sol):
-    from .fields import auto_x_max
-
-    sec = cfg["field"]
-    x_max = auto_x_max(sol) if sec["x_max"] == "auto" else sec["x_max"]
-    xs = linspace(sec["x_min"], x_max, sec["x_points"])
-    ztext = sec["z_values"]
-    if ztext.strip() == "interfaces":
-        zs = [0.0, sol.geom.d]
-    else:
-        try:
-            zs = [float(t) for t in ztext.split(",") if t.strip()]
-        except ValueError:
-            raise ConfigError(f"field: bad z_values {ztext!r}") from None
-        if not zs:
-            raise ConfigError("field: z_values is empty")
-        if not all(math.isfinite(z) for z in zs):
-            raise ConfigError(f"field: z_values must be finite: {ztext!r}")
-    return xs, zs
-
-
-def _cmd_field(cfg, out_path, compare: bool, textbook: bool) -> int:
+def _cmd_field(cfg, out_path, compare: bool) -> int:
     from .fields import (FieldOverflowError, NeutralModeSingularity, SppState,
-                         compare_states, h_field_mean)
+                         auto_x_max, compare_states, h_field_mean)
 
     sec = cfg["field"]
     media = make_medium_set(_metal_of(cfg), _dielectric_of(cfg), sec["omega"])
@@ -412,16 +399,20 @@ def _cmd_field(cfg, out_path, compare: bool, textbook: bool) -> int:
     try:
         # ValueError: e.g. a film below the solver's floor D_MIN
         sol = solve_dispersion(sec["parity"], _geometry_of(cfg), media)
-        grid = _resolve_field_grid(cfg, sol)
+        x_max = auto_x_max(sol) if sec["x_max"] == "auto" else sec["x_max"]
+        zs = sec["z_values"]
+        grid = (linspace(sec["x_min"], x_max, sec["x_points"]),
+                [0.0, sol.geom.d] if zs == "interfaces" else zs)
         if compare:
             coherent = SppState(alpha_mag=sec["alpha_mag"],
                                 alpha_phase=sec["alpha_phase"])
-            samples = compare_states(sol, coherent, state, grid=grid,
-                                     textbook_squeeze=textbook)
+            samples = compare_states(sol, coherent, state, grid=grid)
+            described = f"{coherent.describe()} minus {state.describe()}"
         else:
-            samples = h_field_mean(sol, state, grid=grid,
-                                   textbook_squeeze=textbook)
-    except (ValueError, NeutralModeSingularity, FieldOverflowError) as exc:
+            samples = h_field_mean(sol, state, grid=grid)
+            described = state.describe()
+    except (ValueError, DispersionError, NeutralModeSingularity,
+            FieldOverflowError) as exc:
         return _report_error(exc)
     rows = [[_g(x), _g(z), _g(v.real), _g(v.imag), _g(abs(v))]
             for x, row in zip(samples.xs, samples.rows)
@@ -432,20 +423,19 @@ def _cmd_field(cfg, out_path, compare: bool, textbook: bool) -> int:
         f"omega = {_g(sec['omega'])} rad/s, parity = {sol.parity.name}",
         f"k_spp = {_g(sol.k_spp.real)}{sol.k_spp.imag:+.17g}j rad/m "
         f"({sol.regime})",
-        f"state: {samples.meta['state']}",
-        f"textbook_squeeze = {textbook}",
+        f"state: {described}",
     ])
     _write_csv(out_path, meta, ["x_m", "z_m", "re_H", "im_H", "abs_H"], rows)
     print(f"wrote {out_path}: {len(rows)} samples, mode {sol.regime}")
     return 0
 
 
-def _cmd_verify(cfg, out_path, tolerance, printed_labels=False) -> int:
+def _cmd_verify(cfg, out_path, tolerance) -> int:
     from .verify import run_checks
 
     records = run_checks(_metal_of(cfg), _dielectric_of(cfg),
                          _geometry_of(cfg), cfg["verify"]["omega"],
-                         cfg["verify"]["thick_d"], tolerance, printed_labels)
+                         cfg["verify"]["thick_d"], tolerance)
     rows = []
     for r in records:
         status = "pass" if r.passed else "FAIL"
@@ -486,12 +476,6 @@ def _build_parser():
                     help="output file (per-command default otherwise)")
     ap.add_argument("--tolerance", type=_tolerance, metavar="TOL",
                     help="override every verification tolerance")
-    ap.add_argument("--printed-gamma-labels", action="store_true",
-                    help="use the historical swapped region labels in the "
-                         "gain/loss overlap weight")
-    ap.add_argument("--textbook-squeeze", action="store_true",
-                    help="conjugate the displacement in the squeezed ladder "
-                         "mean")
     ap.add_argument("--dump-config", action="store_true",
                     help="print the fully defaulted config and exit")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -531,20 +515,11 @@ def main(argv=None) -> int:
         if args.command == "gain-sweep":
             return _cmd_gain_sweep(cfg, out_path)
         if args.command == "field":
-            return _cmd_field(cfg, out_path, compare=args.compare,
-                              textbook=args.textbook_squeeze)
-        if args.command == "verify":
-            return _cmd_verify(cfg, out_path, args.tolerance,
-                               printed_labels=args.printed_gamma_labels)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+            return _cmd_field(cfg, out_path, compare=args.compare)
+        return _cmd_verify(cfg, out_path, args.tolerance)
     except _OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DispersionError as exc:
-        return _report_error(exc)
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

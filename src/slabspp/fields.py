@@ -6,7 +6,8 @@ mean magnetic field
     <H(x, z)> = i D sqrt(beta_prime / (2 Im k)) e^{i k x} <a> b_H(z)
 
 where D is the Green-tensor residue, beta_prime the noise-overlap weight,
-<a> the ladder-operator mean of the launched state, and b_H the
+<a> the ladder-operator mean of the launched state (:func:`ladder_mean`,
+mu*alpha - nu*alpha for a squeezed state), and b_H the
 magnetic-type profile bracket (the y component is the only one for TM).
 For an amplified mode Im k < 0 makes the square-root argument negative; the
 principal branch is used, contributing a fixed overall factor i.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -82,22 +83,17 @@ class SppState:
                 f"|xi|={self.xi_mag:g}, xi_phase={self.xi_phase:g})")
 
 
-def ladder_mean(state: SppState, textbook_squeeze: bool = False) -> complex:
+def ladder_mean(state: SppState) -> complex:
     """Mean of the launched ladder operator for the given state.
 
-    For a squeezed state the default combination is mu*alpha - nu*alpha
-    with mu = cosh|xi|, nu = sinh|xi| e^{i xi_phase}; ``textbook_squeeze``
-    conjugates the displacement in the second term (mu*alpha - nu*alpha^*),
-    the combination produced by squeezing the vacuum before displacing.
-    Both reduce to alpha when xi_mag == 0.
+    For a squeezed state this is mu*alpha - nu*alpha with mu = cosh|xi|,
+    nu = sinh|xi| e^{i xi_phase}; it reduces to alpha when xi_mag == 0.
     """
     alpha = state.alpha_mag * cmath.exp(1j * state.alpha_phase)
     if state.xi_mag == 0.0:
         return alpha
     mu = math.cosh(state.xi_mag)
     nu = math.sinh(state.xi_mag) * cmath.exp(1j * state.xi_phase)
-    if textbook_squeeze:
-        return mu * alpha - nu * alpha.conjugate()
     return mu * alpha - nu * alpha
 
 
@@ -106,14 +102,12 @@ class FieldSamples:
     """Mean field sampled on a separable (x, z) grid.
 
     ``xs`` and ``zs`` are lists of floats and ``rows[i][j]`` is the complex
-    sample at ``(xs[i], zs[j])``; ``meta`` carries scalar context (mode,
-    state, prefactor) for CSV headers.
+    sample at ``(xs[i], zs[j])``.
     """
 
     xs: list[float]
     zs: list[float]
     rows: list[list[complex]]
-    meta: dict = field(default_factory=dict)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -163,8 +157,8 @@ def _finite_row(row: list[complex], x: float, what: str) -> list[complex]:
     raise FieldOverflowError(f"{what} overflows at x = {x!r} m")
 
 
-def h_field_mean(sol: ModeSolution, state: SppState, grid=None,
-                 textbook_squeeze: bool = False) -> FieldSamples:
+def h_field_mean(sol: ModeSolution, state: SppState,
+                 grid=None) -> FieldSamples:
     """Mean magnetic field of the launched state on a sampling grid.
 
     ``grid`` is an ``(xs, zs)`` pair of 1-D float sequences (defaults to
@@ -178,7 +172,7 @@ def h_field_mean(sol: ModeSolution, state: SppState, grid=None,
     xs, zs = ([float(v) for v in g] for g in grid)
     what = f"mean field of {state.describe()}"
     try:
-        pref = _field_prefactor(sol) * ladder_mean(state, textbook_squeeze)
+        pref = _field_prefactor(sol) * ladder_mean(state)
     except OverflowError as exc:  # cosh/sinh of a large squeeze modulus
         raise FieldOverflowError(
             f"{what}: the ladder mean overflows ({exc})") from None
@@ -193,20 +187,11 @@ def h_field_mean(sol: ModeSolution, state: SppState, grid=None,
                                      ) from None
         # a finite phase can still overflow the product, which is not raised
         rows.append(_finite_row([pref * (phase * p) for p in zprof], x, what))
-    meta = {
-        "omega_rad_s": sol.omega,
-        "parity": sol.parity.name,
-        "re_k": sol.k_spp.real,
-        "im_k": sol.k_spp.imag,
-        "regime": sol.regime,
-        "state": state.describe(),
-        "textbook_squeeze": textbook_squeeze,
-    }
-    return FieldSamples(xs=xs, zs=zs, rows=rows, meta=meta)
+    return FieldSamples(xs=xs, zs=zs, rows=rows)
 
 
 def compare_states(sol: ModeSolution, state_a: SppState, state_b: SppState,
-                   grid=None, textbook_squeeze: bool = False) -> FieldSamples:
+                   grid=None) -> FieldSamples:
     """Pointwise difference of the mean fields of two launched states.
 
     The mean is linear in the ladder mean, so the result equals the mean
@@ -215,13 +200,10 @@ def compare_states(sol: ModeSolution, state_a: SppState, state_b: SppState,
     """
     if grid is None:
         grid = default_grid(sol)
-    fa = h_field_mean(sol, state_a, grid=grid,
-                      textbook_squeeze=textbook_squeeze)
-    fb = h_field_mean(sol, state_b, grid=grid,
-                      textbook_squeeze=textbook_squeeze)
-    meta = dict(fa.meta)
-    meta["state"] = f"{state_a.describe()} minus {state_b.describe()}"
-    rows = [_finite_row([a - b for a, b in zip(ra, rb)], x,
-                        f"mean field of {meta['state']}")
+    fa = h_field_mean(sol, state_a, grid=grid)
+    fb = h_field_mean(sol, state_b, grid=grid)
+    what = (f"mean field of {state_a.describe()} minus "
+            f"{state_b.describe()}")
+    rows = [_finite_row([a - b for a, b in zip(ra, rb)], x, what)
             for x, ra, rb in zip(fa.xs, fa.rows, fb.rows)]
-    return FieldSamples(xs=fa.xs, zs=fa.zs, rows=rows, meta=meta)
+    return FieldSamples(xs=fa.xs, zs=fa.zs, rows=rows)

@@ -19,12 +19,8 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .dispersion import ModeSolution
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "DegenerateResidue",
@@ -139,18 +135,20 @@ def green_coefficient(sol: ModeSolution) -> GreenCoefficient:
 
 
 def green_tensor(sol: ModeSolution, r: tuple[float, float],
-                 r_prime: tuple[float, float]) -> np.ndarray:
+                 r_prime: tuple[float, float]
+                 ) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
     """Resonant (bound-mode) part of the Green tensor between two points.
 
     ``r`` and ``r_prime`` are ``(x, z)`` pairs; the result is the 2x2 block
-    over the (x, z) components.  Symmetric under simultaneous swap and
-    transpose (reciprocity).
+    over the (x, z) components as two rows of Python complex numbers,
+    ``g[i][j]``.  Symmetric under simultaneous swap and transpose
+    (reciprocity).
     """
-    import numpy as np  # here, so that importing slabspp loads no numpy
-
     coeff = green_coefficient(sol)
     x, z = r
     xp, zp = r_prime
-    phase = cmath.exp(1j * sol.k_spp * abs(x - xp))
-    return (-1j * coeff.d_value * phase) * np.outer(
-        profile_bracket(sol, z), profile_bracket(sol, zp))
+    scale = -1j * coeff.d_value * cmath.exp(1j * sol.k_spp * abs(x - xp))
+    bx, bz = profile_bracket(sol, z)
+    bx_p, bz_p = profile_bracket(sol, zp)
+    return ((scale * (bx * bx_p), scale * (bx * bz_p)),
+            (scale * (bz * bx_p), scale * (bz * bz_p)))

@@ -108,16 +108,14 @@ def beta_prime(sol: ModeSolution) -> float:
     return amplitudes.alpha_d * t_clad + amplitudes.alpha_m * t_film
 
 
-def gamma_prime(sol: ModeSolution, printed_labels: bool = False,
-                magnitudes: bool = False) -> float:
+def gamma_prime(sol: ModeSolution, magnitudes: bool = False) -> float:
     """Gain/loss overlap weight: integral of Im eps(z) |bracket(z)|^2.
 
-    By default the cladding term carries Im(eps_d) and the film term
-    Im(eps_m), i.e. each medium weights its own region.  ``printed_labels``
-    swaps the two weights (a historical variant, retained for comparison;
-    the two coincide when Im eps_d == Im eps_m).  ``magnitudes`` uses
-    |Im eps| instead of the signed values, which is the flavor entering the
-    commutation closure in amplifying systems.
+    The cladding term carries Im(eps_d) and the film term Im(eps_m): each
+    medium weights its own region, the only assignment for which
+    :func:`ccr_check` closes.  ``magnitudes`` uses |Im eps| instead of the
+    signed values, which is the flavor entering the commutation closure in
+    amplifying systems.
     """
     t_clad, t_film = overlap_terms(sol)
     w_d = sol.media.eps_d.imag
@@ -125,12 +123,10 @@ def gamma_prime(sol: ModeSolution, printed_labels: bool = False,
     if magnitudes:
         w_d = abs(w_d)
         w_m = abs(w_m)
-    if printed_labels:
-        w_d, w_m = w_m, w_d
     return w_d * t_clad + w_m * t_film
 
 
-def ccr_check(sol: ModeSolution, printed_labels: bool = False) -> float:
+def ccr_check(sol: ModeSolution) -> float:
     """Equal-point commutator of the launched mode operator.
 
     Returns beta_prime / (2 hbar eps0 omega^2 gamma_prime) with the
@@ -138,7 +134,7 @@ def ccr_check(sol: ModeSolution, printed_labels: bool = False) -> float:
     assembled consistently, regardless of loss or gain.
     """
     beta = beta_prime(sol)
-    gamma = gamma_prime(sol, printed_labels=printed_labels, magnitudes=True)
+    gamma = gamma_prime(sol, magnitudes=True)
     return beta / (2.0 * HBAR * EPS0 * sol.omega**2 * gamma)
 
 

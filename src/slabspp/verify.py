@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from . import oracles
 from .dispersion import (
@@ -57,17 +58,17 @@ class CheckRecord:
 
 
 def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
-               thick_d: float, tolerance: float | None = None,
-               printed_labels: bool = False) -> list[CheckRecord]:
+               thick_d: float,
+               tolerance: float | None = None) -> list[CheckRecord]:
     """Run the 14 checks in report order and return their records.
 
     ``metal`` and ``dielectric`` are as accepted by
     :func:`slabspp.media.make_medium_set`; ``thick_d`` is the film thickness
     of the degeneracy checks.  ``tolerance`` replaces every check's own
     tolerance and must be positive and finite (``ValueError`` otherwise, as
-    for the CLI's ``--tolerance``); ``printed_labels`` is passed to
-    :func:`ccr_check`.  A parity whose mode cannot be solved gives one
-    failed ``solve`` record instead of its six checks.  Each mode's region
+    for the CLI's ``--tolerance``).  A parity whose mode cannot be solved
+    gives one failed ``solve`` record instead of its six checks, and a thick
+    film that cannot be solved fails its two checks.  Each mode's region
     integrals of |b|^2 are integrated once, for both commutator checks and
     the Green identity.
     """
@@ -83,7 +84,7 @@ def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
     def check(name, parity, default_tol, compute):
         try:
             value, note = float(compute()), ""
-        except (ValueError, oracles.QuadratureError) as exc:
+        except (ValueError, DispersionError, oracles.QuadratureError) as exc:
             value, note = math.nan, f"{type(exc).__name__}: {exc}"
         records.append(CheckRecord(name, parity, omega, value,
                                    tol_of(default_tol), note))
@@ -99,7 +100,7 @@ def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
             continue
 
         check("ccr_closure", parity.name, 1e-12,
-              lambda: abs(ccr_check(sol, printed_labels) - 1.0))
+              lambda: abs(ccr_check(sol) - 1.0))
 
         # one quadrature of the region integrals of |b|^2 serves the three
         # checks that weight them; if it fails, each of them fails with it
@@ -145,9 +146,12 @@ def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
               lambda: max(oracles.curl_consistency_error(sol, z)
                           for z in depths))
 
-    thick = oracles.thick_film_degeneracy(metal, dielectric, omega, d=thick_d)
-    check("thick_film_parity_split", "both", 1e-8, lambda: thick["rel_split"])
+    # one solve of the thick film serves both of its checks
+    thick = cache(lambda: oracles.thick_film_degeneracy(metal, dielectric,
+                                                        omega, d=thick_d))
+    check("thick_film_parity_split", "both", 1e-8,
+          lambda: thick()["rel_split"])
     check("thick_film_single_interface", "both", 1e-9,
-          lambda: max(thick["rel_offset_symmetric"],
-                      thick["rel_offset_antisymmetric"]))
+          lambda: max(thick()["rel_offset_symmetric"],
+                      thick()["rel_offset_antisymmetric"]))
     return records

@@ -61,10 +61,17 @@ def test_metal_exclusivity(tmp_path):
 
 
 def test_dump_config_round_trip(tmp_path):
-    text = dump_config(load_config(None))
-    p = tmp_path / "dumped.ini"
-    p.write_text(text)
-    assert dump_config(load_config(p)) == text
+    given = tmp_path / "given.ini"
+    given.write_text("[dispersion]\nparities = symmetric\n"
+                     "[field]\nz_values = 0, 3e-8, -1.5e-8\n")
+    dumped = tmp_path / "dumped.ini"
+    for source in (None, given):
+        text = dump_config(load_config(source))
+        dumped.write_text(text)
+        assert dump_config(load_config(dumped)) == text
+    assert "parities = symmetric\n" in text
+    assert "z_values = 0, 2.9999999999999997e-08, -1.4999999999999999e-08\n" \
+        in text
 
 
 def test_dump_config_flag(capsys):
@@ -125,6 +132,27 @@ def test_gain_sweep_no_crossing_in_narrow_window(tmp_path):
     out = tmp_path / "gs.csv"
     assert _run("--config", str(p), "--out", str(out), "gain-sweep") == 0
     assert "crossing symmetric: none" in out.read_text()
+
+
+@pytest.mark.parametrize("command, n_rows, n_nan", [("dispersion", 10, 7),
+                                                   ("gain-sweep", 18, 2)])
+def test_sweep_below_solver_floor_writes_failed_rows(tmp_path, capsys,
+                                                     command, n_rows, n_nan):
+    """Every refused row is written with nan fields and an error column."""
+    cfg = _small_config(tmp_path, "[geometry]\nd = 5e-11\n")
+    out = tmp_path / "sweep.csv"
+    assert _run("--config", cfg, "--out", str(out), command) == 1
+    lines = out.read_text().splitlines()
+    data = [l.split(",") for l in lines if not l.startswith("#")][1:]
+    assert len(data) == n_rows
+    error = ("error: ValueError: film thickness 5e-11 m below solver floor "
+             "1e-10 m; the mode pair degenerates as d -> 0")
+    assert all(row[2:] == ["nan"] * n_nan + [error] for row in data)
+    if command == "gain-sweep":
+        assert lines[-2:] == ["# crossing symmetric: none in grid",
+                              "# crossing antisymmetric: none in grid"]
+    else:
+        assert f"{len(data)} rows, {len(data)} failed" in capsys.readouterr().out
 
 
 def test_field_csv(tmp_path):
@@ -280,6 +308,16 @@ _BAD_CONFIGS = {
     "x_min-nan": ("[field]\nx_min = nan\n", "field"),
     "x_max-inf": ("[field]\nx_max = inf\n", "field"),
     "z_values-nan": ("[field]\nz_values = 0, nan\n", "field"),
+    # z_values is checked on load, also by a subcommand that never reads it
+    "z_values-abc": ("[field]\nz_values = 0, abc\n", "dispersion"),
+    "z_values-nan-dispersion": ("[field]\nz_values = 0, nan\n", "dispersion"),
+    "z_values-empty": ("[field]\nz_values = ,\n", "dispersion"),
+    "z_values-abc-dump": ("[field]\nz_values = 0, abc\n",
+                          "--dump-config dispersion"),
+    "z_values-nan-dump": ("[field]\nz_values = 0, nan\n",
+                          "--dump-config dispersion"),
+    "z_values-empty-dump": ("[field]\nz_values = ,\n",
+                            "--dump-config dispersion"),
 }
 
 
@@ -289,8 +327,10 @@ def test_bad_config_value_exits_2(tmp_path, capsys, ini, command):
     p = tmp_path / "bad.ini"
     p.write_text(ini)
     out = tmp_path / "out.csv"
-    assert _run("--config", str(p), "--out", str(out), command) == 2
-    err = capsys.readouterr().err
+    assert _run("--config", str(p), "--out", str(out), *command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert "config error" in err
     assert "Traceback" not in err
     assert not out.exists()

@@ -6,6 +6,7 @@ they pin down regressions, not external truth.
 """
 
 import cmath
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -184,6 +185,42 @@ def test_sweep_no_failures_and_continuity():
         steps = np.abs(np.diff(ks)) / np.abs(ks[:-1])
         assert steps.max() < 0.2
         assert np.all(np.diff(ks.real) > 0)
+
+
+@pytest.mark.parametrize("alt_offset, keeps", [(0.5, "retry"),
+                                               (500.0, "first")])
+def test_sweep_branch_hop_keeps_root_closer_to_prediction(monkeypatch,
+                                                          alt_offset, keeps):
+    """A root far from the extrapolation is re-solved from the single-
+    interface seed; the row keeps whichever root lies closer to it."""
+    omegas = [1e15, 2e15, 3e15, 4e15]
+    step = 1e7 * (1 + 0.1j)  # the tracked branch: k = step * omega / 1e15
+    seed = object()
+    guesses, roots = [], {}
+
+    def stub_solve(parity, geom, media, guess=None):
+        guesses.append(guess)
+        on_branch = step * (media.omega / 1e15)
+        if guess is seed:
+            k = on_branch + alt_offset * abs(step)
+        elif media.omega == 3e15:
+            k = on_branch + 100.0 * abs(step)  # hop to a far root
+        else:
+            k = on_branch
+        roots[media.omega, guess is seed] = SimpleNamespace(k_spp=k)
+        return roots[media.omega, guess is seed]
+
+    monkeypatch.setattr(dispersion, "solve_dispersion", stub_solve)
+    monkeypatch.setattr(dispersion, "single_interface_root",
+                        lambda media: seed)
+    rows = dispersion_sweep((SYMMETRIC,), GEOM, METAL,
+                            DielectricSpec(0.9726, -0.063), omegas)
+    assert [g is seed for g in guesses] == [False] * 3 + [True, False]
+    kept = roots[3e15, keeps == "retry"]
+    assert [r.solution for r in rows] == [
+        roots[1e15, False], roots[2e15, False], kept, roots[4e15, False]]
+    # the next row is predicted from the kept root
+    assert guesses[-1] == kept.k_spp + (kept.k_spp - 2 * step)
 
 
 def test_sweep_direction_independent():

@@ -55,14 +55,15 @@ def test_ladder_mean_squeezed_reduces_at_xi_zero():
 
 def test_ladder_mean_squeeze_conventions():
     alpha = cmath.rect(math.sqrt(7.0), 1.5)
-    # default convention at xi_phase=0 contracts the displacement
+    # at xi_phase=0 the squeeze contracts the displacement
     assert ladder_mean(SQUEEZED) == pytest.approx(math.exp(-1.0) * alpha,
                                                   rel=1e-13)
-    mu, nu = math.cosh(1.0), math.sinh(1.0)
-    textbook = ladder_mean(SQUEEZED, textbook_squeeze=True)
-    assert textbook == pytest.approx(mu * alpha - nu * alpha.conjugate(),
-                                     rel=1e-13)
-    assert textbook != pytest.approx(ladder_mean(SQUEEZED), rel=1e-6)
+    # mu*alpha - nu*alpha, with nu carrying the squeeze phase
+    state = SppState(alpha_mag=math.sqrt(7.0), alpha_phase=1.5,
+                     xi_mag=1.0, xi_phase=0.7)
+    mu, nu = math.cosh(1.0), math.sinh(1.0) * cmath.exp(0.7j)
+    assert ladder_mean(state) == pytest.approx(mu * alpha - nu * alpha,
+                                               rel=1e-13)
 
 
 def test_default_grid():
@@ -88,10 +89,7 @@ def test_field_grows_for_amplified_mode():
     samples = h_field_mean(sol, COHERENT)
     mags = np.abs(samples.values[:, 0])
     assert np.all(np.diff(mags) > 0)
-    meta = samples.meta
-    assert meta["regime"] == "amplified"
-    assert meta["parity"] == "symmetric"
-    assert meta["textbook_squeeze"] is False
+    assert sol.regime == "amplified"
 
 
 def test_field_decays_for_attenuated_mode():

@@ -95,8 +95,8 @@ def test_green_tensor_reciprocity():
     sol = _solution(ANTISYMMETRIC)
     r = (1.7e-7, -2.1e-8)
     rp = (4.4e-7, 3.3e-8)
-    g = green_tensor(sol, r, rp)
-    g_swapped = green_tensor(sol, rp, r)
+    g = np.array(green_tensor(sol, r, rp))
+    g_swapped = np.array(green_tensor(sol, rp, r))
     assert np.allclose(g, g_swapped.T, rtol=1e-13, atol=0)
     assert g.shape == (2, 2)
 
@@ -105,7 +105,7 @@ def test_green_tensor_separable():
     sol = _solution()
     r = (2.0e-7, 1.0e-8)
     rp = (5.0e-8, 4.0e-8)
-    g = green_tensor(sol, r, rp)
+    g = np.array(green_tensor(sol, r, rp))
     gc = green_coefficient(sol)
     b = profile_bracket(sol, r[1])
     bp = profile_bracket(sol, rp[1])

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from slabspp import DielectricSpec, DrudeMetalSpec, SlabGeometry, oracles
+from slabspp import (DielectricSpec, DrudeMetalSpec, NonConvergence,
+                     SlabGeometry, oracles)
 from slabspp.cli import load_config, main
 from slabspp.verify import run_checks
 
@@ -121,3 +122,26 @@ def test_failed_region_quadrature_fails_its_three_checks(monkeypatch,
     out = tmp_path / "report.csv"
     assert main(["--out", str(out), "verify"]) == 1
     assert _report_rows(out) == [_row(r) for r in records]
+
+
+def test_unsolvable_thick_film_fails_its_two_checks(monkeypatch, tmp_path):
+    config = tmp_path / "thin.ini"
+    config.write_text("[verify]\nthick_d = 5e-11\n")  # below the solver floor
+    out = tmp_path / "report.csv"
+    assert main(["--config", str(config), "--out", str(out), "verify"]) == 1
+    rows = _report_rows(out)
+    assert [row[:2] for row in rows] == [
+        [check, parity] for check, parity, _ in _ORDER]
+    assert all(row[5] == "pass" for row in rows[:-2])
+    for row in rows[-2:]:
+        assert (row[3], row[5]) == ("nan", "FAIL")
+        assert row[6].startswith("ValueError: film thickness 5e-11 m")
+
+    def fail(*args, **kwargs):
+        raise NonConvergence("injected")
+
+    monkeypatch.setattr(oracles, "thick_film_degeneracy", fail)
+    records = _default_checks()
+    assert [r.note for r in records[-2:]] == ["NonConvergence: injected"] * 2
+    assert all(r.passed for r in records[:-2])
+    assert not any(r.passed for r in records[-2:])
