@@ -202,8 +202,7 @@ def compare_states(sol: ModeSolution, state_a: SppState, state_b: SppState,
         grid = default_grid(sol)
     fa = h_field_mean(sol, state_a, grid=grid)
     fb = h_field_mean(sol, state_b, grid=grid)
-    what = (f"mean field of {state_a.describe()} minus "
-            f"{state_b.describe()}")
+    what = f"mean field of {state_a.describe()} minus {state_b.describe()}"
     rows = [_finite_row([a - b for a, b in zip(ra, rb)], x, what)
             for x, ra, rb in zip(fa.xs, fa.rows, fb.rows)]
     return FieldSamples(xs=fa.xs, zs=fa.zs, rows=rows)

@@ -152,7 +152,7 @@ def test_sweep_below_solver_floor_writes_failed_rows(tmp_path, capsys,
         assert lines[-2:] == ["# crossing symmetric: none in grid",
                               "# crossing antisymmetric: none in grid"]
     else:
-        assert f"{len(data)} rows, {len(data)} failed" in capsys.readouterr().out
+        assert f"{n_rows} rows, {n_rows} failed" in capsys.readouterr().out
 
 
 def test_field_csv(tmp_path):
