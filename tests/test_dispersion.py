@@ -6,6 +6,10 @@ they pin down regressions, not external truth.
 """
 
 import cmath
+import json
+import math
+import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,12 +24,15 @@ from slabspp import (
     SYMMETRIC,
     BranchViolation,
     DielectricSpec,
+    DispersionError,
     DrudeMetalSpec,
     SlabGeometry,
+    ccr_check,
     classify_mode,
     decay_constants,
     dispersion_sweep,
     gain_sweep,
+    green_coefficient,
     make_medium_set,
     parity_from_name,
     single_interface_root,
@@ -292,6 +299,25 @@ def test_gain_sweep_solve_count(monkeypatch):
     assert len(calls) <= 2 * len(kappas) + 2 * 10
 
 
+# a point where Newton fails from every seed and Muller converges
+MULLER_POINT = {"parity": "symmetric", "n_real": 2.239514158245674,
+                "n_imag": 0.10237423201714438, "omega": 8213894388051735.0,
+                "d": 7.41448047205626e-07}
+# a point of the benchmark's scan pool where every seed fails both methods
+NO_ROOT_POINT = {"parity": "symmetric", "n_real": 1.8661914523852046,
+                 "n_imag": -0.11638233679455903, "omega": 8338336064035265.0,
+                 "d": 2.7351368950349566e-06}
+
+
+def _point_system(point):
+    """(parity, geometry, media) of a point given as in ``MULLER_POINT``."""
+    media = make_medium_set(
+        METAL, DielectricSpec(point["n_real"], point["n_imag"]),
+        point["omega"])
+    return (parity_from_name(point["parity"]), SlabGeometry(point["d"]),
+            media)
+
+
 def test_muller_fallback_root(monkeypatch):
     """A point where Newton fails from every seed and Muller converges."""
     calls = []
@@ -302,11 +328,7 @@ def test_muller_fallback_root(monkeypatch):
         return real_muller(*args)
 
     monkeypatch.setattr(dispersion, "_muller", counting_muller)
-    media = make_medium_set(
-        METAL, DielectricSpec(2.239514158245674, 0.10237423201714438),
-        8213894388051735.0)
-    sol = solve_dispersion(SYMMETRIC, SlabGeometry(7.41448047205626e-07),
-                           media)
+    sol = solve_dispersion(*_point_system(MULLER_POINT))
     assert calls
     assert sol.residual <= 1e-10
     assert (sol.nu0, sol.num) == decay_constants(sol.k_spp, sol.media)
@@ -340,6 +362,72 @@ def test_root_property(kappa, d_nm):
     assert sol.residual <= 1e-10
     assert sol.nu0.real > 0 and sol.num.real > 0
     assert sol.k_spp.real > 0
+
+
+# -- the solver, bit for bit on the scan box ---------------------------------
+
+SOLVER_ROOTS = Path(__file__).with_name("golden") / "solver_roots.json"
+
+
+def _solver_points():
+    """The pinned solver inputs, drawn with ``random.Random(13)``.
+
+    68 points over the benchmark's scan box (``perfbench`` ``Scan``: n_real
+    in [0.9, 2.5], n_imag in [-0.15, 0.15], omega in [1e15, 9e15] rad/s and
+    a log-uniform d in [3 nm, 3 um]), then 12 films under 12 nm, alternating
+    the parity, and last :data:`MULLER_POINT` and :data:`NO_ROOT_POINT`.
+    """
+    rng = random.Random(13)
+    points = []
+    for i in range(80):
+        d_max = 3e-6 if i < 68 else 12e-9
+        points.append({
+            "parity": ("symmetric", "antisymmetric")[i % 2],
+            "n_real": rng.uniform(0.9, 2.5),
+            "n_imag": rng.uniform(-0.15, 0.15),
+            "omega": rng.uniform(1e15, 9e15),
+            "d": 10.0 ** rng.uniform(math.log10(3e-9), math.log10(d_max)),
+        })
+    return points + [MULLER_POINT, NO_ROOT_POINT]
+
+
+def _solver_record(point):
+    """``repr`` of what the solver returns at ``point``, or its refusal."""
+    try:
+        sol = solve_dispersion(*_point_system(point))
+    except DispersionError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+    return {name: repr(value) for name, value in (
+        ("k_spp", sol.k_spp), ("nu0", sol.nu0), ("num", sol.num),
+        ("amplitude", sol.amplitude), ("residual", sol.residual),
+        ("d_value", green_coefficient(sol).d_value),
+        ("ccr", ccr_check(sol)))}
+
+
+def test_solver_roots_bit_for_bit():
+    """Every root, residue and refusal on the pinned points, as recorded.
+
+    A change to the solver that is not meant to move any root leaves
+    ``tests/golden/solver_roots.json`` as it is.  ROADMAP item 1a (keep
+    trying seeds after a stalled root, add a quasi-static seed) is meant to
+    turn refusal entries into roots; it regenerates the file with
+
+        PYTHONPATH=src python tests/test_dispersion.py
+
+    and states in CHANGES.md which entries moved.
+    """
+    frozen = json.loads(SOLVER_ROOTS.read_text())["points"]
+    assert [entry["input"] for entry in frozen] == _solver_points()
+    assert sum(p["d"] < 12e-9 for p in _solver_points()) >= 10
+    for entry in frozen:
+        assert _solver_record(entry["input"]) == entry["output"], entry
+
+
+def regenerate_solver_roots() -> None:
+    """Rewrite ``solver_roots.json`` from the current solver."""
+    points = [{"input": p, "output": _solver_record(p)}
+              for p in _solver_points()]
+    SOLVER_ROOTS.write_text(json.dumps({"points": points}, indent=1) + "\n")
 
 
 # -- grids ------------------------------------------------------------------
@@ -384,3 +472,7 @@ def test_linspace_matches_numpy_on_default_cli_grids():
     ]
     for a, b, n in grids:
         assert _bits(linspace(a, b, n)) == _bits(_numpy_linspace(a, b, n))
+
+
+if __name__ == "__main__":
+    regenerate_solver_roots()
