@@ -156,12 +156,13 @@ def single_interface_root(media: MediumSet) -> complex:
     return media.k0 * _decaying_sqrt(media.eps_m * media.eps_d / s)
 
 
-def _scaled_system(k: complex, d: float, media: MediumSet, pm: int):
-    """Bounded residual F at ``k`` and what the solver needs alongside it.
+def _scaled_system(d: float, media: MediumSet, pm: int):
+    """The bounded residual of one slab system, as a function of ``k``.
 
-    Returns ``(F, dF/dk, scale, nu0, num)``: the normalization scale
-    ``|eps_d*num| + |eps_m*nu0|`` and the decay constants on the branch of
-    :func:`decay_constants`.
+    Returns ``system(k) -> (F, dF/dk, scale, nu0, num)``: the normalization
+    scale ``|eps_d*num| + |eps_m*nu0|`` and the decay constants on the
+    branch of :func:`decay_constants`.  ``system`` raises
+    ``ZeroDivisionError`` where a decay constant vanishes.
 
     Antisymmetric (pm=-1): F = tanh(num*d/2)*eps_d*num + eps_m*nu0
     Symmetric     (pm=+1): F = tanh(num*d/2)*eps_m*nu0 + eps_d*num
@@ -171,37 +172,58 @@ def _scaled_system(k: complex, d: float, media: MediumSet, pm: int):
     ``r = eps_m*nu0/(eps_d*num)``, but stay O(eps*nu) for arbitrarily thick
     films (tanh saturates where exp overflows), which keeps Newton well
     conditioned.
+
+    What is fixed for the system (the permittivities times ``k0**2``,
+    ``d/2``) is formed once here, and ``k/num``, ``k/nu0`` once per call;
+    every evaluation performs the same floating-point operations, in the
+    same order, as evaluating the formulas above from scratch.
     """
-    k = complex(k)
+    eps_d = media.eps_d
+    eps_m = media.eps_m
     k0sq = media.k0 * media.k0
-    nu0 = _decaying_sqrt(k * k - media.eps_d * k0sq)
-    num = _decaying_sqrt(k * k - media.eps_m * k0sq)
-    if nu0 == 0 or num == 0:
-        raise ZeroDivisionError("decay constant vanished during iteration")
-    t = cmath.tanh(num * d / 2.0)
-    # d(tanh(num*d/2))/dk = (1 - t**2) * (d/2) * k/num
-    dt = (1.0 - t * t) * (d / 2.0) * (k / num)
-    a = media.eps_d * num
-    b = media.eps_m * nu0
-    if pm < 0:
-        f = t * a + b
-        df = dt * a + t * media.eps_d * (k / num) + media.eps_m * (k / nu0)
-    else:
-        f = t * b + a
-        df = dt * b + t * media.eps_m * (k / nu0) + media.eps_d * (k / num)
-    scale = abs(a) + abs(b)
-    return f, df, scale, nu0, num
+    eps_d_k0sq = eps_d * k0sq
+    eps_m_k0sq = eps_m * k0sq
+    half_d = d / 2.0
+
+    def system(k: complex):
+        # _decaying_sqrt, inlined: this is the solver's innermost call
+        nu0 = cmath.sqrt(k * k - eps_d_k0sq)
+        if nu0.real < 0.0 or (nu0.real == 0.0 and nu0.imag < 0.0):
+            nu0 = -nu0
+        num = cmath.sqrt(k * k - eps_m_k0sq)
+        if num.real < 0.0 or (num.real == 0.0 and num.imag < 0.0):
+            num = -num
+        if nu0 == 0 or num == 0:
+            raise ZeroDivisionError("decay constant vanished during iteration")
+        t = cmath.tanh(num * d / 2.0)
+        k_num = k / num
+        k_nu0 = k / nu0
+        # d(tanh(num*d/2))/dk = (1 - t**2) * (d/2) * k/num
+        dt = (1.0 - t * t) * half_d * k_num
+        a = eps_d * num
+        b = eps_m * nu0
+        if pm < 0:
+            f = t * a + b
+            df = dt * a + t * eps_d * k_num + eps_m * k_nu0
+        else:
+            f = t * b + a
+            df = dt * b + t * eps_m * k_nu0 + eps_d * k_num
+        return f, df, abs(a) + abs(b), nu0, num
+
+    return system
 
 
-def _newton(k: complex, d: float, media: MediumSet,
-            pm: int) -> Optional[tuple[complex, tuple]]:
-    """Damped Newton iteration on the bounded residual.
+def _newton(k: complex, d: float,
+            system) -> Optional[tuple[complex, tuple]]:
+    """Damped Newton iteration on the bounded residual ``system``.
 
-    Returns ``(k, system)`` with the accepted root and its
-    :func:`_scaled_system` tuple, or None on failure.
+    ``system`` is the :func:`_scaled_system` of film thickness ``d``.
+    Returns ``(k, system(k))`` at the accepted root, or None on failure.
     """
-    system = _scaled_system(k, d, media, pm)
-    f, df = system[0], system[1]
+    values = system(k)
+    f, df = values[0], values[1]
+    abs_f = abs(f)
+    inv_d = 1.0 / d
     for _ in range(_MAX_NEWTON):
         if df == 0:
             return None
@@ -210,31 +232,30 @@ def _newton(k: complex, d: float, media: MediumSet,
         for _ in range(8):
             k_try = k + lam * step
             try:
-                system = _scaled_system(k_try, d, media, pm)
+                values = system(k_try)
             except ZeroDivisionError:
                 lam *= 0.5
                 continue
-            if (abs(system[0]) <= abs(f)
-                    or abs(lam * step) <= _TOL * abs(k_try)):
+            abs_try = abs(values[0])
+            if abs_try <= abs_f or abs(lam * step) <= _TOL * abs(k_try):
                 break
             lam *= 0.5
         else:
             return None
-        k, f, df = k_try, system[0], system[1]
-        if abs(lam * step) <= _TOL * max(abs(k), 1.0 / d):
-            return k, system
+        k, f, df, abs_f = k_try, values[0], values[1], abs_try
+        if abs(lam * step) <= _TOL * max(abs(k), inv_d):
+            return k, values
     return None
 
 
-def _muller(k: complex, d: float, media: MediumSet,
-            pm: int) -> Optional[tuple[complex, tuple]]:
+def _muller(k: complex, system) -> Optional[tuple[complex, tuple]]:
     """Muller's method fallback (quadratic interpolation, complex-capable).
 
-    Returns ``(k, system)`` like :func:`_newton`, or None on failure.
+    Returns ``(k, system(k))`` like :func:`_newton`, or None on failure.
     """
 
     def f(z):
-        return _scaled_system(z, d, media, pm)[0]
+        return system(z)[0]
 
     h = 1e-4 * max(abs(k), 1.0)
     x0, x1, x2 = k - h, k + h, k
@@ -257,28 +278,29 @@ def _muller(k: complex, d: float, media: MediumSet,
             return None
         x3 = x2 - 2.0 * f2 / den
         try:
-            system = _scaled_system(x3, d, media, pm)
+            values = system(x3)
         except ZeroDivisionError:
             return None
         if abs(x3 - x2) <= _TOL * abs(x3):
-            return x3, system
+            return x3, values
         x0, x1, x2 = x1, x2, x3
-        f0, f1, f2 = f1, f2, system[0]
+        f0, f1, f2 = f1, f2, values[0]
     return None
 
 
-def _seed_list(media: MediumSet, guess: Optional[complex]) -> list[complex]:
-    seeds = []
+def _seed_list(media: MediumSet, guess: Optional[complex]):
+    """Yield the root seeds in order: guess, single interface, light line."""
     if guess is not None:
-        seeds.append(complex(guess))
+        yield complex(guess)
     try:
-        seeds.append(single_interface_root(media))
+        seed = single_interface_root(media)
     except ValueError:
         pass
+    else:
+        yield seed
     # cutoff-hugging seed just outside the cladding light line; the
     # antisymmetric branch of thin films sits here
-    seeds.append(1.05 * media.k0 * _decaying_sqrt(media.eps_d))
-    return seeds
+    yield 1.05 * media.k0 * _decaying_sqrt(media.eps_d)
 
 
 def classify_mode(k_spp: complex) -> str:
@@ -332,25 +354,30 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
     """Find the bound TM slab mode of the given parity.
 
     Seeds damped Newton (bounded tanh-form residual, analytic derivative)
-    with the single-interface root, falling back to a light-line-adjacent
-    seed and then to Muller's method.  Raises :class:`NonConvergence` if
-    every seed fails, :class:`BranchViolation` if the converged root is not
-    transversely bound.
+    with ``guess`` if given, then the single-interface root, then a
+    light-line-adjacent seed, each generated only when the one before it
+    fails; if Newton fails from all of them, Muller's method tries the same
+    seeds.  One :func:`_scaled_system` serves the whole solve.  Raises
+    :class:`NonConvergence` if every seed fails, naming the seeds tried,
+    :class:`BranchViolation` if the converged root is not transversely
+    bound.
     """
     if geom.d < D_MIN:
         raise ValueError(
             f"film thickness {geom.d!r} m below solver floor {D_MIN} m; "
             "the mode pair degenerates as d -> 0"
         )
-    seeds = _seed_list(media, guess)
+    system = _scaled_system(geom.d, media, parity.pm)
+    seeds = []
     found = None
-    for seed in seeds:
-        found = _newton(seed, geom.d, media, parity.pm)
+    for seed in _seed_list(media, guess):
+        seeds.append(seed)
+        found = _newton(seed, geom.d, system)
         if found is not None:
             break
     if found is None:
         for seed in seeds:
-            found = _muller(seed, geom.d, media, parity.pm)
+            found = _muller(seed, system)
             if found is not None:
                 break
     if found is None:
@@ -358,12 +385,12 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
             f"{parity.name} mode: no root from seeds {seeds!r} "
             f"at omega={media.omega!r}"
         )
-    root, system = found
+    root, values = found
     # keep Re(k) >= 0 (modes come in +-k pairs; report the +x-running one)
     if root.real < 0.0:
         root = -root
-        system = _scaled_system(root, geom.d, media, parity.pm)
-    f, _, scale, nu0, num = system
+        values = system(root)
+    f, _, scale, nu0, num = values
     residual = abs(f) / scale
     if residual > 1e-10:
         raise NonConvergence(

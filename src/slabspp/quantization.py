@@ -131,10 +131,14 @@ def ccr_check(sol: ModeSolution) -> float:
 
     Returns beta_prime / (2 hbar eps0 omega^2 gamma_prime) with the
     magnitude flavor of gamma_prime; exactly 1 when the two weights are
-    assembled consistently, regardless of loss or gain.
+    assembled consistently, regardless of loss or gain.  The overlap terms
+    are taken once and weighted as those two functions weight them.
     """
-    beta = beta_prime(sol)
-    gamma = gamma_prime(sol, magnitudes=True)
+    t_clad, t_film = overlap_terms(sol)
+    amplitudes = noise_amplitudes(sol.media)
+    beta = amplitudes.alpha_d * t_clad + amplitudes.alpha_m * t_film
+    gamma = (abs(sol.media.eps_d.imag) * t_clad
+             + abs(sol.media.eps_m.imag) * t_film)
     return beta / (2.0 * HBAR * EPS0 * sol.omega**2 * gamma)
 
 

@@ -330,8 +330,46 @@ def test_muller_fallback_root(monkeypatch):
     monkeypatch.setattr(dispersion, "_muller", counting_muller)
     sol = solve_dispersion(*_point_system(MULLER_POINT))
     assert calls
+    # each call gets a seed and the solve's residual closure, nothing else
+    assert all(len(args) == 2 and callable(args[1]) for args in calls)
     assert sol.residual <= 1e-10
     assert (sol.nu0, sol.num) == decay_constants(sol.k_spp, sol.media)
+
+
+def test_nonconvergence_names_every_seed_in_order(monkeypatch):
+    """Seeds are generated one at a time, yet a refusal lists them all, in
+    the order Newton and then Muller tried them."""
+    tried = []
+
+    def failing(method):
+        def run(seed, *args):
+            tried.append((method, seed))
+            return None
+        return run
+
+    monkeypatch.setattr(dispersion, "_newton", failing("newton"))
+    monkeypatch.setattr(dispersion, "_muller", failing("muller"))
+    media = _media(-0.063)
+    guess = 1.6e7 + 1e5j
+    seeds = [guess, single_interface_root(media),
+             1.05 * media.k0 * cmath.sqrt(media.eps_d)]
+    with pytest.raises(dispersion.NonConvergence) as info:
+        solve_dispersion(SYMMETRIC, GEOM, media, guess=guess)
+    assert tried == ([("newton", s) for s in seeds]
+                     + [("muller", s) for s in seeds])
+    assert str(info.value) == (f"symmetric mode: no root from seeds "
+                               f"{seeds!r} at omega={media.omega!r}")
+
+
+def test_later_seeds_are_not_computed_once_newton_converges(monkeypatch):
+    def unreachable(media):
+        raise AssertionError("second seed computed after the first converged")
+
+    media = _media(-0.063)
+    ref = solve_dispersion(SYMMETRIC, GEOM, media)
+    monkeypatch.setattr(dispersion, "single_interface_root", unreachable)
+    sol = solve_dispersion(SYMMETRIC, GEOM, media, guess=ref.k_spp)
+    assert sol.k_spp == pytest.approx(ref.k_spp, rel=1e-12)
 
 
 def test_gain_sweep_without_crossing():

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from slabspp import (
     make_medium_set,
     noise_amplitudes,
     overlap_terms,
+    parity_from_name,
     solve_dispersion,
 )
 from slabspp.oracles import weighted_abs2_quadrature
@@ -96,6 +99,28 @@ def test_ccr_ratio_of_frozen_weights():
     ratio = beta / (2.0 * HBAR * EPS0 * media.omega**2 * gamma)
     assert ratio == pytest.approx(1.0, abs=1e-14)
     assert ccr_check(sol) == ratio
+
+
+def test_ccr_check_is_exactly_the_ratio_of_the_weights():
+    """``ccr_check`` weights one ``overlap_terms`` exactly as ``beta_prime``
+    and ``gamma_prime`` do, on a gain and a loss cladding and on every root
+    pinned in ``tests/golden/solver_roots.json``."""
+    sols = [_mode(kappa)[0] for kappa in (-0.063, 0.02)]
+    pinned = json.loads((Path(__file__).with_name("golden")
+                         / "solver_roots.json").read_text())["points"]
+    for entry in pinned:
+        if "error" in entry["output"]:
+            continue
+        p = entry["input"]
+        media = make_medium_set(
+            METAL, DielectricSpec(p["n_real"], p["n_imag"]), p["omega"])
+        sols.append(solve_dispersion(parity_from_name(p["parity"]),
+                                     SlabGeometry(p["d"]), media))
+    assert len(sols) > 70
+    for sol in sols:
+        gamma = gamma_prime(sol, magnitudes=True)
+        ratio = beta_prime(sol) / (2.0 * HBAR * EPS0 * sol.omega**2 * gamma)
+        assert ccr_check(sol) == ratio, sol
 
 
 def test_same_direction_commutator_at_zero_separation():
