@@ -22,3 +22,14 @@ def test_criteria_4_7_analysis_runs():
     for n_real in ("0.9726", "1.9726"):
         assert f"\n  n_real = {n_real}\n" in proc.stdout
     assert proc.stdout.count("mode turns amplified at n_imag") == 4
+
+
+def test_scan_ab_tree_against_itself_is_identical():
+    src = str(Path(slabspp.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scan_ab.py"), src, src,
+         "--points", "300"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "\nidentical: (k_spp, d_value, ccr) at " in proc.stdout
+    assert "speedup (old time / new time): median " in proc.stdout
