@@ -399,7 +399,8 @@ def _cmd_field(cfg, out_path, compare: bool) -> int:
     try:
         # ValueError: e.g. a film below the solver's floor D_MIN
         sol = solve_dispersion(sec["parity"], _geometry_of(cfg), media)
-        x_max = auto_x_max(sol) if sec["x_max"] == "auto" else sec["x_max"]
+        x_max = (sec["x_min"] + auto_x_max(sol) if sec["x_max"] == "auto"
+                 else sec["x_max"])
         zs = sec["z_values"]
         grid = (linspace(sec["x_min"], x_max, sec["x_points"]),
                 [0.0, sol.geom.d] if zs == "interfaces" else zs)

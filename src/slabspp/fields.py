@@ -119,7 +119,11 @@ class FieldSamples:
 
 
 def auto_x_max(sol: ModeSolution) -> float:
-    """End of the automatic x window from 0: five decay lengths, 5/|Im k|."""
+    """Length of the automatic x window: five decay lengths, 5/|Im k|.
+
+    The window starts where the grid does: at 0 for :func:`default_grid`,
+    at ``x_min`` for ``[field] x_max = auto``.
+    """
     ki = abs(sol.k_spp.imag)
     if ki < _IM_K_FLOOR:
         raise NeutralModeSingularity(

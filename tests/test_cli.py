@@ -186,6 +186,19 @@ def test_field_explicit_grid(tmp_path):
     assert len(data) == 14
 
 
+def test_field_auto_window_starts_at_x_min(tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_text("[field]\nx_min = 1e-5\nx_max = auto\nx_points = 3\n")
+    out = tmp_path / "f.csv"
+    assert _run("--config", str(p), "--out", str(out), "field") == 0
+    xs = list(dict.fromkeys(
+        float(line.split(",")[0]) for line in out.read_text().splitlines()
+        if line[:1].isdigit()))
+    assert len(xs) == 3
+    assert xs[0] == 1e-5
+    assert xs[0] < xs[1] < xs[2]
+
+
 def test_field_neutral_mode_fails_cleanly(tmp_path, capsys):
     p = tmp_path / "run.ini"
     p.write_text("[metal]\neps_re = -7.529821197306772\neps_im = 0.0\n"

@@ -506,7 +506,8 @@ def test_linspace_matches_numpy_on_default_cli_grids():
     grids = [
         (disp["omega_min"], disp["omega_max"], disp["omega_points"]),
         (gain["kappa_min"], gain["kappa_max"], gain["kappa_points"]),
-        (field["x_min"], auto_x_max(sol), field["x_points"]),
+        (field["x_min"], field["x_min"] + auto_x_max(sol),
+         field["x_points"]),
     ]
     for a, b, n in grids:
         assert _bits(linspace(a, b, n)) == _bits(_numpy_linspace(a, b, n))
