@@ -77,10 +77,13 @@ class SppState:
     xi_phase: float = 0.0
 
     def describe(self) -> str:
+        """The state with every number to 17 significant digits."""
         if self.xi_mag == 0.0:
-            return f"coherent(|a|={self.alpha_mag:g}, phase={self.alpha_phase:g})"
-        return (f"squeezed(|a|={self.alpha_mag:g}, phase={self.alpha_phase:g}, "
-                f"|xi|={self.xi_mag:g}, xi_phase={self.xi_phase:g})")
+            return (f"coherent(|a|={self.alpha_mag:.17g}, "
+                    f"phase={self.alpha_phase:.17g})")
+        return (f"squeezed(|a|={self.alpha_mag:.17g}, "
+                f"phase={self.alpha_phase:.17g}, |xi|={self.xi_mag:.17g}, "
+                f"xi_phase={self.xi_phase:.17g})")
 
 
 def ladder_mean(state: SppState) -> complex:

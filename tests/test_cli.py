@@ -220,10 +220,11 @@ def test_field_below_solver_floor_fails_cleanly(tmp_path, capsys):
 
 @pytest.mark.parametrize("ini, argv, message", [
     ("[field]\nx_max = 1.0\n", ("field",),
-     "mean field of coherent(|a|=2.64575, phase=1.5) overflows at x = "),
+     "mean field of coherent(|a|=2.6457513110645907, phase=1.5) "
+     "overflows at x = "),
     ("[field]\nxi_mag = 800\n", ("field", "--compare"),
-     "mean field of squeezed(|a|=2.64575, phase=1.5, |xi|=800, xi_phase=0): "
-     "the ladder mean overflows"),
+     "mean field of squeezed(|a|=2.6457513110645907, phase=1.5, |xi|=800, "
+     "xi_phase=0): the ladder mean overflows"),
 ], ids=["long-x-window", "huge-squeeze"])
 def test_field_overflow_fails_cleanly(tmp_path, capsys, ini, argv, message):
     """An overflowing sample is one error line and no file, not inf rows."""

@@ -215,3 +215,15 @@ def test_neutral_mode_rejected():
 def test_state_describe():
     assert "squeez" in SQUEEZED.describe().lower()
     assert "coherent" in COHERENT.describe().lower()
+
+
+@pytest.mark.parametrize("state", [
+    COHERENT, SppState(alpha_mag=0.1, alpha_phase=-1e-300, xi_mag=2.0 / 3.0,
+                       xi_phase=math.pi)])
+def test_state_describe_keeps_every_digit(state):
+    numbers = [float(part.split("=")[1])
+               for part in state.describe()[:-1].split("(")[1].split(", ")]
+    expected = [state.alpha_mag, state.alpha_phase]
+    if state.xi_mag != 0.0:
+        expected += [state.xi_mag, state.xi_phase]
+    assert numbers == expected
