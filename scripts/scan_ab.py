@@ -1,6 +1,6 @@
 """A/B timing of the benchmark's scan work between two source trees.
 
-    python scripts/scan_ab.py OLD_SRC NEW_SRC [--points N] [--runs R]
+    python scripts/scan_ab.py OLD_SRC NEW_SRC [--points N]
 
 ``OLD_SRC`` and ``NEW_SRC`` are ``src`` directories, each holding a
 ``slabspp`` package (for instance the ``src`` of a ``git archive`` of the
@@ -14,7 +14,7 @@ The points are the first ``N`` of the benchmark's seed-0 scan pool, built
 by ``perfbench/phases.build`` (imported, never edited) and converted into
 each copy's own spec classes.  Every point does what ``phases.Scan`` does:
 media, ``solve_dispersion``, ``green_coefficient`` and ``ccr_check``.
-Each of ``R`` passes walks the points in 1000-point chunks and times each
+Each of four passes walks the points in 1000-point chunks and times each
 chunk on both copies with ``phases.timed`` (reference seconds), the copy
 that goes first alternating from chunk to chunk, so the host's drift falls
 on both alike.
@@ -38,20 +38,23 @@ from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 CHUNK = 1000
+RUNS = 4
 
 
-def _load_copy(src: Path, name: str, workdir: Path) -> SimpleNamespace:
-    """Copy ``src/slabspp`` to ``workdir/name`` and import it as ``name``."""
+def _load_copy(src: Path, name: str, workdir: Path, metal) -> SimpleNamespace:
+    """Copy ``src/slabspp`` to ``workdir/name`` and import it as ``name``;
+    ``metal`` becomes that copy's own Drude spec."""
     shutil.copytree(src / "slabspp", workdir / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     mods = {m: importlib.import_module(f"{name}.{m}")
             for m in ("dispersion", "media", "modes", "quantization")}
-    return SimpleNamespace(label=name, src=src, **mods)
-
-
-def _convert(side, points, metal) -> list:
-    """The scan points as ``side``'s own parity, geometry and spec objects."""
+    side = SimpleNamespace(label=name, src=src, **mods)
     side.metal = side.media.DrudeMetalSpec(metal.omega_p, metal.gamma)
+    return side
+
+
+def _convert(side, points) -> list:
+    """The scan points as ``side``'s own parity, geometry and spec objects."""
     return [(side.dispersion.parity_from_name(parity.name),
              side.dispersion.SlabGeometry(geom.d),
              side.media.DielectricSpec(diel.n_real, diel.n_imag), omega)
@@ -81,13 +84,6 @@ def _key(result):
     return tuple(repr(v) for v in result)
 
 
-def _quartiles(values: list) -> tuple[float, float, float]:
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return q1, q2, q3
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Time the scan work of two slabspp source trees "
@@ -96,14 +92,12 @@ def main(argv=None) -> int:
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--points", type=int, default=20000,
                         help="first N points of the seed-0 scan pool")
-    parser.add_argument("--runs", type=int, default=4,
-                        help="passes over the points")
     args = parser.parse_args(argv)
     for src in (args.old_src, args.new_src):
         if not (src / "slabspp" / "__init__.py").is_file():
             parser.error(f"{src} holds no slabspp package")
-    if args.points < 1 or args.runs < 1:
-        parser.error("--points and --runs must be positive")
+    if args.points < 1:
+        parser.error("--points must be positive")
 
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
     import phases
@@ -112,12 +106,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         sys.path.insert(0, str(workdir))
-        sides = [_load_copy(args.old_src.resolve(), "slabspp_old", workdir),
-                 _load_copy(args.new_src.resolve(), "slabspp_new", workdir)]
+        sides = [_load_copy(src.resolve(), name, workdir, phases.METAL)
+                 for src, name in ((args.old_src, "slabspp_old"),
+                                   (args.new_src, "slabspp_new"))]
         paths = phases.build(ROOT, 0, phases.Sizes(), workdir / "bench")
         pool = next(p for p in paths if p.name == "scan").points
         points = pool[:args.points]
-        inputs = [_convert(side, points, phases.METAL) for side in sides]
+        inputs = [_convert(side, points) for side in sides]
 
         for side, pts in zip(sides, inputs):
             _evaluate(side, pts[:50], on_mode)
@@ -125,7 +120,7 @@ def main(argv=None) -> int:
         speedups = []
         keys = ([], [])      # per point, from the first pass
         unstable = set()     # points whose result changed on a later pass
-        for run in range(args.runs):
+        for run in range(RUNS):
             for i, lo in enumerate(range(0, len(points), CHUNK)):
                 hi = min(lo + CHUNK, len(points))
                 elapsed = [0.0, 0.0]
@@ -143,11 +138,11 @@ def main(argv=None) -> int:
                 speedups.append(elapsed[0] / elapsed[1])
 
     print(f"scan A/B: first {len(points)} points of the seed-0 pool, "
-          f"{args.runs} passes in chunks of {CHUNK}")
+          f"{RUNS} passes in chunks of {CHUNK}")
     for side, rate in zip(sides, rates):
         print(f"  {side.label} ({side.src}): median "
               f"{statistics.median(rate):.0f} points/ref_s")
-    q1, med, q3 = _quartiles(speedups)
+    q1, med, q3 = statistics.quantiles(speedups, n=4)
     print(f"speedup (old time / new time): median {med:.3f} "
           f"(q1 {q1:.3f}, q3 {q3:.3f}) over {len(speedups)} chunk pairs")
     differ = sorted(unstable.union(
