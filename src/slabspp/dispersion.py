@@ -173,10 +173,11 @@ def _scaled_system(d: float, media: MediumSet, pm: int):
     films (tanh saturates where exp overflows), which keeps Newton well
     conditioned.
 
-    What is fixed for the system (the permittivities times ``k0**2``,
-    ``d/2``) is formed once here, and ``k/num``, ``k/nu0`` once per call;
-    every evaluation performs the same floating-point operations, in the
-    same order, as evaluating the formulas above from scratch.
+    What is fixed for one solve (``eps_d*k0**2``, ``eps_m*k0**2``, ``d/2``)
+    is formed once here, and ``k/num``, ``k/nu0`` once per call.  Each
+    hoisted value has the operands and order it would have inside the
+    call, so every result is bit for bit that of evaluating all of it per
+    call; ``tests/golden/solver_roots.json`` pins the roots this gives.
     """
     eps_d = media.eps_d
     eps_m = media.eps_m
