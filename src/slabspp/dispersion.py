@@ -176,8 +176,10 @@ def _scaled_system(d: float, media: MediumSet, pm: int):
     What is fixed for one solve (``eps_d*k0**2``, ``eps_m*k0**2``, ``d/2``)
     is formed once here, and ``k/num``, ``k/nu0`` once per call.  Each
     hoisted value has the operands and order it would have inside the
-    call, so every result is bit for bit that of evaluating all of it per
-    call; ``tests/golden/solver_roots.json`` pins the roots this gives.
+    call, except that the tanh argument is ``num*(d/2)`` for ``num*d/2``,
+    which is the same number because halving is exact; so every result is
+    bit for bit that of evaluating all of it per call.
+    ``tests/golden/solver_roots.json`` pins the roots this gives.
     """
     eps_d = media.eps_d
     eps_m = media.eps_m
@@ -187,16 +189,11 @@ def _scaled_system(d: float, media: MediumSet, pm: int):
     half_d = d / 2.0
 
     def system(k: complex):
-        # _decaying_sqrt, inlined: this is the solver's innermost call
-        nu0 = cmath.sqrt(k * k - eps_d_k0sq)
-        if nu0.real < 0.0 or (nu0.real == 0.0 and nu0.imag < 0.0):
-            nu0 = -nu0
-        num = cmath.sqrt(k * k - eps_m_k0sq)
-        if num.real < 0.0 or (num.real == 0.0 and num.imag < 0.0):
-            num = -num
+        nu0 = _decaying_sqrt(k * k - eps_d_k0sq)
+        num = _decaying_sqrt(k * k - eps_m_k0sq)
         if nu0 == 0 or num == 0:
             raise ZeroDivisionError("decay constant vanished during iteration")
-        t = cmath.tanh(num * d / 2.0)
+        t = cmath.tanh(num * half_d)
         k_num = k / num
         k_nu0 = k / nu0
         # d(tanh(num*d/2))/dk = (1 - t**2) * (d/2) * k/num
