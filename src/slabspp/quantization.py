@@ -103,9 +103,7 @@ def beta_prime(sol: ModeSolution) -> float:
     and strictly positive for any bound mode with at least one
     non-transparent medium.
     """
-    amplitudes = noise_amplitudes(sol.media)
-    t_clad, t_film = overlap_terms(sol)
-    return amplitudes.alpha_d * t_clad + amplitudes.alpha_m * t_film
+    return _noise_weight(sol.media, overlap_terms(sol))
 
 
 def gamma_prime(sol: ModeSolution, magnitudes: bool = False) -> float:
@@ -117,9 +115,22 @@ def gamma_prime(sol: ModeSolution, magnitudes: bool = False) -> float:
     signed values, which is the flavor entering the commutation closure in
     amplifying systems.
     """
-    t_clad, t_film = overlap_terms(sol)
-    w_d = sol.media.eps_d.imag
-    w_m = sol.media.eps_m.imag
+    return _loss_weight(sol.media, overlap_terms(sol), magnitudes)
+
+
+def _noise_weight(media: MediumSet, terms: tuple[float, float]) -> float:
+    # each medium's noise amplitude weights its own region's overlap
+    amplitudes = noise_amplitudes(media)
+    t_clad, t_film = terms
+    return amplitudes.alpha_d * t_clad + amplitudes.alpha_m * t_film
+
+
+def _loss_weight(media: MediumSet, terms: tuple[float, float],
+                 magnitudes: bool) -> float:
+    # each medium's Im eps (or |Im eps|) weights its own region's overlap
+    t_clad, t_film = terms
+    w_d = media.eps_d.imag
+    w_m = media.eps_m.imag
     if magnitudes:
         w_d = abs(w_d)
         w_m = abs(w_m)
@@ -132,13 +143,11 @@ def ccr_check(sol: ModeSolution) -> float:
     Returns beta_prime / (2 hbar eps0 omega^2 gamma_prime) with the
     magnitude flavor of gamma_prime; exactly 1 when the two weights are
     assembled consistently, regardless of loss or gain.  The overlap terms
-    are taken once and weighted as those two functions weight them.
+    are taken once and weighted by the helpers those two functions use.
     """
-    t_clad, t_film = overlap_terms(sol)
-    amplitudes = noise_amplitudes(sol.media)
-    beta = amplitudes.alpha_d * t_clad + amplitudes.alpha_m * t_film
-    gamma = (abs(sol.media.eps_d.imag) * t_clad
-             + abs(sol.media.eps_m.imag) * t_film)
+    terms = overlap_terms(sol)
+    beta = _noise_weight(sol.media, terms)
+    gamma = _loss_weight(sol.media, terms, magnitudes=True)
     return beta / (2.0 * HBAR * EPS0 * sol.omega**2 * gamma)
 
 
@@ -182,9 +191,7 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
     evaluated on the reflected ray, i.e. as the analytic continuation the
     closed form represents).  Used to cross-check :func:`commutator`.
     """
-    amp = noise_amplitudes(sol.media)
-    t_clad, t_film = z_terms
-    z_quad = amp.alpha_d * t_clad + amp.alpha_m * t_film
+    z_quad = _noise_weight(sol.media, z_terms)
     beta = beta_prime(sol)
     k = sol.k_spp
     two_ki = 2.0 * k.imag
