@@ -8,7 +8,8 @@ Workflow: build media (:mod:`slabspp.media`), solve the complex dispersion
 :class:`ModeSolution` alone, which carries the geometry and media it was
 solved for.  :mod:`slabspp.oracles` recomputes the closed forms by
 quadrature, :mod:`slabspp.verify` runs them all as one pass of checks, and
-:mod:`slabspp.cli` wraps everything in a command line.
+:mod:`slabspp.cli` wraps everything in a command line.  Every refusal is a
+``ValueError`` whose subclass names why; no ``except`` here names a subclass.
 
 ``import slabspp`` loads no submodule.  ``from slabspp import X`` takes ``X``
 from the ``__all__`` of the workflow module that declares it, and loads that

@@ -14,8 +14,9 @@ CSV with '.' decimal separator, ',' field separator, '#'-prefixed metadata
 lines and 17-significant-digit floats, written atomically (temp file plus
 rename) so reruns are byte-identical and never observed half-written.
 
-Exit status: 0 on full success, 1 if any row failed to converge or any
-verification check failed, 2 on usage/configuration errors (an unwritable
+Exit status: 0 on full success, 1 if any row failed to converge, any
+verification check failed or the run was refused (a ``ValueError``, printed
+as one ``error:`` line), 2 on usage/configuration errors (an unwritable
 ``--out`` included).
 """
 
@@ -31,7 +32,6 @@ import tempfile
 
 from .dispersion import (
     PARITIES,
-    DispersionError,
     SlabGeometry,
     dispersion_sweep,
     gain_sweep,
@@ -294,9 +294,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_csv(path, meta_lines, header, rows, trailer_lines=()):
+    """Write the CSV; a ``,`` inside a header or row cell becomes ``;``."""
     parts = [f"# {line}" for line in meta_lines]
-    parts.append(",".join(header))
-    parts.extend(",".join(row) for row in rows)
+    parts.extend(",".join(cell.replace(",", ";") for cell in row)
+                 for row in [header, *rows])
     parts.extend(f"# {line}" for line in trailer_lines)
     _atomic_write(path, "\n".join(parts) + "\n")
 
@@ -328,9 +329,8 @@ def _cmd_dispersion(cfg, out_path) -> int:
     for row in rows:
         if row.solution is None:
             failures += 1
-            msg = row.error.replace(",", ";")
             rows_out.append([_g(row.x), row.parity.name] + ["nan"] * 7
-                            + [f"error: {msg}"])
+                            + [f"error: {row.error}"])
             continue
         s = row.solution
         rows_out.append([
@@ -361,9 +361,8 @@ def _cmd_gain_sweep(cfg, out_path) -> int:
     for row in result.rows:
         if row.solution is None:
             failures += 1
-            msg = row.error.replace(",", ";")
             rows_out.append([_g(row.x), row.parity.name, "nan", "nan",
-                             f"error: {msg}"])
+                             f"error: {row.error}"])
             continue
         s = row.solution
         rows_out.append([_g(row.x), row.parity.name, _g(s.k_spp.real),
@@ -388,33 +387,27 @@ def _cmd_gain_sweep(cfg, out_path) -> int:
 
 
 def _cmd_field(cfg, out_path, compare: bool) -> int:
-    from .fields import (FieldOverflowError, NeutralModeSingularity, SppState,
-                         auto_x_max, compare_states, h_field_mean)
+    from .fields import SppState, auto_x_max, compare_states, h_field_mean
 
     sec = cfg["field"]
     media = make_medium_set(_metal_of(cfg), _dielectric_of(cfg), sec["omega"])
     state = SppState(alpha_mag=sec["alpha_mag"],
                      alpha_phase=sec["alpha_phase"],
                      xi_mag=sec["xi_mag"], xi_phase=sec["xi_phase"])
-    try:
-        # ValueError: e.g. a film below the solver's floor D_MIN
-        sol = solve_dispersion(sec["parity"], _geometry_of(cfg), media)
-        x_max = (sec["x_min"] + auto_x_max(sol) if sec["x_max"] == "auto"
-                 else sec["x_max"])
-        zs = sec["z_values"]
-        grid = (linspace(sec["x_min"], x_max, sec["x_points"]),
-                [0.0, sol.geom.d] if zs == "interfaces" else zs)
-        if compare:
-            coherent = SppState(alpha_mag=sec["alpha_mag"],
-                                alpha_phase=sec["alpha_phase"])
-            samples = compare_states(sol, coherent, state, grid=grid)
-            described = f"{coherent.describe()} minus {state.describe()}"
-        else:
-            samples = h_field_mean(sol, state, grid=grid)
-            described = state.describe()
-    except (ValueError, DispersionError, NeutralModeSingularity,
-            FieldOverflowError) as exc:
-        return _report_error(exc)
+    sol = solve_dispersion(sec["parity"], _geometry_of(cfg), media)
+    x_max = (sec["x_min"] + auto_x_max(sol) if sec["x_max"] == "auto"
+             else sec["x_max"])
+    zs = sec["z_values"]
+    grid = (linspace(sec["x_min"], x_max, sec["x_points"]),
+            [0.0, sol.geom.d] if zs == "interfaces" else zs)
+    if compare:
+        coherent = SppState(alpha_mag=sec["alpha_mag"],
+                            alpha_phase=sec["alpha_phase"])
+        samples = compare_states(sol, coherent, state, grid=grid)
+        described = f"{coherent.describe()} minus {state.describe()}"
+    else:
+        samples = h_field_mean(sol, state, grid=grid)
+        described = state.describe()
     rows = [[_g(x), _g(z), _g(v.real), _g(v.imag), _g(abs(v))]
             for x, row in zip(samples.xs, samples.rows)
             for z, v in zip(samples.zs, row)]
@@ -441,7 +434,7 @@ def _cmd_verify(cfg, out_path, tolerance) -> int:
     for r in records:
         status = "pass" if r.passed else "FAIL"
         rows.append([r.check, r.parity, _g(r.omega), _g(r.value),
-                     _g(r.tolerance), status, r.note.replace(",", ";")])
+                     _g(r.tolerance), status, r.note])
         print(f"{r.check:28s} {r.parity:13s} {_g(r.value):>24s} "
               f"(tol {r.tolerance:g}) {status}")
     all_pass = all(r.passed for r in records)
@@ -492,8 +485,8 @@ def _build_parser():
     return ap
 
 
-def _report_error(exc: Exception) -> int:
-    """One ``error:`` line on stderr for a refused run; its exit status."""
+def _report_error(exc: ValueError) -> int:
+    """One ``error:`` line on stderr for a refusal; the exit status 1."""
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 1
 
@@ -521,6 +514,8 @@ def main(argv=None) -> int:
     except _OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        return _report_error(exc)
 
 
 if __name__ == "__main__":

@@ -70,8 +70,8 @@ _MAX_MULLER = 60
 _TOL = 1e-12  # relative step size at which Newton and Muller stop
 
 
-class DispersionError(Exception):
-    """Base class for dispersion-solver failures."""
+class DispersionError(ValueError):
+    """Base class of the solver's refusals, all of them ``ValueError``s."""
 
 
 class NonConvergence(DispersionError):
@@ -216,9 +216,13 @@ def _newton(k: complex, d: float,
     """Damped Newton iteration on the bounded residual ``system``.
 
     ``system`` is the :func:`_scaled_system` of film thickness ``d``.
-    Returns ``(k, system(k))`` at the accepted root, or None on failure.
+    Returns ``(k, system(k))`` at the accepted root, or None on failure,
+    which includes a seed on a branch point of a decay constant.
     """
-    values = system(k)
+    try:
+        values = system(k)
+    except ZeroDivisionError:
+        return None
     f, df = values[0], values[1]
     abs_f = abs(f)
     inv_d = 1.0 / d
@@ -384,10 +388,10 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
             f"at omega={media.omega!r}"
         )
     root, values = found
-    # keep Re(k) >= 0 (modes come in +-k pairs; report the +x-running one)
+    # keep Re(k) >= 0 (modes come in +-k pairs; report the +x-running one);
+    # F, its scale and the decay constants depend on k only through k*k
     if root.real < 0.0:
         root = -root
-        values = system(root)
     f, _, scale, nu0, num = values
     residual = abs(f) / scale
     if residual > 1e-10:
@@ -433,7 +437,6 @@ def _continuation(parity, xs, media_of, geom):
     hist_x: list[float] = []
     hist_k: list[complex] = []
     for x in xs:
-        media = media_of(x)
         if len(hist_k) >= 2:
             frac = (x - hist_x[-1]) / (hist_x[-1] - hist_x[-2])
             pred = hist_k[-1] + (hist_k[-1] - hist_k[-2]) * frac
@@ -445,6 +448,7 @@ def _continuation(parity, xs, media_of, geom):
             pred = None
             trend = None
         try:
+            media = media_of(x)
             sol = solve_dispersion(parity, geom, media, guess=pred)
             if trend is not None:
                 dev = abs(sol.k_spp - pred)
@@ -457,12 +461,12 @@ def _continuation(parity, xs, media_of, geom):
                             guess=single_interface_root(media))
                         if abs(alt.k_spp - pred) < dev:
                             sol = alt
-                    except DispersionError:
+                    except ValueError:
                         pass
             rows.append(SweepRow(x=x, parity=parity, solution=sol))
             hist_x.append(x)
             hist_k.append(sol.k_spp)
-        except (DispersionError, ValueError) as exc:
+        except ValueError as exc:
             rows.append(SweepRow(x=x, parity=parity, solution=None,
                                  error=f"{type(exc).__name__}: {exc}"))
     return rows
@@ -590,7 +594,7 @@ def _find_crossing(parity, prows, media_of, geom) -> Optional[GainCrossing]:
         seed = ka + (kb - ka) * ((x - xa) / (xb - xa))
         try:
             sol = solve_dispersion(parity, geom, media_of(x), guess=seed)
-        except DispersionError:
+        except ValueError:
             return None
         fx = sol.k_spp.imag
         if fx == 0.0:

@@ -14,9 +14,9 @@ principal branch is used, contributing a fixed overall factor i.
 
 The mean is ill-defined for exactly neutral modes (Im k = 0): the
 launch-normalization diverges.  :class:`NeutralModeSingularity` is raised
-instead of returning infinities, and :class:`FieldOverflowError` where a
-sample of an amplified mode's growing field, or the ladder mean of a
-strongly squeezed state, leaves the float range.
+instead of returning infinities, and :class:`FieldOverflowError` (also an
+``OverflowError``) where a sample of an amplified mode's growing field, or
+the ladder mean of a strongly squeezed state, leaves the float range.
 
 The samples are computed in scalar Python and kept as lists;
 :attr:`FieldSamples.values` gives them as an ndarray, and is the only place
@@ -53,12 +53,12 @@ __all__ = [
 _IM_K_FLOOR = 1e-20
 
 
-class NeutralModeSingularity(Exception):
-    """Field normalization diverges for a mode with Im(k_spp) == 0."""
+class NeutralModeSingularity(ValueError):
+    """Refusal: field normalization diverges for a mode with Im(k_spp) == 0."""
 
 
-class FieldOverflowError(OverflowError):
-    """A mean-field sample, or the state's ladder mean, is not finite."""
+class FieldOverflowError(OverflowError, ValueError):
+    """Refusal: a mean-field sample, or the ladder mean, is not finite."""
 
 
 @dataclass(frozen=True)

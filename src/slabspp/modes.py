@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 
-class DegenerateResidue(Exception):
-    """Pole strength of the Green tensor is numerically undefined."""
+class DegenerateResidue(ValueError):
+    """Refusal: the Green tensor's pole strength is numerically undefined."""
 
 
 def profile_bracket(sol: ModeSolution, z: float) -> tuple[complex, complex]:

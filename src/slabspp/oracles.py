@@ -118,8 +118,8 @@ _LIMIT = 300     # most subintervals of one quadrature
 _FD_STEP = 1e-12  # central-difference step of curl_consistency_error (m)
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach its target accuracy."""
+class QuadratureError(ValueError):
+    """Refusal: adaptive quadrature failed to reach its target accuracy."""
 
 
 def _kronrod(f, a: float, b: float, rule, bound=None, sign=1.0) -> tuple:
@@ -342,8 +342,8 @@ def thick_film_degeneracy(metal, dielectric, omega: float,
 _CONTOUR_NODES = 256
 
 
-class ContourError(RuntimeError):
-    """The argument-principle contour does not isolate the two slab modes."""
+class ContourError(ValueError):
+    """Refusal: the argument-principle contour does not isolate both modes."""
 
 
 def _continued_sqrt(k: complex, beta: complex, center: complex) -> complex:

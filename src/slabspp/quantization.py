@@ -137,6 +137,16 @@ def _loss_weight(media: MediumSet, terms: tuple[float, float],
     return w_d * t_clad + w_m * t_film
 
 
+def _launch_weight(media: MediumSet, terms: tuple[float, float]) -> float:
+    # the noise weight, which the launched-mode commutators divide by; it is
+    # 0 only where neither medium absorbs or amplifies, and refused there
+    beta = _noise_weight(media, terms)
+    if beta == 0.0:
+        raise ValueError("beta_prime = 0: a mode whose media neither absorb "
+                         "nor amplify has no launch normalization")
+    return beta
+
+
 def ccr_check(sol: ModeSolution) -> float:
     """Equal-point commutator of the launched mode operator.
 
@@ -144,9 +154,10 @@ def ccr_check(sol: ModeSolution) -> float:
     magnitude flavor of gamma_prime; exactly 1 when the two weights are
     assembled consistently, regardless of loss or gain.  The overlap terms
     are taken once and weighted by the helpers those two functions use.
+    Raises ``ValueError`` where beta_prime is 0 (transparent media).
     """
     terms = overlap_terms(sol)
-    beta = _noise_weight(sol.media, terms)
+    beta = _launch_weight(sol.media, terms)
     gamma = _loss_weight(sol.media, terms, magnitudes=True)
     return beta / (2.0 * HBAR * EPS0 * sol.omega**2 * gamma)
 
@@ -190,9 +201,10 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
     numerically (the semi-infinite x integral of an amplified mode is
     evaluated on the reflected ray, i.e. as the analytic continuation the
     closed form represents).  Used to cross-check :func:`commutator`.
+    Raises ``ValueError`` where beta_prime is 0, as :func:`ccr_check` does.
     """
     z_quad = _noise_weight(sol.media, z_terms)
-    beta = beta_prime(sol)
+    beta = _launch_weight(sol.media, overlap_terms(sol))
     k = sol.k_spp
     two_ki = 2.0 * k.imag
     if kind == SAME_DIRECTION:
@@ -240,8 +252,7 @@ def green_identity_check(sol: ModeSolution,
     coeff = green_coefficient(sol)
     dsq = abs(coeff.d_value) ** 2
     gamma_closed = gamma_prime(sol)
-    t_clad, t_film = z_terms
-    gamma_quad = sol.media.eps_d.imag * t_clad + sol.media.eps_m.imag * t_film
+    gamma_quad = _loss_weight(sol.media, z_terms, magnitudes=False)
     tail = oracles.signed_tail_integral(ki)
 
     ell = 1.0 / max(abs(ki), abs(kr) / 20.0)

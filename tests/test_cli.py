@@ -238,6 +238,74 @@ def test_field_overflow_fails_cleanly(tmp_path, capsys, ini, argv, message):
     assert not out.exists()
 
 
+# -- refusals: a lossless Drude metal at omega_p, and a transparent system --
+
+_LOSSLESS = "[metal]\ngamma = 0\n"
+_EPS_M_ZERO = "error: ValueError: permittivities must be non-zero"
+
+
+def _data_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()
+            if not line.startswith("#")][1:]
+
+
+def test_dispersion_through_omega_p_writes_error_rows(tmp_path, capsys):
+    """eps_m = 0 at the last grid point refuses that row, not the run."""
+    p = tmp_path / "run.ini"
+    p.write_text(_LOSSLESS + "[dispersion]\nomega_max = 1.402e16\n")
+    out = tmp_path / "d.csv"
+    assert _run("--config", str(p), "--out", str(out), "dispersion") == 1
+    assert capsys.readouterr().err == ""
+    failed = [row for row in _data_rows(out) if row[-1].startswith("error")]
+    assert [row[:2] for row in failed] == [["14020000000000000", "symmetric"],
+                                           ["14020000000000000",
+                                            "antisymmetric"]]
+    assert all(row[2:] == ["nan"] * 7 + [_EPS_M_ZERO] for row in failed)
+
+
+def test_gain_sweep_at_omega_p_refuses_every_row(tmp_path, capsys):
+    p = tmp_path / "run.ini"
+    p.write_text(_LOSSLESS + "[gain-sweep]\nomega = 1.402e16\n")
+    out = tmp_path / "gs.csv"
+    assert _run("--config", str(p), "--out", str(out), "gain-sweep") == 1
+    assert capsys.readouterr().err == ""
+    rows = _data_rows(out)
+    assert len(rows) == 82
+    assert all(row[2:] == ["nan", "nan", _EPS_M_ZERO] for row in rows)
+    assert out.read_text().splitlines()[-2:] == [
+        "# crossing symmetric: none in grid",
+        "# crossing antisymmetric: none in grid"]
+
+
+@pytest.mark.parametrize("command", ["field", "verify"])
+def test_single_point_at_omega_p_is_one_error_line(tmp_path, capsys,
+                                                   command):
+    p = tmp_path / "run.ini"
+    p.write_text(_LOSSLESS + f"[{command}]\nomega = 1.402e16\n")
+    out = tmp_path / "out.csv"
+    assert _run("--config", str(p), "--out", str(out), command) == 1
+    assert capsys.readouterr().err.splitlines() == [_EPS_M_ZERO]
+    assert not out.exists()
+
+
+def test_verify_of_transparent_system_fails_the_launch_checks(tmp_path):
+    """Neither medium absorbs or amplifies: beta_prime = 0 and Im k = 0."""
+    p = tmp_path / "run.ini"
+    p.write_text(_LOSSLESS + "[dielectric]\nn_imag = 0\n")
+    out = tmp_path / "report.csv"
+    assert _run("--config", str(p), "--out", str(out), "verify") == 1
+    rows = _data_rows(out)
+    assert len(rows) == 14
+    refused = {"ccr_closure", "commutator_same_direction",
+               "commutator_cross_direction", "green_identity"}
+    for row in rows:
+        if row[0] in refused:
+            assert (row[3], row[5]) == ("nan", "FAIL")
+            assert row[6].startswith("ValueError: ")
+        else:
+            assert (row[5], row[6]) == ("pass", "")
+
+
 def test_verify_passes_on_defaults(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert _run("--out", str(out), "verify") == 0

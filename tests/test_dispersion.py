@@ -372,6 +372,20 @@ def test_later_seeds_are_not_computed_once_newton_converges(monkeypatch):
     assert sol.k_spp == pytest.approx(ref.k_spp, rel=1e-12)
 
 
+@pytest.mark.parametrize("parity", PARITIES, ids=lambda p: p.name)
+def test_seed_on_a_branch_point_moves_on_to_the_next_seed(parity):
+    """A guess where nu0 = 0 fails that seed alone: the solve returns the
+    root found without a guess, bit for bit."""
+    media = _media(0.0)
+    guess = cmath.sqrt(media.eps_d * media.k0 ** 2)
+    sol = solve_dispersion(parity, GEOM, media, guess=guess)
+    ref = solve_dispersion(parity, GEOM, media)
+    assert [repr(v) for v in (sol.k_spp, sol.nu0, sol.num, sol.amplitude,
+                              sol.residual)] == [
+        repr(v) for v in (ref.k_spp, ref.nu0, ref.num, ref.amplitude,
+                          ref.residual)]
+
+
 def test_gain_sweep_without_crossing():
     kappas = np.linspace(-0.08, -0.05, 7)
     result = gain_sweep((SYMMETRIC,), GEOM, METAL, 0.9726, kappas, OMEGA)

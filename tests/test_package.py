@@ -1,5 +1,6 @@
 """The package's public surface: every exported name and the README example."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -47,3 +48,58 @@ def test_readme_library_example_runs():
     assert [len(row) for row in namespace["g"]] == [2, 2]
     assert namespace["samples"].values.shape == (500, 2)
     assert "amplified" in out.getvalue()
+
+
+_SRC = Path(slabspp.__file__).resolve().parent
+
+# the exceptions the package raises for an input it cannot serve
+_REFUSALS = [("dispersion", "DispersionError"),
+             ("dispersion", "NonConvergence"),
+             ("dispersion", "BranchViolation"),
+             ("fields", "NeutralModeSingularity"),
+             ("fields", "FieldOverflowError"),
+             ("modes", "DegenerateResidue"),
+             ("oracles", "QuadratureError"),
+             ("oracles", "ContourError")]
+
+
+@pytest.mark.parametrize("module, name", _REFUSALS,
+                         ids=[name for _, name in _REFUSALS])
+def test_every_refusal_is_a_value_error(module, name):
+    cls = getattr(importlib.import_module(f"slabspp.{module}"), name)
+    assert issubclass(cls, ValueError)
+
+
+def test_field_overflow_is_still_an_overflow_error():
+    from slabspp.fields import FieldOverflowError
+
+    assert issubclass(FieldOverflowError, OverflowError)
+
+
+def _handled_names(node):
+    """Names of the exception classes an ``except`` clause lists."""
+    if node is None:
+        return []
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _handled_names(elt)]
+    return [node.attr if isinstance(node, ast.Attribute) else node.id]
+
+
+def test_no_except_clause_names_a_package_exception():
+    """Refusals are caught as ``ValueError``; the class hierarchy alone says
+    which errors those are.  Only the CLI's own two errors are caught by
+    name."""
+    own = {name for module in _MODULES
+           for name, value in vars(importlib.import_module(
+               f"slabspp.{module}")).items()
+           if isinstance(value, type) and issubclass(value, BaseException)
+           and value.__module__.startswith("slabspp.")}
+    assert {name for _, name in _REFUSALS} <= own
+    allowed = {"ConfigError", "_OutputError"}
+    named = [(path.name, handler.lineno, name)
+             for path in sorted(_SRC.glob("*.py"))
+             for handler in ast.walk(ast.parse(path.read_text()))
+             if isinstance(handler, ast.ExceptHandler)
+             for name in _handled_names(handler.type)
+             if name in own - allowed]
+    assert not named, named

@@ -156,6 +156,21 @@ def test_commutator_closed_vs_numeric():
                     abs(closed), abs(numeric)), (kappa, kind)
 
 
+def test_transparent_mode_is_refused_by_the_launch_weights():
+    """beta_prime is 0 when neither medium absorbs nor amplifies; the
+    commutators divided by it are refused instead of being 0/0."""
+    media = make_medium_set(DrudeMetalSpec(14.02e15, 0.0),
+                            DielectricSpec(0.9726, 0.0), 4.8e15)
+    sol = solve_dispersion(SYMMETRIC, GEOM, media)
+    assert beta_prime(sol) == 0.0
+    message = "beta_prime = 0: a mode whose media neither absorb nor amplify"
+    with pytest.raises(ValueError, match=message):
+        ccr_check(sol)
+    for kind in (SAME_DIRECTION, CROSS_DIRECTION):
+        with pytest.raises(ValueError, match=message):
+            commutator_numeric(kind, 2e-7, 1e-7, sol, overlap_terms(sol))
+
+
 def test_unknown_kind_rejected():
     sol, _ = _mode()
     with pytest.raises(ValueError):
