@@ -32,6 +32,7 @@ import tempfile
 
 from .dispersion import (
     PARITIES,
+    Parity,
     SlabGeometry,
     dispersion_sweep,
     gain_sweep,
@@ -243,13 +244,13 @@ def dump_config(cfg) -> str:
                 continue
             if isinstance(val, float):
                 lines.append(f"{key} = {_g(val)}")
+            elif isinstance(val, Parity):  # a tuple itself, so tested first
+                lines.append(f"{key} = {val.name}")
             elif isinstance(val, tuple) and isinstance(val[0], float):
                 lines.append(f"{key} = " + ", ".join(map(_g, val)))  # depths
             elif isinstance(val, tuple):  # parity tuple
                 lines.append(f"{key} = "
                              + ("both" if len(val) > 1 else val[0].name))
-            elif hasattr(val, "name"):  # single parity
-                lines.append(f"{key} = {val.name}")
             else:
                 lines.append(f"{key} = {val}")
         lines.append("")

@@ -21,8 +21,7 @@ as unbound.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .media import (
     DielectricSpec,
@@ -82,8 +81,7 @@ class BranchViolation(DispersionError):
     """Converged root has a non-decaying transverse profile (Re(nu) <= 0)."""
 
 
-@dataclass(frozen=True)
-class Parity:
+class Parity(NamedTuple):
     """Mode parity of the tangential vector-potential profile.
 
     ``pm`` is the sign that multiplies the back-reflected partial wave inside
@@ -111,15 +109,15 @@ def parity_from_name(name: str) -> Parity:
         ) from None
 
 
-@dataclass(frozen=True)
-class SlabGeometry:
+class SlabGeometry(NamedTuple("SlabGeometry", [("d", float)])):
     """Film thickness ``d`` in meters (the film occupies ``0 < z < d``)."""
 
-    d: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.d > 0.0:
-            raise ValueError(f"film thickness must be positive, got {self.d!r}")
+    def __new__(cls, d: float):
+        if not d > 0.0:
+            raise ValueError(f"film thickness must be positive, got {d!r}")
+        return super().__new__(cls, d)
 
 
 def _decaying_sqrt(z: complex) -> complex:
@@ -319,8 +317,7 @@ def classify_mode(k_spp: complex) -> str:
     return NEUTRAL_MODE
 
 
-@dataclass(frozen=True)
-class ModeSolution:
+class ModeSolution(NamedTuple):
     """One converged slab mode at fixed omega.
 
     ``residual`` is the bounded characteristic function at the root divided
@@ -421,8 +418,7 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
 # parameter sweeps (continuation along a grid)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point of a sweep; exactly one of solution/error is set."""
 
     x: float                      # the swept variable (omega or kappa)
@@ -515,8 +511,7 @@ def dispersion_sweep(parities: Sequence[Parity], geom: SlabGeometry,
     return rows
 
 
-@dataclass(frozen=True)
-class GainCrossing:
+class GainCrossing(NamedTuple):
     """Cladding gain at which a parity turns from attenuated to amplified."""
 
     parity: Parity
@@ -524,8 +519,7 @@ class GainCrossing:
     k_at_crossing: complex
 
 
-@dataclass(frozen=True)
-class GainSweepResult:
+class GainSweepResult(NamedTuple):
     rows: list[SweepRow]
     crossings: dict[str, Optional[GainCrossing]]
 

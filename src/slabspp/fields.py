@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dispersion import ModeSolution, linspace
 from .modes import green_coefficient, h_field_operator_bracket
@@ -61,8 +60,7 @@ class FieldOverflowError(OverflowError, ValueError):
     """Refusal: a mean-field sample, or the ladder mean, is not finite."""
 
 
-@dataclass(frozen=True)
-class SppState:
+class SppState(NamedTuple):
     """Launched single-mode state: coherent, optionally squeezed.
 
     ``alpha_mag``/``alpha_phase`` give the coherent displacement
@@ -100,7 +98,6 @@ def ladder_mean(state: SppState) -> complex:
     return mu * alpha - nu * alpha
 
 
-@dataclass
 class FieldSamples:
     """Mean field sampled on a separable (x, z) grid.
 
@@ -108,9 +105,11 @@ class FieldSamples:
     sample at ``(xs[i], zs[j])``.
     """
 
-    xs: list[float]
-    zs: list[float]
-    rows: list[list[complex]]
+    def __init__(self, xs: list[float], zs: list[float],
+                 rows: list[list[complex]]):
+        self.xs = xs
+        self.zs = zs
+        self.rows = rows
 
     @cached_property
     def values(self) -> np.ndarray:

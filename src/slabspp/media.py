@@ -10,7 +10,7 @@ models optical gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # CODATA 2022 values, as in scipy.constants; pinned here so importing the
 # package does not load scipy and results do not depend on its release.
@@ -31,8 +31,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DrudeMetalSpec:
+class DrudeMetalSpec(NamedTuple("DrudeMetalSpec", [("omega_p", float),
+                                                   ("gamma", float)])):
     """Drude metal parameters.
 
     Parameters
@@ -43,34 +43,34 @@ class DrudeMetalSpec:
         Collision rate in rad/s (non-negative).
     """
 
-    omega_p: float
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.omega_p > 0.0:
-            raise ValueError(f"omega_p must be positive, got {self.omega_p!r}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma!r}")
+    def __new__(cls, omega_p: float, gamma: float):
+        if not omega_p > 0.0:
+            raise ValueError(f"omega_p must be positive, got {omega_p!r}")
+        if gamma < 0.0:
+            raise ValueError(f"gamma must be non-negative, got {gamma!r}")
+        return super().__new__(cls, omega_p, gamma)
 
 
-@dataclass(frozen=True)
-class DielectricSpec:
+class DielectricSpec(NamedTuple("DielectricSpec", [("n_real", float),
+                                                   ("n_imag", float)])):
     """Cladding refractive index ``n = n_real + i*n_imag``.
 
     ``n_imag < 0`` describes an amplifying (pumped) dielectric, ``n_imag > 0``
     an absorbing one.
     """
 
-    n_real: float
-    n_imag: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.n_real > 0.0:
-            raise ValueError(f"n_real must be positive, got {self.n_real!r}")
+    def __new__(cls, n_real: float, n_imag: float = 0.0):
+        if not n_real > 0.0:
+            raise ValueError(f"n_real must be positive, got {n_real!r}")
+        return super().__new__(cls, n_real, n_imag)
 
 
-@dataclass(frozen=True)
-class MediumSet:
+class MediumSet(NamedTuple("MediumSet", [("omega", float), ("eps_d", complex),
+                                         ("eps_m", complex)])):
     """Permittivities of the three-layer system at one frequency.
 
     Attributes
@@ -83,13 +83,12 @@ class MediumSet:
         Slab (metal) permittivity.
     """
 
-    omega: float
-    eps_d: complex
-    eps_m: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
+    def __new__(cls, omega: float, eps_d: complex, eps_m: complex):
+        if not omega > 0.0:
+            raise ValueError(f"omega must be positive, got {omega!r}")
+        return super().__new__(cls, omega, eps_d, eps_m)
 
     @property
     def k0(self) -> float:

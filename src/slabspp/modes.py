@@ -18,7 +18,7 @@ presence of loss and gain, unlike an |u|^2 norm.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dispersion import ModeSolution
 
@@ -48,20 +48,21 @@ def profile_bracket(sol: ModeSolution, z: float) -> tuple[complex, complex]:
     across both interfaces by construction.
     """
     k = sol.k_spp
-    nu0 = sol.nu0
-    num = sol.num
-    pm = sol.parity.pm
-    d = sol.geom.d
     if z < 0.0:
+        nu0 = sol.nu0
         e = cmath.exp(nu0 * z)
         return e, (-1j * k / nu0) * e
+    pm = sol.parity.pm
+    d = sol.geom.d
     if z <= d:
+        num = sol.num
         a = sol.amplitude
         e1 = cmath.exp(-num * z)
         e2 = cmath.exp(num * (z - d))
         bx = a * (e1 + pm * e2)
         bz = a * (1j * k / num) * (e1 - pm * e2)
         return bx, bz
+    nu0 = sol.nu0
     e = cmath.exp(-nu0 * (z - d))
     return pm * e, pm * (1j * k / nu0) * e
 
@@ -69,17 +70,18 @@ def profile_bracket(sol: ModeSolution, z: float) -> tuple[complex, complex]:
 def h_field_operator_bracket(sol: ModeSolution, z: float) -> complex:
     """Magnetic-type profile bracket d(b_x)/dz - i k b_z at depth z."""
     k = sol.k_spp
-    nu0 = sol.nu0
-    num = sol.num
+    if z < 0.0:
+        nu0 = sol.nu0
+        return (nu0 - k * k / nu0) * cmath.exp(nu0 * z)
     pm = sol.parity.pm
     d = sol.geom.d
-    if z < 0.0:
-        return (nu0 - k * k / nu0) * cmath.exp(nu0 * z)
     if z <= d:
+        num = sol.num
         a = sol.amplitude
         e1 = cmath.exp(-num * z)
         e2 = cmath.exp(num * (z - d))
         return a * ((-num + k * k / num) * e1 + pm * (num - k * k / num) * e2)
+    nu0 = sol.nu0
     return pm * (-nu0 + k * k / nu0) * cmath.exp(-nu0 * (z - d))
 
 
@@ -105,8 +107,7 @@ def normalization(sol: ModeSolution) -> complex:
     return cladding + eps_m * a2 * (direct + cross)
 
 
-@dataclass(frozen=True)
-class GreenCoefficient:
+class GreenCoefficient(NamedTuple):
     """Pole strength of the resonant Green-tensor term.
 
     ``d_value`` multiplies ``exp(i*k_spp*|x - x'|)`` times the outer product

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracles
 from .media import EPS0, HBAR, MediumSet
@@ -49,8 +49,7 @@ SAME_DIRECTION = "same_direction"
 CROSS_DIRECTION = "cross_direction"
 
 
-@dataclass(frozen=True)
-class NoiseAmplitudes:
+class NoiseAmplitudes(NamedTuple):
     """Langevin noise strengths |alpha|^2-like weights, one per medium."""
 
     alpha_d: float
@@ -190,18 +189,22 @@ def commutator(kind: str, x: float, x_prime: float,
 
 
 def commutator_numeric(kind: str, x: float, x_prime: float,
-                       sol: ModeSolution,
-                       z_terms: tuple[float, float]) -> complex:
+                       sol: ModeSolution, z_terms: tuple[float, float],
+                       x_tail) -> complex:
     """Commutator from the defining source integrals, by quadrature.
 
     ``z_terms`` are the mode's region integrals of |bracket|^2 by
     quadrature, ``oracles.weighted_abs2_quadrature(sol)``; they are weighted
     here with the noise amplitudes, as :func:`beta_prime` weights the closed
     forms.  The x integral over the shared source region is evaluated
-    numerically (the semi-infinite x integral of an amplified mode is
-    evaluated on the reflected ray, i.e. as the analytic continuation the
-    closed form represents).  Used to cross-check :func:`commutator`.
-    Raises ``ValueError`` where beta_prime is 0, as :func:`ccr_check` does.
+    numerically: for ``same_direction`` it is the semi-infinite tail that
+    ``x_tail()`` returns, ``oracles.signed_tail_integral(k.imag)`` (for an
+    amplified mode the integral on the reflected ray, i.e. the analytic
+    continuation the closed form represents); ``cross_direction``
+    integrates its finite region here and never calls ``x_tail``.  Used to
+    cross-check :func:`commutator`.  Raises ``ValueError`` where beta_prime
+    is 0, as :func:`ccr_check` does, before ``x_tail`` is called, so a
+    neutral mode of transparent media is refused for its launch weight.
     """
     z_quad = _noise_weight(sol.media, z_terms)
     beta = _launch_weight(sol.media, overlap_terms(sol))
@@ -211,7 +214,7 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
         m = min(x, x_prime)
         phase = cmath.exp(1j * k * (x - m)) * cmath.exp(
             -1j * k.conjugate() * (x_prime - m))
-        x_quad = oracles.signed_tail_integral(k.imag)
+        x_quad = x_tail()
         return (two_ki / beta) * z_quad * phase * x_quad
     if kind == CROSS_DIRECTION:
         if x <= x_prime:
@@ -233,8 +236,8 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
 # Green-tensor overlap identity
 # ---------------------------------------------------------------------------
 
-def green_identity_check(sol: ModeSolution,
-                         z_terms: tuple[float, float]) -> float:
+def green_identity_check(sol: ModeSolution, z_terms: tuple[float, float],
+                         x_tail) -> float:
     """Verify the medium-overlap identity of the resonant Green tensor.
 
     The integral of Im(eps(s)) G(r, s) G^*(s, r') over the source plane
@@ -242,7 +245,9 @@ def green_identity_check(sol: ModeSolution,
     x-profile.  This evaluates the left side by quadrature -- z from
     ``z_terms``, the region integrals ``oracles.weighted_abs2_quadrature(sol)``
     weighted with signed Im eps as :func:`gamma_prime` weights the closed
-    forms; x semi-analytically with continuation for amplified modes -- and
+    forms; x semi-analytically, with ``x_tail()``,
+    ``oracles.signed_tail_integral(k.imag)``, for each semi-infinite end
+    (continued for amplified modes) -- and
     the right side from the closed forms, returning the worst relative
     Frobenius deviation over four point pairs that span all three regions,
     a few decay lengths apart along x.
@@ -253,7 +258,7 @@ def green_identity_check(sol: ModeSolution,
     dsq = abs(coeff.d_value) ** 2
     gamma_closed = gamma_prime(sol)
     gamma_quad = _loss_weight(sol.media, z_terms, magnitudes=False)
-    tail = oracles.signed_tail_integral(ki)
+    tail = x_tail()
 
     ell = 1.0 / max(abs(ki), abs(kr) / 20.0)
     zc = 0.4 / sol.nu0.real

@@ -11,8 +11,7 @@ as its report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache
+from typing import NamedTuple
 
 from . import oracles
 from .dispersion import PARITIES, SlabGeometry, linspace, solve_dispersion
@@ -30,8 +29,7 @@ from .quantization import (
 __all__ = ["CheckRecord", "run_checks"]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """Outcome of one check: its value passes when at most ``tolerance``.
 
     ``parity`` is a parity name, or ``"both"`` for the thick-film checks;
@@ -51,6 +49,29 @@ class CheckRecord:
         return self.value <= self.tolerance
 
 
+def _once(compute):
+    """``compute``, run on the first call alone; each call gives its outcome.
+
+    A ``ValueError`` is an outcome too: every call raises that same
+    exception again, so a failing oracle fails each check that needs it
+    without running again.
+    """
+    outcome = []
+
+    def once():
+        if not outcome:
+            try:
+                outcome.append((compute(), None))
+            except ValueError as exc:
+                outcome.append((None, exc))
+        value, error = outcome[0]
+        if error is not None:
+            raise error
+        return value
+
+    return once
+
+
 def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
                thick_d: float,
                tolerance: float | None = None) -> list[CheckRecord]:
@@ -63,8 +84,10 @@ def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
     for the CLI's ``--tolerance``).  A parity whose mode cannot be solved
     gives one failed ``solve`` record instead of its six checks, and a thick
     film that cannot be solved fails its two checks.  Each mode's region
-    integrals of |b|^2 are integrated once, for both commutator checks and
-    the Green identity.
+    integrals of |b|^2 and its x-tail are integrated once, for both
+    commutator checks and the Green identity, and the thick film is solved
+    once; an oracle that fails there fails each check that needs it, with
+    the same error, and is not run again.
     """
     if tolerance is not None and not (tolerance > 0.0
                                       and math.isfinite(tolerance)):
@@ -96,9 +119,11 @@ def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
         check("ccr_closure", parity.name, 1e-12,
               lambda: abs(ccr_check(sol) - 1.0))
 
-        # one quadrature of the region integrals of |b|^2 serves the three
-        # checks that weight them; if it fails, each of them fails with it
-        z_terms = cache(lambda: oracles.weighted_abs2_quadrature(sol))
+        # one quadrature of the region integrals of |b|^2, and one of the
+        # x-tail, serves the three checks that use them; if it fails, each
+        # of them fails with it
+        z_terms = _once(lambda: oracles.weighted_abs2_quadrature(sol))
+        x_tail = _once(lambda: oracles.signed_tail_integral(sol.k_spp.imag))
 
         ell = min(1.0 / max(abs(sol.k_spp.imag), 1e-20),
                   400.0 * math.pi / sol.k_spp.real)
@@ -109,13 +134,14 @@ def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
         for kind, (x, xp) in pairs.items():
             def deviation():
                 closed = commutator(kind, x, xp, sol)
-                numeric = commutator_numeric(kind, x, xp, sol, z_terms())
+                numeric = commutator_numeric(kind, x, xp, sol, z_terms(),
+                                             x_tail)
                 return abs(closed - numeric) / max(abs(closed), abs(numeric),
                                                    1e-12)
             check(f"commutator_{kind}", parity.name, 1e-6, deviation)
 
         check("green_identity", parity.name, 1e-6,
-              lambda: green_identity_check(sol, z_terms()))
+              lambda: green_identity_check(sol, z_terms(), x_tail))
 
         def normalization_deviation():
             n_quad = oracles.normalization_quadrature(sol)
@@ -133,7 +159,7 @@ def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
                           for z in depths))
 
     # one solve of the thick film serves both of its checks
-    thick = cache(lambda: oracles.thick_film_degeneracy(metal, dielectric,
+    thick = _once(lambda: oracles.thick_film_degeneracy(metal, dielectric,
                                                         omega, d=thick_d))
     check("thick_film_parity_split", "both", 1e-8,
           lambda: thick()["rel_split"])

@@ -13,6 +13,7 @@ the analysis behind that conclusion live in
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from slabspp.oracles import (
     contour_slab_roots,
     curl_consistency_error,
     normalization_quadrature,
+    signed_tail_integral,
     thick_film_degeneracy,
     weighted_abs2_quadrature,
 )
@@ -85,6 +87,7 @@ def test_criterion_2_commutator_oracle_equivalence():
     for kappa in (0.0, -0.08):  # one attenuated, one amplified mode
         sol = solve_dispersion(SYMMETRIC, GEOM, _media(kappa))
         z_terms = weighted_abs2_quadrature(sol)
+        x_tail = partial(signed_tail_integral, sol.k_spp.imag)
         ell = min(1.0 / abs(sol.k_spp.imag),
                   400.0 * math.pi / sol.k_spp.real)
         for _ in range(10):
@@ -92,7 +95,8 @@ def test_criterion_2_commutator_oracle_equivalence():
             x, xp = hi * ell, lo * ell
             for kind in (SAME_DIRECTION, CROSS_DIRECTION):
                 closed = commutator(kind, x, xp, sol)
-                numeric = commutator_numeric(kind, x, xp, sol, z_terms)
+                numeric = commutator_numeric(kind, x, xp, sol, z_terms,
+                                             x_tail)
                 dev = abs(closed - numeric) / max(abs(closed), abs(numeric))
                 worst = max(worst, dev)
     elapsed = time.monotonic() - t0
@@ -110,7 +114,8 @@ def test_criterion_3_green_identity():
     for parity in PARITIES:
         sol = solve_dispersion(parity, GEOM, media)
         worst = max(worst, green_identity_check(
-            sol, weighted_abs2_quadrature(sol)))
+            sol, weighted_abs2_quadrature(sol),
+            partial(signed_tail_integral, sol.k_spp.imag)))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-6 and elapsed < 10.0
     _report(3, ok, f"worst identity deviation = {worst:.3e} (tol 1e-6), "

@@ -1,5 +1,6 @@
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -420,16 +421,18 @@ def test_bad_config_value_exits_2(tmp_path, capsys, ini, command):
 
 # -- import cost ------------------------------------------------------------
 
-# The numpy and scipy modules loaded in this interpreter, as a JSON list.
-_HEAVY = ("json.dumps(sorted(m for m in sys.modules "
-          "if m.split('.')[0] in ('numpy', 'scipy')))")
+# The modules no cold run needs that are loaded in this interpreter, as a
+# JSON list: numpy and scipy, and ``dataclasses`` and ``inspect``, which
+# the package's records, all named tuples, do not need.
+_HEAVY = ("json.dumps(sorted(m for m in sys.modules if m.split('.')[0] "
+          "in ('numpy', 'scipy', 'dataclasses', 'inspect')))")
 
 # The ``slabspp`` submodules loaded in this interpreter, as a JSON list.
 _OWN = ("json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules "
         "if m.startswith('slabspp.')))")
 
 # Runs ``python -m slabspp`` in a fresh interpreter and prints the exit status,
-# the numpy and scipy modules loaded by then, and the slabspp submodules.
+# the ``_HEAVY`` modules loaded by then, and the slabspp submodules.
 _CHILD = f"""
 import json, runpy, sys
 sys.argv = ["slabspp", *sys.argv[1:]]
@@ -466,7 +469,8 @@ def _child_env():
     (("verify",), _VERIFY_MODULES),
 ], ids=["dispersion", "gain-sweep", "field", "field-compare", "verify"])
 def test_no_subcommand_loads_scipy(tmp_path, argv, modules):
-    """A cold CLI run loads neither scipy nor numpy, and only its own modules.
+    """A cold CLI run loads no scipy, numpy, dataclasses or inspect, and
+    only its own modules.
 
     ``verify`` and its quadratures included, and ``field``, which writes its
     samples from lists and never asks for :attr:`FieldSamples.values`.
@@ -488,7 +492,7 @@ def test_no_subcommand_loads_scipy(tmp_path, argv, modules):
 
 
 def _modules_after(statement: str) -> tuple[list, list]:
-    """numpy/scipy modules and slabspp submodules ``statement`` loads, fresh."""
+    """``_HEAVY`` modules and slabspp submodules ``statement`` loads, fresh."""
     proc = subprocess.run(
         [sys.executable, "-c", f"import json, sys; {statement}; "
                                f"print({_HEAVY}); print({_OWN})"],
@@ -501,6 +505,14 @@ def _modules_after(statement: str) -> tuple[list, list]:
 def test_oracles_import_loads_no_scipy():
     """The oracles run on the standard library: no scipy and no numpy."""
     assert _modules_after("import slabspp.oracles")[0] == []
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for _, name, _ in pkgutil.iter_modules(slabspp.__path__)))
+def test_module_import_loads_no_dataclasses(module):
+    """No module of the package loads ``dataclasses`` or ``inspect`` (nor
+    numpy or scipy) when imported on its own."""
+    assert _modules_after(f"import slabspp.{module}")[0] == []
 
 
 def test_package_import_loads_no_numpy():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -531,5 +532,6 @@ def _reference_green_identity(sol, z_terms):
 def test_green_identity_matches_ndarray_reference(parity, kappa):
     sol = _mode(parity, kappa)
     z_terms = weighted_abs2_quadrature(sol)
-    assert green_identity_check(sol, z_terms) == pytest.approx(
+    x_tail = partial(signed_tail_integral, sol.k_spp.imag)
+    assert green_identity_check(sol, z_terms, x_tail) == pytest.approx(
         _reference_green_identity(sol, z_terms), rel=0, abs=1e-15)

@@ -50,6 +50,39 @@ def test_readme_library_example_runs():
     assert "amplified" in out.getvalue()
 
 
+def _records():
+    """One instance of each public record type, keyed by its name."""
+    from slabspp import (SYMMETRIC, DielectricSpec, DrudeMetalSpec,
+                         SlabGeometry, SppState, gain_sweep, green_coefficient,
+                         make_medium_set, noise_amplitudes, solve_dispersion)
+    from slabspp.verify import CheckRecord
+
+    metal = DrudeMetalSpec(1.402e16, 6.25e13)
+    media = make_medium_set(metal, DielectricSpec(0.9726, -0.063), 4.8e15)
+    geom = SlabGeometry(6e-8)
+    sol = solve_dispersion(SYMMETRIC, geom, media)
+    sweep = gain_sweep([SYMMETRIC], geom, metal, 0.9726, [-0.1, 0.0], 4.8e15)
+    records = [metal, DielectricSpec(0.9726), media, SYMMETRIC, geom, sol,
+               sweep.rows[0], sweep.crossings["symmetric"], sweep,
+               green_coefficient(sol), noise_amplitudes(media),
+               CheckRecord("ccr_closure", "symmetric", 4.8e15, 0.0, 1e-12),
+               SppState(1.0)]
+    return {type(r).__name__: r for r in records}
+
+
+_RECORDS = _records()
+
+
+@pytest.mark.parametrize("record", _RECORDS.values(), ids=_RECORDS.keys())
+def test_records_are_immutable(record):
+    """Neither a field nor a new attribute of a record can be assigned."""
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.not_a_field = 0
+
+
 _SRC = Path(slabspp.__file__).resolve().parent
 
 # the exceptions the package raises for an input it cannot serve

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from slabspp import (
     parity_from_name,
     solve_dispersion,
 )
-from slabspp.oracles import weighted_abs2_quadrature
+from slabspp.oracles import signed_tail_integral, weighted_abs2_quadrature
 
 METAL = DrudeMetalSpec(14.02e15, 6.25e13)
 GEOM = SlabGeometry(60e-9)
@@ -147,11 +148,13 @@ def test_commutator_closed_vs_numeric():
     for kappa in (0.0, -0.08):
         sol, _ = _mode(kappa)
         z_terms = weighted_abs2_quadrature(sol)
+        x_tail = partial(signed_tail_integral, sol.k_spp.imag)
         ell = min(1.0 / abs(sol.k_spp.imag), 400 * math.pi / sol.k_spp.real)
         for (x, xp) in ((0.93 * ell, 0.317 * ell), (1.21 * ell, 0.43 * ell)):
             for kind in (SAME_DIRECTION, CROSS_DIRECTION):
                 closed = commutator(kind, x, xp, sol)
-                numeric = commutator_numeric(kind, x, xp, sol, z_terms)
+                numeric = commutator_numeric(kind, x, xp, sol, z_terms,
+                                             x_tail)
                 assert abs(closed - numeric) <= 1e-9 * max(
                     abs(closed), abs(numeric)), (kappa, kind)
 
@@ -166,9 +169,13 @@ def test_transparent_mode_is_refused_by_the_launch_weights():
     message = "beta_prime = 0: a mode whose media neither absorb nor amplify"
     with pytest.raises(ValueError, match=message):
         ccr_check(sol)
+    # the mode is neutral, so its x-tail is refused too, but only after the
+    # launch weight
+    x_tail = partial(signed_tail_integral, sol.k_spp.imag)
     for kind in (SAME_DIRECTION, CROSS_DIRECTION):
         with pytest.raises(ValueError, match=message):
-            commutator_numeric(kind, 2e-7, 1e-7, sol, overlap_terms(sol))
+            commutator_numeric(kind, 2e-7, 1e-7, sol, overlap_terms(sol),
+                               x_tail)
 
 
 def test_unknown_kind_rejected():
@@ -182,4 +189,5 @@ def test_green_identity_gain_and_loss():
         for parity in PARITIES:
             sol, _ = _mode(kappa, parity)
             z_terms = weighted_abs2_quadrature(sol)
-            assert green_identity_check(sol, z_terms) < 1e-10
+            x_tail = partial(signed_tail_integral, sol.k_spp.imag)
+            assert green_identity_check(sol, z_terms, x_tail) < 1e-10

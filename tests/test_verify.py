@@ -79,7 +79,7 @@ def test_unsolvable_film_fails_each_parity(tmp_path):
 
 
 def test_each_mode_integrates_its_regions_and_x_tail_once(monkeypatch):
-    """One verify pass: one |b|^2 region quadrature per mode, <= 2 x-tails."""
+    """One verify pass: one |b|^2 region quadrature and one x-tail per mode."""
     z_calls, tail_calls = [], []
     z_quadrature = oracles.weighted_abs2_quadrature
     tail_integral = oracles.signed_tail_integral
@@ -98,19 +98,23 @@ def test_each_mode_integrates_its_regions_and_x_tail_once(monkeypatch):
     assert all(r.passed for r in records)
     assert sorted(z_calls) == ["antisymmetric", "symmetric"]
     # each parity's mode has its own Im k
-    assert len(set(tail_calls)) == 2
-    assert all(tail_calls.count(k_im) <= 2 for k_im in tail_calls)
+    assert len(tail_calls) == len(set(tail_calls)) == 2
 
 
 def test_failed_region_quadrature_fails_its_three_checks(monkeypatch,
                                                          tmp_path):
+    """The quadrature runs once per mode; its error fails all three."""
+    calls = []
+
     def fail(sol):
+        calls.append(sol.parity.name)
         raise oracles.QuadratureError("injected")
 
     monkeypatch.setattr(oracles, "weighted_abs2_quadrature", fail)
     weighted = {"commutator_same_direction", "commutator_cross_direction",
                 "green_identity"}
     records = _default_checks()
+    assert calls == ["symmetric", "antisymmetric"]
     assert [(r.check, r.parity) for r in records] == [
         (check, parity) for check, parity, _ in _ORDER]
     for r in records:
@@ -137,11 +141,15 @@ def test_unsolvable_thick_film_fails_its_two_checks(monkeypatch, tmp_path):
         assert (row[3], row[5]) == ("nan", "FAIL")
         assert row[6].startswith("ValueError: film thickness 5e-11 m")
 
+    calls = []
+
     def fail(*args, **kwargs):
+        calls.append(kwargs["d"])
         raise NonConvergence("injected")
 
     monkeypatch.setattr(oracles, "thick_film_degeneracy", fail)
     records = _default_checks()
+    assert calls == [2e-6]  # one solve serves, and fails, both checks
     assert [r.note for r in records[-2:]] == ["NonConvergence: injected"] * 2
     assert all(r.passed for r in records[:-2])
     assert not any(r.passed for r in records[-2:])
