@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import oracles
 from .media import EPS0, HBAR, MediumSet
@@ -190,7 +190,7 @@ def commutator(kind: str, x: float, x_prime: float,
 
 def commutator_numeric(kind: str, x: float, x_prime: float,
                        sol: ModeSolution, z_terms: tuple[float, float],
-                       x_tail) -> complex:
+                       x_tail: Callable[[], float]) -> complex:
     """Commutator from the defining source integrals, by quadrature.
 
     ``z_terms`` are the mode's region integrals of |bracket|^2 by
@@ -237,7 +237,7 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
 # ---------------------------------------------------------------------------
 
 def green_identity_check(sol: ModeSolution, z_terms: tuple[float, float],
-                         x_tail) -> float:
+                         x_tail: Callable[[], float]) -> float:
     """Verify the medium-overlap identity of the resonant Green tensor.
 
     The integral of Im(eps(s)) G(r, s) G^*(s, r') over the source plane
