@@ -502,16 +502,12 @@ def _modules_after(statement: str) -> tuple[list, list]:
     return json.loads(heavy), json.loads(own)
 
 
-def test_oracles_import_loads_no_scipy():
-    """The oracles run on the standard library: no scipy and no numpy."""
-    assert _modules_after("import slabspp.oracles")[0] == []
-
-
 @pytest.mark.parametrize("module", sorted(
     name for _, name, _ in pkgutil.iter_modules(slabspp.__path__)))
 def test_module_import_loads_no_dataclasses(module):
-    """No module of the package loads ``dataclasses`` or ``inspect`` (nor
-    numpy or scipy) when imported on its own."""
+    """No module of the package loads ``dataclasses`` or ``inspect``, nor
+    numpy or scipy, when imported on its own: the oracles, for one, run on
+    the standard library."""
     assert _modules_after(f"import slabspp.{module}")[0] == []
 
 
