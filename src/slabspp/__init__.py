@@ -13,7 +13,8 @@ quadrature, :mod:`slabspp.verify` runs them all as one pass of checks, and
 
 ``import slabspp`` loads no submodule.  ``from slabspp import X`` takes ``X``
 from the ``__all__`` of the workflow module that declares it, and loads that
-module on first use.
+module on first use; the package's own ``__all__`` (what ``import *`` binds)
+is the union of theirs, resolved when first asked for.
 """
 
 __version__ = "0.1.0"
@@ -30,6 +31,10 @@ def __getattr__(name):
     """
     import importlib.util
 
+    if name == "__all__":
+        value = globals()[name] = [attr for module_name in _API_MODULES
+                                   for attr in _submodule(module_name).__all__]
+        return value
     if not name.startswith("_"):
         if importlib.util.find_spec(f"{__name__}.{name}") is not None:
             return _submodule(name)

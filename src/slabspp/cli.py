@@ -425,12 +425,12 @@ def _cmd_field(cfg, out_path, compare: bool) -> int:
     return 0
 
 
-def _cmd_verify(cfg, out_path, tolerance) -> int:
+def _cmd_verify(cfg, out_path) -> int:
     from .verify import run_checks
 
-    records = run_checks(_metal_of(cfg), _dielectric_of(cfg),
-                         _geometry_of(cfg), cfg["verify"]["omega"],
-                         cfg["verify"]["thick_d"], tolerance)
+    sec = cfg["verify"]
+    media = make_medium_set(_metal_of(cfg), _dielectric_of(cfg), sec["omega"])
+    records = run_checks(media, _geometry_of(cfg), sec["thick_d"])
     rows = []
     for r in records:
         status = "pass" if r.passed else "FAIL"
@@ -451,13 +451,6 @@ def _cmd_verify(cfg, out_path, tolerance) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _tolerance(text: str) -> float:
-    try:
-        return _positive(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
-
-
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="slabspp",
@@ -469,8 +462,6 @@ def _build_parser():
                     help="INI configuration file (defaults used if omitted)")
     ap.add_argument("--out", metavar="PATH",
                     help="output file (per-command default otherwise)")
-    ap.add_argument("--tolerance", type=_tolerance, metavar="TOL",
-                    help="override every verification tolerance")
     ap.add_argument("--dump-config", action="store_true",
                     help="print the fully defaulted config and exit")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -511,7 +502,7 @@ def main(argv=None) -> int:
             return _cmd_gain_sweep(cfg, out_path)
         if args.command == "field":
             return _cmd_field(cfg, out_path, compare=args.compare)
-        return _cmd_verify(cfg, out_path, args.tolerance)
+        return _cmd_verify(cfg, out_path)
     except _OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

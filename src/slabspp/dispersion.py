@@ -21,7 +21,8 @@ as unbound.
 from __future__ import annotations
 
 import cmath
-from typing import NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .media import (
     DielectricSpec,
@@ -433,7 +434,8 @@ def _continuation(parity, xs, media_of, geom):
     hist_x: list[float] = []
     hist_k: list[complex] = []
     for x in xs:
-        if len(hist_k) >= 2:
+        # two roots at one x give no slope; seed from the last one alone
+        if len(hist_k) >= 2 and hist_x[-1] != hist_x[-2]:
             frac = (x - hist_x[-1]) / (hist_x[-1] - hist_x[-2])
             pred = hist_k[-1] + (hist_k[-1] - hist_k[-2]) * frac
             trend = abs(hist_k[-1] - hist_k[-2]) * abs(frac)
@@ -494,9 +496,10 @@ def dispersion_sweep(parities: Sequence[Parity], geom: SlabGeometry,
                      omega_grid: Sequence[float]) -> list[SweepRow]:
     """Trace each parity across a frequency grid.
 
-    ``metal``/``dielectric`` are specs (or fixed complex permittivities) as
-    accepted by :func:`slabspp.media.make_medium_set`.  Rows that fail to
-    converge carry an error string instead of aborting the sweep.
+    ``metal`` (a spec or a fixed complex permittivity) and ``dielectric``
+    (a :class:`~slabspp.media.DielectricSpec`) are as accepted by
+    :func:`slabspp.media.make_medium_set`.  Rows that fail to converge carry
+    an error string instead of aborting the sweep.
     """
     omegas = [float(w) for w in omega_grid]
     if not omegas:
@@ -520,8 +523,10 @@ class GainCrossing(NamedTuple):
 
 
 class GainSweepResult(NamedTuple):
-    rows: list[SweepRow]
-    crossings: dict[str, Optional[GainCrossing]]
+    """Each parity's rows, and its crossing by name (read-only mapping)."""
+
+    rows: tuple[SweepRow, ...]
+    crossings: Mapping[str, Optional[GainCrossing]]
 
 
 def gain_sweep(parities: Sequence[Parity], geom: SlabGeometry, metal,
@@ -548,7 +553,8 @@ def gain_sweep(parities: Sequence[Parity], geom: SlabGeometry, metal,
         prows = _continuation(parity, kappas, media_of, geom)
         rows.extend(prows)
         crossings[parity.name] = _find_crossing(parity, prows, media_of, geom)
-    return GainSweepResult(rows=rows, crossings=crossings)
+    return GainSweepResult(rows=tuple(rows),
+                           crossings=MappingProxyType(crossings))
 
 
 def _find_crossing(parity, prows, media_of, geom) -> Optional[GainCrossing]:

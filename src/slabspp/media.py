@@ -119,18 +119,16 @@ def dielectric_epsilon(spec: DielectricSpec) -> complex:
 def make_medium_set(metal, dielectric, omega: float) -> MediumSet:
     """Bundle the permittivities of both media at ``omega``.
 
-    ``metal`` may be a :class:`DrudeMetalSpec` or a fixed complex permittivity;
-    ``dielectric`` may be a :class:`DielectricSpec` or a fixed complex
-    permittivity.
+    ``metal`` may be a :class:`DrudeMetalSpec` or a fixed complex permittivity
+    (the CLI's ``[metal] eps_re/eps_im``); ``dielectric`` is a
+    :class:`DielectricSpec`.  A system with other permittivities is a
+    :class:`MediumSet` built directly.
     """
     if isinstance(metal, DrudeMetalSpec):
         eps_m = drude_epsilon(metal, omega)
     else:
         eps_m = complex(metal)
-    if isinstance(dielectric, DielectricSpec):
-        eps_d = dielectric_epsilon(dielectric)
-    else:
-        eps_d = complex(dielectric)
+    eps_d = dielectric_epsilon(dielectric)
     if eps_m == 0 or eps_d == 0:
         raise ValueError("permittivities must be non-zero")
     return MediumSet(omega=omega, eps_d=eps_d, eps_m=eps_m)

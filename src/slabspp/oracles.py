@@ -43,7 +43,7 @@ from .dispersion import (
     single_interface_root,
     solve_dispersion,
 )
-from .media import MediumSet, make_medium_set
+from .media import MediumSet
 from .modes import h_field_operator_bracket, profile_bracket
 
 __all__ = [
@@ -311,16 +311,14 @@ def curl_consistency_error(sol: ModeSolution, z: float) -> float:
     return abs(fd - ref) / abs(ref)
 
 
-def thick_film_degeneracy(metal, dielectric, omega: float,
-                          d: float = 2e-6) -> dict:
+def thick_film_degeneracy(media: MediumSet, d: float) -> dict:
     """Parity splitting of a film thick enough to decouple its surfaces.
 
-    Solves both parities at thickness ``d`` and compares them with each
-    other and with the single-interface mode.  All three should coincide to
-    within the solver tolerance once exp(-Re(num) d) underflows the
-    splitting scale.
+    Solves both parities of ``media`` at thickness ``d`` and compares them
+    with each other and with the single-interface mode.  All three should
+    coincide to within the solver tolerance once exp(-Re(num) d) underflows
+    the splitting scale.
     """
-    media = make_medium_set(metal, dielectric, omega)
     geom = SlabGeometry(d=d)
     sym = solve_dispersion(SYMMETRIC, geom, media)
     anti = solve_dispersion(ANTISYMMETRIC, geom, media)

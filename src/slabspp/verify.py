@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import oracles
 from .dispersion import PARITIES, SlabGeometry, linspace, solve_dispersion
-from .media import make_medium_set
+from .media import MediumSet
 from .modes import normalization
 from .quantization import (
     CROSS_DIRECTION,
@@ -72,47 +72,36 @@ def _once(compute):
     return once
 
 
-def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
-               thick_d: float,
-               tolerance: float | None = None) -> list[CheckRecord]:
-    """Run the 14 checks in report order and return their records.
+def run_checks(media: MediumSet, geom: SlabGeometry,
+               thick_d: float) -> list[CheckRecord]:
+    """Run the 14 checks of ``media`` in report order; return their records.
 
-    ``metal`` and ``dielectric`` are as accepted by
-    :func:`slabspp.media.make_medium_set`; ``thick_d`` is the film thickness
-    of the degeneracy checks.  ``tolerance`` replaces every check's own
-    tolerance and must be positive and finite (``ValueError`` otherwise, as
-    for the CLI's ``--tolerance``).  A parity whose mode cannot be solved
-    gives one failed ``solve`` record instead of its six checks, and a thick
-    film that cannot be solved fails its two checks.  Each mode's region
-    integrals of |b|^2 and its x-tail are integrated once, for both
-    commutator checks and the Green identity, and the thick film is solved
-    once; an oracle that fails there fails each check that needs it, with
-    the same error, and is not run again.
+    ``geom`` is the film of the per-parity checks and ``thick_d`` the film
+    thickness of the degeneracy checks; each check has its own tolerance.
+    A parity whose mode cannot be solved gives one failed ``solve`` record
+    instead of its six checks, and a thick film that cannot be solved fails
+    its two checks.  Each mode's region integrals of |b|^2 and its x-tail
+    are integrated once, for both commutator checks and the Green identity,
+    and the thick film is solved once; an oracle that fails there fails
+    each check that needs it, with the same error, and is not run again.
     """
-    if tolerance is not None and not (tolerance > 0.0
-                                      and math.isfinite(tolerance)):
-        raise ValueError(
-            f"tolerance must be positive and finite, not {tolerance!r}")
+    omega = media.omega
     records: list[CheckRecord] = []
 
-    def tol_of(default):
-        return default if tolerance is None else tolerance
-
-    def check(name, parity, default_tol, compute):
+    def check(name, parity, tolerance, compute):
         try:
             value, note = float(compute()), ""
         except ValueError as exc:
             value, note = math.nan, f"{type(exc).__name__}: {exc}"
-        records.append(CheckRecord(name, parity, omega, value,
-                                   tol_of(default_tol), note))
+        records.append(CheckRecord(name, parity, omega, value, tolerance,
+                                   note))
 
-    media = make_medium_set(metal, dielectric, omega)
     for parity in PARITIES:
         try:
             sol = solve_dispersion(parity, geom, media)
         except ValueError as exc:
             records.append(CheckRecord("solve", parity.name, omega, math.nan,
-                                       tol_of(1e-10),
+                                       1e-10,
                                        f"{type(exc).__name__}: {exc}"))
             continue
 
@@ -159,8 +148,7 @@ def run_checks(metal, dielectric, geom: SlabGeometry, omega: float,
                           for z in depths))
 
     # one solve of the thick film serves both of its checks
-    thick = _once(lambda: oracles.thick_film_degeneracy(metal, dielectric,
-                                                        omega, d=thick_d))
+    thick = _once(lambda: oracles.thick_film_degeneracy(media, thick_d))
     check("thick_film_parity_split", "both", 1e-8,
           lambda: thick()["rel_split"])
     check("thick_film_single_interface", "both", 1e-9,

@@ -262,8 +262,7 @@ def test_criterion_4_gain_crossing_targets():
 
 def test_criterion_5_thick_film_degeneracy():
     t0 = time.monotonic()
-    report = thick_film_degeneracy(METAL, DielectricSpec(1.9726, -0.081),
-                                   OMEGA, d=2e-6)
+    report = thick_film_degeneracy(_media(-0.081, n_real=1.9726), 2e-6)
     split = report["rel_split"]
     offset = max(report["rel_offset_symmetric"],
                  report["rel_offset_antisymmetric"])

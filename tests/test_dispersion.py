@@ -26,6 +26,7 @@ from slabspp import (
     DielectricSpec,
     DispersionError,
     DrudeMetalSpec,
+    MediumSet,
     SlabGeometry,
     ccr_check,
     classify_mode,
@@ -134,8 +135,8 @@ def test_parity_separation():
 
 def test_conjugate_media_conjugate_root():
     media = _media(-0.063)
-    conj_media = make_medium_set(media.eps_m.conjugate(),
-                                 media.eps_d.conjugate(), media.omega)
+    conj_media = MediumSet(media.omega, media.eps_d.conjugate(),
+                           media.eps_m.conjugate())
     for parity in PARITIES:
         k = solve_dispersion(parity, GEOM, media).k_spp
         kc = solve_dispersion(parity, GEOM, conj_media,

@@ -60,9 +60,10 @@ def test_medium_set_k0():
 
 
 def test_make_medium_set_accepts_raw_complex():
-    media = make_medium_set(-7.5 + 0.1j, 2.0 + 0.0j, 4.8e15)
+    """A fixed complex metal permittivity, as ``[metal] eps_re/eps_im``."""
+    media = make_medium_set(-7.5 + 0.1j, DielectricSpec(1.5), 4.8e15)
     assert media.eps_m == -7.5 + 0.1j
-    assert media.eps_d == 2.0 + 0.0j
+    assert media.eps_d == 2.25
 
 
 def test_validation_errors():

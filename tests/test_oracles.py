@@ -204,8 +204,8 @@ def test_curl_consistency_rejects_interface_and_node():
 
 
 def test_thick_film_degeneracy_report():
-    report = thick_film_degeneracy(METAL, DielectricSpec(1.9726, -0.081),
-                                   4.8e15, d=2e-6)
+    report = thick_film_degeneracy(
+        make_medium_set(METAL, DielectricSpec(1.9726, -0.081), 4.8e15), 2e-6)
     assert report["rel_split"] < 1e-10
     assert report["rel_offset_symmetric"] < 1e-12
     assert report["rel_offset_antisymmetric"] < 1e-12

@@ -38,6 +38,20 @@ def test_every_exported_name_resolves(name, namespace):
         getattr(namespace, "not_an_exported_name")
 
 
+def test_import_star_binds_every_exported_name():
+    """``from slabspp import *`` binds each workflow module's exports."""
+    exported = {name: getattr(module, name)
+                for module in map(importlib.import_module,
+                                  [f"slabspp.{m}" for m in _PACKAGE_EXPORTS])
+                for name in module.__all__}
+    namespace = {}
+    exec("from slabspp import *", namespace)
+    del namespace["__builtins__"]
+    assert len(slabspp.__all__) == len(exported)
+    assert namespace.keys() == exported.keys()
+    assert all(namespace[name] is value for name, value in exported.items())
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Library use", 1)[1]
@@ -81,6 +95,11 @@ def test_records_are_immutable(record):
             setattr(record, name, getattr(record, name))
     with pytest.raises(AttributeError):
         record.not_a_field = 0
+    if type(record).__name__ == "GainSweepResult":
+        with pytest.raises(AttributeError):
+            record.rows.append(record.rows[0])
+        with pytest.raises(TypeError):
+            record.crossings["antisymmetric"] = None
 
 
 _SRC = Path(slabspp.__file__).resolve().parent

@@ -2,10 +2,8 @@
 
 import math
 
-import pytest
-
 from slabspp import (DielectricSpec, DrudeMetalSpec, NonConvergence,
-                     SlabGeometry, oracles)
+                     SlabGeometry, make_medium_set, oracles)
 from slabspp.cli import load_config, main
 from slabspp.verify import run_checks
 
@@ -19,14 +17,16 @@ _ORDER = ([(check, parity, tol) for parity in ("symmetric", "antisymmetric")
              ("thick_film_single_interface", "both", 1e-9)])
 
 
-def _default_checks(d=None, tolerance=None):
+def _default_checks(d=None):
     cfg = load_config(None)
-    return run_checks(
+    media = make_medium_set(
         DrudeMetalSpec(cfg["metal"]["omega_p"], cfg["metal"]["gamma"]),
         DielectricSpec(cfg["dielectric"]["n_real"],
                        cfg["dielectric"]["n_imag"]),
-        SlabGeometry(cfg["geometry"]["d"] if d is None else d),
-        cfg["verify"]["omega"], cfg["verify"]["thick_d"], tolerance)
+        cfg["verify"]["omega"])
+    return run_checks(media,
+                      SlabGeometry(cfg["geometry"]["d"] if d is None else d),
+                      cfg["verify"]["thick_d"])
 
 
 def _report_rows(path):
@@ -49,14 +49,6 @@ def test_default_pass_runs_every_check_in_order(tmp_path):
     out = tmp_path / "report.csv"
     assert main(["--out", str(out), "verify"]) == 0
     assert _report_rows(out) == [_row(r) for r in records]
-
-
-@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0,
-                                       -1e-6])
-def test_bad_tolerance_rejected(tolerance):
-    """The CLI's ``--tolerance`` rule, for library callers too."""
-    with pytest.raises(ValueError, match="positive and finite"):
-        _default_checks(tolerance=tolerance)
 
 
 def test_unsolvable_film_fails_each_parity(tmp_path):
@@ -143,8 +135,8 @@ def test_unsolvable_thick_film_fails_its_two_checks(monkeypatch, tmp_path):
 
     calls = []
 
-    def fail(*args, **kwargs):
-        calls.append(kwargs["d"])
+    def fail(media, d):
+        calls.append(d)
         raise NonConvergence("injected")
 
     monkeypatch.setattr(oracles, "thick_film_degeneracy", fail)
