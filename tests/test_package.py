@@ -40,10 +40,10 @@ def test_every_exported_name_resolves(name, namespace):
 
 def test_import_star_binds_every_exported_name():
     """``from slabspp import *`` binds each workflow module's exports."""
+    modules = [importlib.import_module(f"slabspp.{m}")
+               for m in _PACKAGE_EXPORTS]
     exported = {name: getattr(module, name)
-                for module in map(importlib.import_module,
-                                  [f"slabspp.{m}" for m in _PACKAGE_EXPORTS])
-                for name in module.__all__}
+                for module in modules for name in module.__all__}
     namespace = {}
     exec("from slabspp import *", namespace)
     del namespace["__builtins__"]
