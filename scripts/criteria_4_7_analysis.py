@@ -39,7 +39,10 @@ from slabspp import (
     PARITIES,
     DielectricSpec,
     DrudeMetalSpec,
+    MediumSet,
     SlabGeometry,
+    dielectric_epsilon,
+    drude_epsilon,
     gain_sweep,
     make_medium_set,
     solve_dispersion,
@@ -70,12 +73,14 @@ _CROSSING_KAPPA = -0.07747
 _CROSSING_IM_K = -4.81e6
 
 
-def im_k_pairs(metal, n_real, omega, d):
-    """Solved (symmetric, antisymmetric) Im(k) at the three target gains."""
+def im_k_pairs(eps_m, n_real, omega, d):
+    """Solved (symmetric, antisymmetric) Im(k) at the three target gains,
+    for a film of permittivity ``eps_m`` at ``omega``."""
     geom = SlabGeometry(d)
     out = []
     for kappa in _IM_K_TARGETS:
-        media = make_medium_set(metal, DielectricSpec(n_real, kappa), omega)
+        eps_d = dielectric_epsilon(DielectricSpec(n_real, kappa))
+        media = MediumSet(omega, eps_d, eps_m)
         out.append(tuple(solve_dispersion(p, geom, media).k_spp.imag
                          for p in PARITIES))
     return out
@@ -164,7 +169,7 @@ def scale_check():
         print(f"  n_real = {n_real}: symmetric target Im k at n_imag = "
               f"{kappas[0]} is {tgt:.4g} rad/m, {tgt / abs(k_si):.2f} x "
               f"|k| of the single-interface mode ({abs(k_si):.4g} rad/m)")
-        pairs = im_k_pairs(metal, n_real, OMEGA, D)
+        pairs = im_k_pairs(drude_epsilon(metal, OMEGA), n_real, OMEGA, D)
         span = kappas[-1] - kappas[0]
         for i, parity in enumerate(PARITIES):
             slope_tgt = (_IM_K_TARGETS[kappas[-1]][i]
@@ -192,7 +197,8 @@ def rescaling_scan():
             *factors.values(), thicknesses, n_reals):
         metal = DrudeMetalSpec(OMEGA_P * f_p, GAMMA * f_g)
         try:
-            pairs = im_k_pairs(metal, n_real, OMEGA * f_w, d)
+            pairs = im_k_pairs(drude_epsilon(metal, OMEGA * f_w), n_real,
+                               OMEGA * f_w, d)
         except (DispersionError, ValueError):
             failed += 1
             continue

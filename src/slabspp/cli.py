@@ -111,8 +111,6 @@ _SCHEMA = {
     "metal": {
         "omega_p": (_positive, "1.402e16"),
         "gamma": (_non_negative, "6.25e13"),
-        "eps_re": (_finite, None),
-        "eps_im": (_finite, None),
     },
     "dielectric": {
         "n_real": (_positive, "0.9726"),
@@ -161,10 +159,20 @@ _DEFAULT_OUT = {
 
 
 def load_config(path=None) -> dict:
-    """Parse and validate an INI config; missing keys take defaults."""
-    cp = configparser.ConfigParser()
+    """Parse and validate an INI config; missing keys take defaults.
+
+    The file is read as UTF-8.  A file configparser cannot parse (no section
+    header, a repeated section or key) or cannot decode is a
+    :class:`ConfigError`, as is ``[DEFAULT]``: ``default_section=""`` names
+    no section a file can open, so ``[DEFAULT]`` is an unknown section.
+    """
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     if path is not None:
-        read = cp.read(path)
+        try:
+            read = cp.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(
+                f"cannot parse {path}: {' '.join(str(exc).split())}") from None
         if not read:
             raise ConfigError(f"config file not found: {path}")
     for section in cp.sections():
@@ -182,40 +190,17 @@ def load_config(path=None) -> dict:
                 raw = cp.get(section, key)
             else:
                 raw = default
-            if raw is None:
-                cfg[section][key] = None
-                continue
             try:
                 cfg[section][key] = parse(raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(
                     f"bad value for {key} in [{section}]: {raw!r} ({exc})"
                 ) from None
-
-    m = cfg["metal"]
-    direct = [k for k in ("eps_re", "eps_im")
-              if path is not None and cp.has_option("metal", k)]
-    drude = [k for k in ("omega_p", "gamma")
-             if path is not None and cp.has_option("metal", k)]
-    if direct:
-        if len(direct) != 2:
-            raise ConfigError("metal: eps_re and eps_im must be given together")
-        if drude:
-            raise ConfigError(
-                "metal: give either omega_p/gamma or eps_re/eps_im, not both")
-        if complex(m["eps_re"], m["eps_im"]) == 0:
-            raise ConfigError("metal: eps_re and eps_im are both zero")
-        m["mode"] = "direct"
-    else:
-        m["mode"] = "drude"
     return cfg
 
 
 def _metal_of(cfg):
-    m = cfg["metal"]
-    if m["mode"] == "direct":
-        return complex(m["eps_re"], m["eps_im"])
-    return DrudeMetalSpec(omega_p=m["omega_p"], gamma=m["gamma"])
+    return DrudeMetalSpec(**cfg["metal"])
 
 
 def _dielectric_of(cfg):
@@ -233,15 +218,7 @@ def dump_config(cfg) -> str:
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
         for key in keys:
-            if section == "metal":
-                mode = cfg["metal"]["mode"]
-                if mode == "drude" and key in ("eps_re", "eps_im"):
-                    continue
-                if mode == "direct" and key in ("omega_p", "gamma"):
-                    continue
             val = cfg[section][key]
-            if val is None:
-                continue
             if isinstance(val, float):
                 lines.append(f"{key} = {_g(val)}")
             elif isinstance(val, Parity):  # a tuple itself, so tested first
@@ -305,11 +282,8 @@ def _write_csv(path, meta_lines, header, rows, trailer_lines=()):
 
 def _media_meta(cfg):
     m = cfg["metal"]
-    if m["mode"] == "direct":
-        metal = f"metal eps = {_g(m['eps_re'])}{m['eps_im']:+.17g}j (fixed)"
-    else:
-        metal = (f"metal drude omega_p = {_g(m['omega_p'])} rad/s, "
-                 f"gamma = {_g(m['gamma'])} rad/s")
+    metal = (f"metal drude omega_p = {_g(m['omega_p'])} rad/s, "
+             f"gamma = {_g(m['gamma'])} rad/s")
     diel = (f"dielectric n = {_g(cfg['dielectric']['n_real'])} "
             f"{cfg['dielectric']['n_imag']:+.17g}j")
     return [metal, diel, f"film thickness d = {_g(cfg['geometry']['d'])} m"]

@@ -26,6 +26,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .media import (
     DielectricSpec,
+    DrudeMetalSpec,
     MediumSet,
     make_medium_set,
 )
@@ -492,14 +493,13 @@ def linspace(a: float, b: float, n: int) -> list[float]:
 
 
 def dispersion_sweep(parities: Sequence[Parity], geom: SlabGeometry,
-                     metal, dielectric,
+                     metal: DrudeMetalSpec, dielectric: DielectricSpec,
                      omega_grid: Sequence[float]) -> list[SweepRow]:
     """Trace each parity across a frequency grid.
 
-    ``metal`` (a spec or a fixed complex permittivity) and ``dielectric``
-    (a :class:`~slabspp.media.DielectricSpec`) are as accepted by
-    :func:`slabspp.media.make_medium_set`.  Rows that fail to converge carry
-    an error string instead of aborting the sweep.
+    The media at each frequency are :func:`slabspp.media.make_medium_set` of
+    ``metal`` and ``dielectric``.  Rows that fail to converge carry an error
+    string instead of aborting the sweep.
     """
     omegas = [float(w) for w in omega_grid]
     if not omegas:
@@ -529,9 +529,9 @@ class GainSweepResult(NamedTuple):
     crossings: Mapping[str, Optional[GainCrossing]]
 
 
-def gain_sweep(parities: Sequence[Parity], geom: SlabGeometry, metal,
-               n_real: float, kappa_grid: Sequence[float],
-               omega: float) -> GainSweepResult:
+def gain_sweep(parities: Sequence[Parity], geom: SlabGeometry,
+               metal: DrudeMetalSpec, n_real: float,
+               kappa_grid: Sequence[float], omega: float) -> GainSweepResult:
     """Trace each parity across a cladding-gain grid at fixed frequency.
 
     The cladding index is ``n_real + i*kappa`` with ``kappa`` running over

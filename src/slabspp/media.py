@@ -116,18 +116,14 @@ def dielectric_epsilon(spec: DielectricSpec) -> complex:
     return n * n
 
 
-def make_medium_set(metal, dielectric, omega: float) -> MediumSet:
+def make_medium_set(metal: DrudeMetalSpec, dielectric: DielectricSpec,
+                    omega: float) -> MediumSet:
     """Bundle the permittivities of both media at ``omega``.
 
-    ``metal`` may be a :class:`DrudeMetalSpec` or a fixed complex permittivity
-    (the CLI's ``[metal] eps_re/eps_im``); ``dielectric`` is a
-    :class:`DielectricSpec`.  A system with other permittivities is a
-    :class:`MediumSet` built directly.
+    A system with any other pair of permittivities (a fixed complex
+    ``eps_m``, say) is a :class:`MediumSet` built directly.
     """
-    if isinstance(metal, DrudeMetalSpec):
-        eps_m = drude_epsilon(metal, omega)
-    else:
-        eps_m = complex(metal)
+    eps_m = drude_epsilon(metal, omega)
     eps_d = dielectric_epsilon(dielectric)
     if eps_m == 0 or eps_d == 0:
         raise ValueError("permittivities must be non-zero")

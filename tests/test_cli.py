@@ -22,7 +22,6 @@ def test_defaults_without_file():
     cfg = load_config(None)
     assert cfg["geometry"]["d"] == 60e-9
     assert cfg["dielectric"]["n_real"] == 0.9726
-    assert cfg["metal"]["mode"] == "drude"
     assert cfg["field"]["x_max"] == "auto"
     assert len(cfg["dispersion"]["parities"]) == 2
 
@@ -47,18 +46,6 @@ def test_bad_value(tmp_path):
     p.write_text("[geometry]\nd = sixty\n")
     with pytest.raises(ConfigError):
         load_config(p)
-
-
-def test_metal_exclusivity(tmp_path):
-    p = tmp_path / "a.ini"
-    p.write_text("[metal]\neps_re = -7.5\n")
-    with pytest.raises(ConfigError):
-        load_config(p)
-    p.write_text("[metal]\neps_re = -7.5\neps_im = 0.1\ngamma = 1e13\n")
-    with pytest.raises(ConfigError):
-        load_config(p)
-    p.write_text("[metal]\neps_re = -7.5\neps_im = 0.1\n")
-    assert load_config(p)["metal"]["mode"] == "direct"
 
 
 def test_dump_config_round_trip(tmp_path):
@@ -220,8 +207,7 @@ def test_field_auto_window_starts_at_x_min(tmp_path):
 
 def test_field_neutral_mode_fails_cleanly(tmp_path, capsys):
     p = tmp_path / "run.ini"
-    p.write_text("[metal]\neps_re = -7.529821197306772\neps_im = 0.0\n"
-                 "[dielectric]\nn_imag = 0.0\n")
+    p.write_text("[metal]\ngamma = 0\n[dielectric]\nn_imag = 0.0\n")
     assert _run("--config", str(p), "field") == 1
     assert "NeutralModeSingularity" in capsys.readouterr().err
 
@@ -392,10 +378,7 @@ _BAD_CONFIGS = {
     "x_points-zero": ("[field]\nx_points = 0\n", "field"),
     "d": ("[geometry]\nd = -1\n", "dispersion"),
     "omega_p": ("[metal]\nomega_p = -1\n", "dispersion"),
-    "eps-zero": ("[metal]\neps_re = 0\neps_im = 0\n", "dispersion"),
     "thick_d": ("[verify]\nthick_d = -1\n", "verify"),
-    "eps_re-nan": ("[metal]\neps_re = nan\neps_im = 0.1\n", "dispersion"),
-    "eps_im-inf": ("[metal]\neps_re = -7.5\neps_im = inf\n", "dispersion"),
     "n_imag-nan": ("[dielectric]\nn_imag = nan\n", "field"),
     "kappa_min-inf": ("[gain-sweep]\nkappa_min = -inf\n", "gain-sweep"),
     "kappa_max-nan": ("[gain-sweep]\nkappa_max = nan\n", "gain-sweep"),
@@ -416,6 +399,18 @@ _BAD_CONFIGS = {
                           "--dump-config dispersion"),
     "z_values-empty-dump": ("[field]\nz_values = ,\n",
                             "--dump-config dispersion"),
+    # the one metal model is Drude: a fixed permittivity is an unknown key
+    "eps_re": ("[metal]\neps_re = -7.5\neps_im = 0.1\n", "dispersion"),
+    "default-section": ("[DEFAULT]\nfoo = 1\n", "dispersion"),
+    "default-section-omega": ("[DEFAULT]\nomega = 1e15\n[field]\n",
+                              "--dump-config field"),
+    # a file configparser cannot read is a config error, not a traceback
+    "no-section-header": ("d = 1e-8\n", "dispersion"),
+    "repeated-section": ("[geometry]\nd = 1e-8\n[geometry]\nd = 2e-8\n",
+                         "dispersion"),
+    "repeated-key": ("[geometry]\nd = 1e-8\nd = 2e-8\n", "dispersion"),
+    "percent": ("[field]\nz_values = 5%\n", "field"),
+    "undecodable": (b"[geometry]\nd = 6e-8 \xff\n", "dispersion"),
 }
 
 
@@ -423,14 +418,17 @@ _BAD_CONFIGS = {
                          ids=_BAD_CONFIGS.keys())
 def test_bad_config_value_exits_2(tmp_path, capsys, ini, command):
     p = tmp_path / "bad.ini"
-    p.write_text(ini)
+    if isinstance(ini, bytes):
+        p.write_bytes(ini)
+    else:
+        p.write_text(ini)
     out = tmp_path / "out.csv"
     assert _run("--config", str(p), "--out", str(out), *command.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = captured.err
-    assert "config error" in err
-    assert "Traceback" not in err
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: ")
     assert not out.exists()
 
 

@@ -31,6 +31,7 @@ from slabspp import (
     ccr_check,
     classify_mode,
     decay_constants,
+    dielectric_epsilon,
     dispersion_sweep,
     gain_sweep,
     green_coefficient,
@@ -146,7 +147,8 @@ def test_conjugate_media_conjugate_root():
 
 def test_lossless_root_is_real():
     eps_m_re = complex((1.0 - 14.02e15**2 / (4.8e15**2 + 6.25e13 * 4.8e15 * 1j)).real, 0.0)
-    media = make_medium_set(eps_m_re, DielectricSpec(0.9726, 0.0), OMEGA)
+    media = MediumSet(OMEGA, dielectric_epsilon(DielectricSpec(0.9726, 0.0)),
+                      eps_m_re)
     sol = solve_dispersion(SYMMETRIC, GEOM, media)
     assert sol.k_spp.imag == 0.0
     assert sol.regime == "neutral"

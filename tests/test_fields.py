@@ -11,6 +11,7 @@ from slabspp import (
     DielectricSpec,
     DrudeMetalSpec,
     FieldOverflowError,
+    MediumSet,
     NeutralModeSingularity,
     SlabGeometry,
     SppState,
@@ -201,9 +202,8 @@ def test_compare_grows_along_x_when_amplified():
 
 
 def test_neutral_mode_rejected():
-    eps_m = make_medium_set(METAL, DielectricSpec(0.9726, 0.0), 4.8e15).eps_m
-    media = make_medium_set(complex(eps_m.real, 0.0),
-                            DielectricSpec(0.9726, 0.0), 4.8e15)
+    lossy = make_medium_set(METAL, DielectricSpec(0.9726, 0.0), 4.8e15)
+    media = MediumSet(lossy.omega, lossy.eps_d, complex(lossy.eps_m.real, 0.0))
     sol = solve_dispersion(SYMMETRIC, GEOM, media)
     assert sol.k_spp.imag == 0.0
     with pytest.raises(NeutralModeSingularity):

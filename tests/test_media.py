@@ -59,13 +59,6 @@ def test_medium_set_k0():
     assert media.omega == 3e15
 
 
-def test_make_medium_set_accepts_raw_complex():
-    """A fixed complex metal permittivity, as ``[metal] eps_re/eps_im``."""
-    media = make_medium_set(-7.5 + 0.1j, DielectricSpec(1.5), 4.8e15)
-    assert media.eps_m == -7.5 + 0.1j
-    assert media.eps_d == 2.25
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         DrudeMetalSpec(omega_p=-1.0, gamma=1e13)
@@ -77,8 +70,6 @@ def test_validation_errors():
         DielectricSpec(-1.2)
     with pytest.raises(ValueError):
         make_medium_set(SILVERISH, DielectricSpec(1.0), 0.0)
-    with pytest.raises(ValueError):
-        make_medium_set(0j, DielectricSpec(1.0), 1e15)
 
 
 @given(n_real=st.floats(0.1, 5.0),

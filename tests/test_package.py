@@ -52,6 +52,25 @@ def test_import_star_binds_every_exported_name():
     assert all(namespace[name] is value for name, value in exported.items())
 
 
+def test_readme_config_table_matches_schema():
+    """The README's configuration table names exactly the keys of
+    ``cli._SCHEMA``, section by section and in its order."""
+    from slabspp.cli import _SCHEMA
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| section | key | default | meaning |\n"
+                         "|---|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    section = None
+    for row in table.splitlines():
+        _, section_cell, key_cell, *_ = row.split("|")
+        if section_cell.strip():
+            section = re.fullmatch(r"`\[(.+)\]`", section_cell.strip()).group(1)
+        documented.setdefault(section, []).extend(
+            re.findall(r"`([^`]+)`", key_cell))
+    assert documented == {name: list(keys) for name, keys in _SCHEMA.items()}
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Library use", 1)[1]
