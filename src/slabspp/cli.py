@@ -161,20 +161,24 @@ _DEFAULT_OUT = {
 def load_config(path=None) -> dict:
     """Parse and validate an INI config; missing keys take defaults.
 
-    The file is read as UTF-8.  A file configparser cannot parse (no section
-    header, a repeated section or key) or cannot decode is a
+    The file is read as UTF-8.  A path that does not exist or cannot be
+    read (a directory, no permission), a file configparser cannot parse (no
+    section header, a repeated section or key) or cannot decode is a
     :class:`ConfigError`, as is ``[DEFAULT]``: ``default_section=""`` names
     no section a file can open, so ``[DEFAULT]`` is an unknown section.
     """
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     if path is not None:
         try:
-            read = cp.read(path, encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                cp.read_file(fh, source=os.fspath(path))
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(
                 f"cannot parse {path}: {' '.join(str(exc).split())}") from None
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")

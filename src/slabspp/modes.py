@@ -6,7 +6,10 @@ quantities downstream (quantization weights, magnetic field means, the
 resonant part of the Green tensor) are built from the same two-component
 bracket ``(b_x(z), b_z(z))``; the full profile just multiplies it by the
 in-plane phase ``exp(i*k_spp*x)``, and :func:`h_field_operator_bracket` is
-its magnetic-type combination.
+its magnetic-type combination.  :func:`bracket_of` holds the bracket's
+formulas, once: it returns the bracket of one mode as a function of depth,
+for callers that evaluate it at many depths, and :func:`profile_bracket`
+evaluates it at one.
 
 ``normalization`` evaluates, in closed form, the unconjugated pairing of the
 profile with its transverse-flipped self, weighted by the local
@@ -18,12 +21,13 @@ presence of loss and gain, unlike an |u|^2 norm.
 from __future__ import annotations
 
 import cmath
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .dispersion import ModeSolution
 
 __all__ = [
     "DegenerateResidue",
+    "bracket_of",
     "profile_bracket",
     "h_field_operator_bracket",
     "normalization",
@@ -37,34 +41,48 @@ class DegenerateResidue(ValueError):
     """Refusal: the Green tensor's pole strength is numerically undefined."""
 
 
-def profile_bracket(sol: ModeSolution, z: float) -> tuple[complex, complex]:
-    """Two-component (x, z) profile bracket at depth z, without exp(ikx).
+def bracket_of(sol: ModeSolution
+               ) -> Callable[[float], tuple[complex, complex]]:
+    """The two-component (x, z) profile bracket of ``sol`` as a function of z.
 
-    Returns the pair ``(b_x, b_z)`` as Python complex numbers, not an array:
-    the quadrature oracles call this once per integration node, where
-    building an array would cost more than the arithmetic.
+    Returns ``z -> (b_x, b_z)``, without exp(ikx), as Python complex numbers,
+    not an array: the quadrature oracles call it once per integration node,
+    where building an array would cost more than the arithmetic.  The
+    per-mode factors of b_z are formed once, here, with the operands and
+    order each has in a per-depth evaluation, so every value keeps the
+    rounding it had when the factors were formed on each call.
 
     Tangential component and the magnetic-type combination are continuous
     across both interfaces by construction.
     """
     k = sol.k_spp
-    if z < 0.0:
-        nu0 = sol.nu0
-        e = cmath.exp(nu0 * z)
-        return e, (-1j * k / nu0) * e
+    nu0 = sol.nu0
+    num = sol.num
+    a = sol.amplitude
     pm = sol.parity.pm
     d = sol.geom.d
-    if z <= d:
-        num = sol.num
-        a = sol.amplitude
-        e1 = cmath.exp(-num * z)
-        e2 = cmath.exp(num * (z - d))
-        bx = a * (e1 + pm * e2)
-        bz = a * (1j * k / num) * (e1 - pm * e2)
-        return bx, bz
-    nu0 = sol.nu0
-    e = cmath.exp(-nu0 * (z - d))
-    return pm * e, pm * (1j * k / nu0) * e
+    lower = -1j * k / nu0
+    film = a * (1j * k / num)
+    upper = pm * (1j * k / nu0)
+    exp = cmath.exp
+
+    def bracket(z: float) -> tuple[complex, complex]:
+        if z < 0.0:
+            e = exp(nu0 * z)
+            return e, lower * e
+        if z <= d:
+            e1 = exp(-num * z)
+            e2 = exp(num * (z - d))
+            return a * (e1 + pm * e2), film * (e1 - pm * e2)
+        e = exp(-nu0 * (z - d))
+        return pm * e, upper * e
+
+    return bracket
+
+
+def profile_bracket(sol: ModeSolution, z: float) -> tuple[complex, complex]:
+    """Profile bracket ``(b_x, b_z)`` at one depth z: ``bracket_of(sol)(z)``."""
+    return bracket_of(sol)(z)
 
 
 def h_field_operator_bracket(sol: ModeSolution, z: float) -> complex:
@@ -149,7 +167,8 @@ def green_tensor(sol: ModeSolution, r: tuple[float, float],
     x, z = r
     xp, zp = r_prime
     scale = -1j * coeff.d_value * cmath.exp(1j * sol.k_spp * abs(x - xp))
-    bx, bz = profile_bracket(sol, z)
-    bx_p, bz_p = profile_bracket(sol, zp)
+    bracket = bracket_of(sol)
+    bx, bz = bracket(z)
+    bx_p, bz_p = bracket(zp)
     return ((scale * (bx * bx_p), scale * (bx * bz_p)),
             (scale * (bz * bx_p), scale * (bz * bz_p)))

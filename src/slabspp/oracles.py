@@ -12,16 +12,19 @@ its callers apply.
 
 The adaptive quadrature is :func:`quad`, QUADPACK's globally adaptive
 Gauss-Kronrod scheme in pure Python: it integrates a real or a complex
-integrand in one pass, so each node is evaluated once.  The integrands are
-scalar Python (``complex``, ``cmath``, the tuple from
-:func:`profile_bracket`), where numpy scalars and arrays would cost more
-than the arithmetic.  The tail substitutions of
-:func:`normalization_quadrature` and the central difference of
-:func:`curl_consistency_error` multiply by a reciprocal instead of dividing,
-the way numpy divides a complex by a real, so their values keep the rounding
-of the earlier numpy-scalar integrands bit for bit.  The contour root
-oracle :func:`contour_slab_roots` sums its trapezoid nodes one by one in
-``cmath`` as well.
+integrand in one pass, so each node is evaluated once, and an interval whose
+first step meets the target returns without the adaptive loop's bookkeeping.
+The integrands are scalar Python (``complex``, ``cmath``, the tuple of the
+mode's :func:`~slabspp.modes.bracket_of`, taken once per oracle), one flat
+closure per region, where numpy scalars and arrays or extra call layers
+would cost more than the arithmetic.  Every quadrature calls the
+module-global :func:`quad`, so replacing it replaces them all.  The tail
+substitutions of :func:`normalization_quadrature` and the central difference
+of :func:`curl_consistency_error` multiply by a reciprocal instead of
+dividing, the way numpy divides a complex by a real, so their values keep
+the rounding of the earlier numpy-scalar integrands bit for bit.  The
+contour root oracle :func:`contour_slab_roots` sums its trapezoid nodes one
+by one in ``cmath`` as well.
 
 Nothing here needs numpy or scipy, so importing this module loads neither.
 """
@@ -44,7 +47,7 @@ from .dispersion import (
     solve_dispersion,
 )
 from .media import MediumSet
-from .modes import h_field_operator_bracket, profile_bracket
+from .modes import bracket_of, h_field_operator_bracket
 
 __all__ = [
     "QuadratureError",
@@ -156,8 +159,9 @@ def quad(f, a: float, b: float) -> tuple:
     QUADPACK's dqage scheme without extrapolation: the subinterval with the
     largest error estimate is bisected until the summed estimate is at most
     ``1e-11`` times the modulus of the summed value, or until 300
-    subintervals.  ``f`` may return real or complex values; the value comes
-    back as the same type, with a float error estimate.  A semi-infinite
+    subintervals; a first step that already meets the target is returned as
+    it is.  ``f`` may return real or complex values; the value comes back as
+    the same type, with a float error estimate.  A semi-infinite
     interval (``a = -inf`` or ``b = inf``) is mapped onto (0, 1] by
     ``x = b - (1-t)/t`` or ``x = a + (1-t)/t`` and integrated with the
     15-point rule, as QUADPACK's dqagie does; finite intervals use the
@@ -171,6 +175,10 @@ def quad(f, a: float, b: float) -> tuple:
         bound, sign = (b, -1.0) if a == -math.inf else (a, 1.0)
         a, b, rule = 0.0, 1.0, _K15
     val, err = _kronrod(f, a, b, rule, bound, sign)
+    if not err > _EPSREL * abs(val):
+        # the loop's own test, met by the first step: what the sums over a
+        # one-entry heap give, down to the sign of a zero
+        return 0 + val, 0 + err
     heap = [(-err, a, b, val)]
     total, err_sum = val, err
     while err_sum > _EPSREL * abs(total) and len(heap) < _LIMIT:
@@ -253,14 +261,23 @@ def weighted_abs2_quadrature(sol: ModeSolution) -> tuple[float, float]:
     """
     d = sol.geom.d
     s = 2.0 * sol.nu0.real  # |bracket|^2 decay rate in the claddings
+    bracket = bracket_of(sol)
 
-    def dens(z):
-        bx, bz = profile_bracket(sol, z)
+    def lower(u):
+        bx, bz = bracket(u / s)
+        return (abs(bx) ** 2 + abs(bz) ** 2) / s
+
+    def film(z):
+        bx, bz = bracket(z)
         return abs(bx) ** 2 + abs(bz) ** 2
 
-    lower = complex_quad(lambda u: dens(u / s) / s, -math.inf, 0.0)
-    upper = complex_quad(lambda u: dens(d + u / s) / s, 0.0, math.inf)
-    return lower + upper, complex_quad(dens, 0.0, d)
+    def upper(u):
+        bx, bz = bracket(d + u / s)
+        return (abs(bx) ** 2 + abs(bz) ** 2) / s
+
+    claddings = (complex_quad(lower, -math.inf, 0.0)
+                 + complex_quad(upper, 0.0, math.inf))
+    return claddings, complex_quad(film, 0.0, d)
 
 
 def normalization_quadrature(sol: ModeSolution) -> complex:
@@ -274,16 +291,24 @@ def normalization_quadrature(sol: ModeSolution) -> complex:
     eps_d = sol.media.eps_d
     eps_m = sol.media.eps_m
     s = 2.0 * sol.nu0.real
+    inv_s = 1.0 / s
+    bracket = bracket_of(sol)
 
-    def pair(z):
-        bx, bz = profile_bracket(sol, z)
+    def lower(u):
+        bx, bz = bracket(u / s)
+        return (bx * bx - bz * bz) * inv_s
+
+    def film(z):
+        bx, bz = bracket(z)
         return bx * bx - bz * bz
 
-    return (eps_d * complex_quad(lambda u: pair(u / s) * (1.0 / s),
-                                 -math.inf, 0.0)
-            + eps_m * complex_quad(pair, 0.0, d)
-            + eps_d * complex_quad(lambda u: pair(d + u / s) * (1.0 / s),
-                                   0.0, math.inf))
+    def upper(u):
+        bx, bz = bracket(d + u / s)
+        return (bx * bx - bz * bz) * inv_s
+
+    return (eps_d * complex_quad(lower, -math.inf, 0.0)
+            + eps_m * complex_quad(film, 0.0, d)
+            + eps_d * complex_quad(upper, 0.0, math.inf))
 
 
 def curl_consistency_error(sol: ModeSolution, z: float) -> float:
@@ -298,9 +323,10 @@ def curl_consistency_error(sol: ModeSolution, z: float) -> float:
     d = sol.geom.d
     if min(abs(z), abs(z - d)) <= h:
         raise ValueError(f"z={z!r} too close to an interface for step h={h!r}")
-    bx_p, _ = profile_bracket(sol, z + h)
-    bx_m, _ = profile_bracket(sol, z - h)
-    _, bz = profile_bracket(sol, z)
+    bracket = bracket_of(sol)
+    bx_p, _ = bracket(z + h)
+    bx_m, _ = bracket(z - h)
+    _, bz = bracket(z)
     fd = (bx_p - bx_m) * (1.0 / (2.0 * h)) - 1j * sol.k_spp * bz
     ref = h_field_operator_bracket(sol, z)
     if ref == 0:

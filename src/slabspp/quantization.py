@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 from . import oracles
 from .media import EPS0, HBAR, MediumSet
 from .dispersion import ModeSolution
-from .modes import green_coefficient, profile_bracket
+from .modes import bracket_of, green_coefficient
 
 __all__ = [
     "SAME_DIRECTION",
@@ -263,6 +263,7 @@ def green_identity_check(sol: ModeSolution, z_terms: tuple[float, float],
     ell = 1.0 / max(abs(ki), abs(kr) / 20.0)
     zc = 0.4 / sol.nu0.real
     d = sol.geom.d
+    bracket = bracket_of(sol)
     samples = [
         ((0.0, -zc), (0.0, 0.5 * d)),
         ((0.8 * ell, 0.5 * d), (0.0, d + zc)),
@@ -273,8 +274,8 @@ def green_identity_check(sol: ModeSolution, z_terms: tuple[float, float],
     worst = 0.0
     for (xa, za), (xb, zb) in samples:
         # the 2x2 outer product of the bracket at a with the conjugate at b
-        outer = [ca * cb.conjugate() for ca in profile_bracket(sol, za)
-                 for cb in profile_bracket(sol, zb)]
+        outer = [ca * cb.conjugate() for ca in bracket(za)
+                 for cb in bracket(zb)]
         lhs = dsq * gamma_quad * _x_overlap_numeric(k, xa, xb, tail)
         delta = abs(xa - xb)
         braces = (cmath.exp(1j * k * delta) / k

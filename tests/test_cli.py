@@ -365,6 +365,18 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, target, reason):
     assert not list(tmp_path.rglob(".slabspp-*"))
 
 
+def test_unreadable_config_path_is_not_reported_missing(tmp_path, capsys):
+    # a directory exists but cannot be read as a file
+    out = tmp_path / "out.csv"
+    assert _run("--config", str(tmp_path), "--out", str(out),
+                "dispersion") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"config error: cannot read {tmp_path}: Is a directory"]
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.ini"
     p.write_text("[metal]\nunobtainium = 1\n")

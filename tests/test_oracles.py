@@ -20,7 +20,7 @@ from slabspp import (
     solve_dispersion,
 )
 from slabspp import oracles
-from slabspp.modes import green_coefficient, profile_bracket
+from slabspp.modes import bracket_of, green_coefficient, profile_bracket
 from slabspp.quantization import (
     _x_overlap_numeric,
     gamma_prime,
@@ -116,6 +116,45 @@ def test_quad_semi_infinite_intervals():
     assert err <= 1e-11 * abs(val)
     with pytest.raises(ValueError):
         quad(math.exp, -math.inf, math.inf)
+
+
+_ONE_STEP = [
+    (math.exp, 0.0, 1.0, 21),
+    (lambda u: cmath.exp((1.0 + 2.0j) * u), 0.0, 1.0, 21),
+    # 1/(1+u)^2 maps to the constant 1 on (0, 1]
+    (lambda u: 1.0 / ((1.0 + u) * (1.0 + u)), 0.0, math.inf, 15),
+]
+
+
+@pytest.mark.parametrize("f, a, b, calls", _ONE_STEP,
+                         ids=("real", "complex", "semi-infinite"))
+def test_quad_returns_a_first_step_that_meets_the_target(f, a, b, calls):
+    nodes = []
+
+    def counted(u):
+        nodes.append(u)
+        return f(u)
+
+    if math.isinf(b):
+        value, error = oracles._kronrod(f, 0.0, 1.0, oracles._K15, a, 1.0)
+    else:
+        value, error = oracles._kronrod(f, a, b, oracles._K21)
+    assert not error > 1e-11 * abs(value)
+    val, err = quad(counted, a, b)
+    assert len(nodes) == calls
+    assert (val, err) == (0 + value, 0 + error)
+
+
+def test_quad_of_zero_over_a_reversed_interval_is_positive_zero():
+    def zero(u):
+        return 0.0
+
+    # the step itself gives -0.0 (a zero sum times a negative half-width)
+    assert math.copysign(1.0, oracles._kronrod(zero, 1.0, 0.0,
+                                               oracles._K21)[0]) == -1.0
+    val, err = quad(zero, 1.0, 0.0)
+    assert math.copysign(1.0, val) == 1.0
+    assert (val, err) == (0.0, 0.0)
 
 
 def test_quad_keeps_the_integrand_type():
@@ -381,6 +420,22 @@ def test_curl_consistency_matches_ndarray_reference(parity, kappa):
     ])
     for z in depths:
         assert curl_consistency_error(sol, z) == _reference_curl_error(sol, z)
+
+
+@_CLADDINGS
+@_PARITIES
+def test_bracket_of_matches_ndarray_reference(parity, kappa):
+    """The hoisted per-mode factors keep every bit of the per-depth form."""
+    sol = _mode(parity, kappa)
+    bracket = bracket_of(sol)
+    zc = 1.0 / sol.nu0.real
+    depths = ([-t * zc for t in (3.0, 1.0, 0.05)]
+              + [0.0, 1e-12, 0.3 * GEOM.d, 0.5 * GEOM.d, 0.97 * GEOM.d, GEOM.d]
+              + [GEOM.d + t * zc for t in (1e-4, 0.7, 2.5)])
+    for z in depths:
+        reference = tuple(_ndarray_bracket(sol, z))
+        assert bracket(z) == reference, z
+        assert profile_bracket(sol, z) == reference, z
 
 
 # Reference for the rule: scipy's QUADPACK ``quad`` (complex integrands in
