@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import stat
@@ -135,9 +136,9 @@ _SCHEMA = {
     "field": {
         "omega": (_positive, "4.8e15"),
         "parity": (parity_from_name, "symmetric"),
-        "alpha_mag": (_finite, "2.6457513110645907"),
+        "alpha_mag": (_non_negative, "2.6457513110645907"),
         "alpha_phase": (_finite, "1.5"),
-        "xi_mag": (_finite, "0.0"),
+        "xi_mag": (_non_negative, "0.0"),
         "xi_phase": (_finite, "0.0"),
         "x_min": (_finite, "0.0"),
         "x_max": (_parse_x_max, "auto"),
@@ -161,16 +162,17 @@ _DEFAULT_OUT = {
 def load_config(path=None) -> dict:
     """Parse and validate an INI config; missing keys take defaults.
 
-    The file is read as UTF-8.  A path that does not exist or cannot be
-    read (a directory, no permission), a file configparser cannot parse (no
-    section header, a repeated section or key) or cannot decode is a
+    The file is read as UTF-8; a leading byte-order mark is dropped.  A
+    path that does not exist or cannot be read (a directory, no
+    permission), a file configparser cannot parse (no section header, a
+    repeated section or key) or cannot decode is a
     :class:`ConfigError`, as is ``[DEFAULT]``: ``default_section=""`` names
     no section a file can open, so ``[DEFAULT]`` is an unknown section.
     """
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 cp.read_file(fh, source=os.fspath(path))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
@@ -429,7 +431,10 @@ def _cmd_verify(cfg, out_path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it as
+    it was, so each :func:`main` call reuses it."""
     ap = argparse.ArgumentParser(
         prog="slabspp",
         description="Quantized TM surface modes of a metal film between "

@@ -32,9 +32,6 @@ from .media import (
 )
 
 __all__ = [
-    "AMPLIFIED",
-    "ATTENUATED",
-    "NEUTRAL_MODE",
     "ANTISYMMETRIC",
     "SYMMETRIC",
     "PARITIES",
@@ -45,10 +42,8 @@ __all__ = [
     "DispersionError",
     "NonConvergence",
     "BranchViolation",
-    "decay_constants",
     "single_interface_root",
     "solve_dispersion",
-    "classify_mode",
     "SweepRow",
     "linspace",
     "dispersion_sweep",
@@ -56,11 +51,6 @@ __all__ = [
     "GainSweepResult",
     "gain_sweep",
 ]
-
-# propagation regime labels, keyed off the sign of Im(k_spp)
-AMPLIFIED = "amplified"
-ATTENUATED = "attenuated"
-NEUTRAL_MODE = "neutral"
 
 # smallest slab thickness the solver accepts (meters); below this the two
 # film surfaces are numerically indistinguishable and the mode pair collapses
@@ -130,19 +120,6 @@ def _decaying_sqrt(z: complex) -> complex:
     return r
 
 
-def decay_constants(k: complex, media: MediumSet) -> tuple[complex, complex]:
-    """Transverse decay constants (cladding, film) at in-plane wavenumber k.
-
-    Returns ``(nu0, num)`` with ``nu0**2 = k**2 - eps_d*k0**2`` and
-    ``num**2 = k**2 - eps_m*k0**2``, both on the decaying branch.
-    """
-    k = complex(k)
-    k0sq = media.k0 * media.k0
-    nu0 = _decaying_sqrt(k * k - media.eps_d * k0sq)
-    num = _decaying_sqrt(k * k - media.eps_m * k0sq)
-    return nu0, num
-
-
 def single_interface_root(media: MediumSet) -> complex:
     """Bound-mode wavenumber of a single metal/dielectric interface.
 
@@ -160,8 +137,9 @@ def _scaled_system(d: float, media: MediumSet, pm: int):
     """The bounded residual of one slab system, as a function of ``k``.
 
     Returns ``system(k) -> (F, dF/dk, scale, nu0, num)``: the normalization
-    scale ``|eps_d*num| + |eps_m*nu0|`` and the decay constants on the
-    branch of :func:`decay_constants`.  ``system`` raises
+    scale ``|eps_d*num| + |eps_m*nu0|`` and the decay constants
+    ``nu0 = sqrt(k**2 - eps_d*k0**2)`` and ``num = sqrt(k**2 - eps_m*k0**2)``
+    on the decaying branch, :func:`_decaying_sqrt`.  ``system`` raises
     ``ZeroDivisionError`` where a decay constant vanishes.
 
     Antisymmetric (pm=-1): F = tanh(num*d/2)*eps_d*num + eps_m*nu0
@@ -305,20 +283,6 @@ def _seed_list(media: MediumSet, guess: Optional[complex]):
     yield 1.05 * media.k0 * _decaying_sqrt(media.eps_d)
 
 
-def classify_mode(k_spp: complex) -> str:
-    """Propagation regime from the sign of Im(k_spp).
-
-    Amplified for ``Im < 0``, attenuated for ``Im > 0``, neutral for exactly
-    zero (lossless or exactly compensated systems).
-    """
-    im = complex(k_spp).imag
-    if im < 0.0:
-        return AMPLIFIED
-    if im > 0.0:
-        return ATTENUATED
-    return NEUTRAL_MODE
-
-
 class ModeSolution(NamedTuple):
     """One converged slab mode at fixed omega.
 
@@ -346,8 +310,18 @@ class ModeSolution(NamedTuple):
 
     @property
     def regime(self) -> str:
-        """Propagation regime, :func:`classify_mode` of ``k_spp``."""
-        return classify_mode(self.k_spp)
+        """Propagation regime from the sign of ``Im(k_spp)``.
+
+        ``"amplified"`` for ``Im < 0``, ``"attenuated"`` for ``Im > 0``,
+        ``"neutral"`` for exactly zero (lossless or exactly compensated
+        systems).
+        """
+        im = self.k_spp.imag
+        if im < 0.0:
+            return "amplified"
+        if im > 0.0:
+            return "attenuated"
+        return "neutral"
 
 
 def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,

@@ -8,8 +8,7 @@ bracket ``(b_x(z), b_z(z))``; the full profile just multiplies it by the
 in-plane phase ``exp(i*k_spp*x)``, and :func:`h_field_operator_bracket` is
 its magnetic-type combination.  :func:`bracket_of` holds the bracket's
 formulas, once: it returns the bracket of one mode as a function of depth,
-for callers that evaluate it at many depths, and :func:`profile_bracket`
-evaluates it at one.
+``bracket_of(sol)(z)`` at one depth as at many.
 
 ``normalization`` evaluates, in closed form, the unconjugated pairing of the
 profile with its transverse-flipped self, weighted by the local
@@ -28,7 +27,6 @@ from .dispersion import ModeSolution
 __all__ = [
     "DegenerateResidue",
     "bracket_of",
-    "profile_bracket",
     "h_field_operator_bracket",
     "normalization",
     "GreenCoefficient",
@@ -78,11 +76,6 @@ def bracket_of(sol: ModeSolution
         return pm * e, upper * e
 
     return bracket
-
-
-def profile_bracket(sol: ModeSolution, z: float) -> tuple[complex, complex]:
-    """Profile bracket ``(b_x, b_z)`` at one depth z: ``bracket_of(sol)(z)``."""
-    return bracket_of(sol)(z)
 
 
 def h_field_operator_bracket(sol: ModeSolution, z: float) -> complex:

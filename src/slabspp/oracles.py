@@ -311,30 +311,41 @@ def normalization_quadrature(sol: ModeSolution) -> complex:
             + eps_d * complex_quad(upper, 0.0, math.inf))
 
 
-def curl_consistency_error(sol: ModeSolution, z: float) -> float:
-    """Relative mismatch between the magnetic bracket and a finite difference.
+def curl_consistency_error(sol: ModeSolution, depths) -> float:
+    """Worst relative mismatch of the magnetic bracket and a finite difference.
 
-    Differentiates the tangential profile component centrally with a 1e-12 m
-    step and combines it with the transverse component; ``z`` must sit more
-    than one step away from both interfaces so the stencil stays in one
-    region.
+    At each of the sample ``depths``, differentiates the tangential profile
+    component centrally with a 1e-12 m step and combines it with the
+    transverse component; every depth must sit more than one step away from
+    both interfaces so the stencil stays in one region, and off a node of
+    the magnetic bracket.  The mode's bracket is built once for all depths.
+    Raises ``ValueError`` for an empty ``depths``, and at the first depth
+    that breaks either rule.
     """
     h = _FD_STEP
     d = sol.geom.d
-    if min(abs(z), abs(z - d)) <= h:
-        raise ValueError(f"z={z!r} too close to an interface for step h={h!r}")
+    ik = 1j * sol.k_spp
+    inv_2h = 1.0 / (2.0 * h)
     bracket = bracket_of(sol)
-    bx_p, _ = bracket(z + h)
-    bx_m, _ = bracket(z - h)
-    _, bz = bracket(z)
-    fd = (bx_p - bx_m) * (1.0 / (2.0 * h)) - 1j * sol.k_spp * bz
-    ref = h_field_operator_bracket(sol, z)
-    if ref == 0:
-        # e.g. the exact midplane of the symmetric mode; a relative error
-        # is meaningless there and the finite difference is pure noise
-        raise ValueError(f"magnetic bracket has a node at z={z!r}; "
-                         "pick a different sample depth")
-    return abs(fd - ref) / abs(ref)
+    errors = []
+    for z in depths:
+        if min(abs(z), abs(z - d)) <= h:
+            raise ValueError(
+                f"z={z!r} too close to an interface for step h={h!r}")
+        bx_p, _ = bracket(z + h)
+        bx_m, _ = bracket(z - h)
+        _, bz = bracket(z)
+        fd = (bx_p - bx_m) * inv_2h - ik * bz
+        ref = h_field_operator_bracket(sol, z)
+        if ref == 0:
+            # e.g. the exact midplane of the symmetric mode; a relative error
+            # is meaningless there and the finite difference is pure noise
+            raise ValueError(f"magnetic bracket has a node at z={z!r}; "
+                             "pick a different sample depth")
+        errors.append(abs(fd - ref) / abs(ref))
+    if not errors:
+        raise ValueError("no sample depth given")
+    return max(errors)
 
 
 def thick_film_degeneracy(media: MediumSet, d: float) -> dict:

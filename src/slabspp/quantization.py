@@ -14,17 +14,16 @@ overlap integrals of |bracket|^2, evaluated here in closed form:
 The film cross term is evaluated through sin(x)/x so it passes smoothly
 through Im(num) -> 0 (real decay constants) without any regularization.
 
-Sign conventions: the noise amplitudes carry |Im eps| (they are variances),
-whereas the Green-function overlap identity carries signed Im eps.  Both
-flavors are exposed; the commutation ratio uses magnitudes, the identity
-check uses signed values.
+Sign conventions: the noise weight carries |Im eps| (a variance), whereas
+gamma_prime and the Green-function overlap identity carry signed Im eps.
+The commutation ratio :func:`ccr_check` weights the overlaps with |Im eps|.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import oracles
 from .media import EPS0, HBAR, MediumSet
@@ -34,8 +33,6 @@ from .modes import bracket_of, green_coefficient
 __all__ = [
     "SAME_DIRECTION",
     "CROSS_DIRECTION",
-    "NoiseAmplitudes",
-    "noise_amplitudes",
     "overlap_terms",
     "beta_prime",
     "gamma_prime",
@@ -47,24 +44,6 @@ __all__ = [
 
 SAME_DIRECTION = "same_direction"
 CROSS_DIRECTION = "cross_direction"
-
-
-class NoiseAmplitudes(NamedTuple):
-    """Langevin noise strengths |alpha|^2-like weights, one per medium."""
-
-    alpha_d: float
-    alpha_m: float
-
-
-def noise_amplitudes(media: MediumSet) -> NoiseAmplitudes:
-    """Noise weight 2*hbar*omega^2*eps0*|Im eps| for each medium.
-
-    Magnitudes by construction: the noise variance is insensitive to whether
-    the medium absorbs or amplifies.
-    """
-    scale = 2.0 * HBAR * media.omega**2 * EPS0
-    return NoiseAmplitudes(alpha_d=scale * abs(media.eps_d.imag),
-                           alpha_m=scale * abs(media.eps_m.imag))
 
 
 def _sinc(x: float) -> float:
@@ -98,41 +77,39 @@ def overlap_terms(sol: ModeSolution) -> tuple[float, float]:
 def beta_prime(sol: ModeSolution) -> float:
     """Noise-overlap weight: integral of |alpha(z)| |bracket(z)|^2 over z.
 
-    The weights are the :func:`noise_amplitudes` of the mode's media.  Real
-    and strictly positive for any bound mode with at least one
-    non-transparent medium.
+    Each medium's Langevin noise amplitude ``2*hbar*omega^2*eps0*|Im eps|``
+    weights its own region: a magnitude, since the noise variance is
+    insensitive to whether the medium absorbs or amplifies.  Real and
+    strictly positive for any bound mode with at least one non-transparent
+    medium.
     """
     return _noise_weight(sol.media, overlap_terms(sol))
 
 
-def gamma_prime(sol: ModeSolution, magnitudes: bool = False) -> float:
+def gamma_prime(sol: ModeSolution) -> float:
     """Gain/loss overlap weight: integral of Im eps(z) |bracket(z)|^2.
 
-    The cladding term carries Im(eps_d) and the film term Im(eps_m): each
-    medium weights its own region, the only assignment for which
-    :func:`ccr_check` closes.  ``magnitudes`` uses |Im eps| instead of the
-    signed values, which is the flavor entering the commutation closure in
-    amplifying systems.
+    The cladding term carries Im(eps_d) and the film term Im(eps_m), signed:
+    each medium weights its own region, the only assignment for which
+    :func:`ccr_check`, which weights the same regions with |Im eps|, closes.
     """
-    return _loss_weight(sol.media, overlap_terms(sol), magnitudes)
+    media = sol.media
+    return _loss_weight(media.eps_d.imag, media.eps_m.imag, overlap_terms(sol))
 
 
 def _noise_weight(media: MediumSet, terms: tuple[float, float]) -> float:
     # each medium's noise amplitude weights its own region's overlap
-    amplitudes = noise_amplitudes(media)
+    scale = 2.0 * HBAR * media.omega**2 * EPS0
     t_clad, t_film = terms
-    return amplitudes.alpha_d * t_clad + amplitudes.alpha_m * t_film
+    return ((scale * abs(media.eps_d.imag)) * t_clad
+            + (scale * abs(media.eps_m.imag)) * t_film)
 
 
-def _loss_weight(media: MediumSet, terms: tuple[float, float],
-                 magnitudes: bool) -> float:
-    # each medium's Im eps (or |Im eps|) weights its own region's overlap
+def _loss_weight(w_d: float, w_m: float,
+                 terms: tuple[float, float]) -> float:
+    # each medium's Im eps (signed, or |Im eps|) weights its own region's
+    # overlap
     t_clad, t_film = terms
-    w_d = media.eps_d.imag
-    w_m = media.eps_m.imag
-    if magnitudes:
-        w_d = abs(w_d)
-        w_m = abs(w_m)
     return w_d * t_clad + w_m * t_film
 
 
@@ -149,15 +126,17 @@ def _launch_weight(media: MediumSet, terms: tuple[float, float]) -> float:
 def ccr_check(sol: ModeSolution) -> float:
     """Equal-point commutator of the launched mode operator.
 
-    Returns beta_prime / (2 hbar eps0 omega^2 gamma_prime) with the
-    magnitude flavor of gamma_prime; exactly 1 when the two weights are
-    assembled consistently, regardless of loss or gain.  The overlap terms
-    are taken once and weighted by the helpers those two functions use.
+    Returns beta_prime / (2 hbar eps0 omega^2 gamma_prime) with gamma_prime
+    weighted by |Im eps| instead of signed Im eps; exactly 1 when the two
+    weights are assembled consistently, regardless of loss or gain.  The
+    overlap terms are taken once and weighted by the helpers those two
+    functions use.
     Raises ``ValueError`` where beta_prime is 0 (transparent media).
     """
+    media = sol.media
     terms = overlap_terms(sol)
-    beta = _launch_weight(sol.media, terms)
-    gamma = _loss_weight(sol.media, terms, magnitudes=True)
+    beta = _launch_weight(media, terms)
+    gamma = _loss_weight(abs(media.eps_d.imag), abs(media.eps_m.imag), terms)
     return beta / (2.0 * HBAR * EPS0 * sol.omega**2 * gamma)
 
 
@@ -257,7 +236,8 @@ def green_identity_check(sol: ModeSolution, z_terms: tuple[float, float],
     coeff = green_coefficient(sol)
     dsq = abs(coeff.d_value) ** 2
     gamma_closed = gamma_prime(sol)
-    gamma_quad = _loss_weight(sol.media, z_terms, magnitudes=False)
+    gamma_quad = _loss_weight(sol.media.eps_d.imag, sol.media.eps_m.imag,
+                              z_terms)
     tail = x_tail()
 
     ell = 1.0 / max(abs(ki), abs(kr) / 20.0)

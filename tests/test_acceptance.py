@@ -356,8 +356,7 @@ def test_criterion_8_curl_consistency():
             np.linspace(0.03, 0.97, 20) * GEOM.d,  # stays off the midplane
             GEOM.d + np.linspace(0.05, 2.0, 20) * zc,
         ])
-        worst = max(worst,
-                    max(curl_consistency_error(sol, z) for z in depths))
+        worst = max(worst, curl_consistency_error(sol, depths))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-6 and elapsed < 1.0
     _report(8, ok, f"worst finite-difference mismatch = {worst:.3e} "

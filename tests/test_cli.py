@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import slabspp
-from slabspp.cli import ConfigError, dump_config, load_config, main
+from slabspp.cli import (ConfigError, _build_parser, dump_config, load_config,
+                         main)
 
 
 def _run(*argv):
@@ -60,6 +61,26 @@ def test_dump_config_round_trip(tmp_path):
     assert "parities = symmetric\n" in text
     assert "z_values = 0, 2.9999999999999997e-08, -1.4999999999999999e-08\n" \
         in text
+
+
+def test_config_with_byte_order_mark_reads_as_without(tmp_path, capsys):
+    text = "[geometry]\nd = 7e-8\n[field]\nxi_mag = 0.5\n"
+    plain = tmp_path / "plain.ini"
+    plain.write_text(text, encoding="utf-8")
+    bom = tmp_path / "bom.ini"
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    dumped = []
+    for path in (plain, bom):
+        assert _run("--config", str(path), "--dump-config", "field") == 0
+        dumped.append(capsys.readouterr().out)
+    assert dumped[0] == dumped[1]
+    assert "d = 7.0000000000000005e-08\n" in dumped[0]
+    assert "xi_mag = 0.5\n" in dumped[0]
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
 
 
 def test_dump_config_flag(capsys):
@@ -210,6 +231,18 @@ def test_field_neutral_mode_fails_cleanly(tmp_path, capsys):
     p.write_text("[metal]\ngamma = 0\n[dielectric]\nn_imag = 0.0\n")
     assert _run("--config", str(p), "field") == 1
     assert "NeutralModeSingularity" in capsys.readouterr().err
+
+
+def test_field_neutral_mode_on_explicit_grid_fails_cleanly(tmp_path, capsys):
+    p = tmp_path / "run.ini"
+    p.write_text("[metal]\ngamma = 0\n[dielectric]\nn_imag = 0.0\n"
+                 "[field]\nx_max = 1e-6\n")
+    out = tmp_path / "f.csv"
+    assert _run("--config", str(p), "--out", str(out), "field") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: NeutralModeSingularity: Im(k_spp) = 0.0: launch "
+                   "normalization diverges for a neutral mode"]
+    assert not out.exists()
 
 
 def test_field_below_solver_floor_fails_cleanly(tmp_path, capsys):
@@ -397,6 +430,9 @@ _BAD_CONFIGS = {
     "alpha_mag-inf": ("[field]\nalpha_mag = inf\n", "field"),
     "alpha_phase-nan": ("[field]\nalpha_phase = nan\n", "field"),
     "xi_mag-nan": ("[field]\nxi_mag = nan\n", "field"),
+    # moduli: a negative alpha_mag or xi_mag is refused, not written out
+    "alpha_mag-negative": ("[field]\nalpha_mag = -2\n", "field"),
+    "xi_mag-negative": ("[field]\nxi_mag = -1\n", "field"),
     "xi_phase-inf": ("[field]\nxi_phase = -inf\n", "field"),
     "x_min-nan": ("[field]\nx_min = nan\n", "field"),
     "x_max-inf": ("[field]\nx_max = inf\n", "field"),

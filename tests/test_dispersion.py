@@ -29,8 +29,6 @@ from slabspp import (
     MediumSet,
     SlabGeometry,
     ccr_check,
-    classify_mode,
-    decay_constants,
     dielectric_epsilon,
     dispersion_sweep,
     gain_sweep,
@@ -73,6 +71,17 @@ def test_frozen_roots():
         assert sol.residual <= 1e-10
 
 
+def _principal_decay(k, media):
+    """``(nu0, num)``: principal roots of ``k*k - eps*k0**2``, cladding, film.
+
+    The principal root has ``Re >= 0``, the bound-mode branch, so this shares
+    no code with the solver's branch choice.
+    """
+    k0sq = media.k0 * media.k0
+    return (cmath.sqrt(k * k - media.eps_d * k0sq),
+            cmath.sqrt(k * k - media.eps_m * k0sq))
+
+
 def _exp_residual(k, geom, media, parity):
     """The exponential characteristic function, independent of the solver's.
 
@@ -80,7 +89,7 @@ def _exp_residual(k, geom, media, parity):
     it overflows for films several microns thick, which is why the solver
     uses the bounded tanh form.
     """
-    nu0, num = decay_constants(k, media)
+    nu0, num = _principal_decay(k, media)
     r = (media.eps_m * nu0) / (media.eps_d * num)
     return cmath.exp(num * geom.d) - parity.pm * (r - 1.0) / (r + 1.0)
 
@@ -95,9 +104,15 @@ def test_residual_contract_at_root():
 
 def test_solution_fields_consistent():
     sol = solve_dispersion(SYMMETRIC, GEOM, _media(-0.08))
-    nu0, num = decay_constants(sol.k_spp, sol.media)
+    nu0, num = _principal_decay(sol.k_spp, sol.media)
     assert sol.nu0 == nu0 and sol.num == num
     assert nu0.real > 0 and num.real > 0
+    # the decay constants square back to k**2 - eps*k0**2
+    k, k0sq = sol.k_spp, sol.media.k0 ** 2
+    assert nu0 * nu0 == pytest.approx(k * k - sol.media.eps_d * k0sq,
+                                      rel=1e-14)
+    assert num * num == pytest.approx(k * k - sol.media.eps_m * k0sq,
+                                      rel=1e-14)
     # amplitude is the slab matching factor 1/(1 + pm*exp(-nu_m d))
     pm = sol.parity.pm
     expected_a = 1.0 / (1.0 + pm * cmath.exp(-num * GEOM.d))
@@ -106,22 +121,12 @@ def test_solution_fields_consistent():
     assert sol.geom.d == GEOM.d
 
 
-def test_decay_constant_squares():
-    media = _media(-0.063)
-    k = 1.6e7 + 1e5j
-    nu0, num = decay_constants(k, media)
-    assert nu0 * nu0 == pytest.approx(k * k - media.eps_d * media.k0**2,
-                                      rel=1e-14)
-    assert num * num == pytest.approx(k * k - media.eps_m * media.k0**2,
-                                      rel=1e-14)
-
-
 def test_single_interface_root_balances():
     media = _media(-0.081, n_real=1.9726)
     k = single_interface_root(media)
     assert k == pytest.approx(45262241.83347206 - 3491245.885171195j,
                               rel=1e-13)
-    nu0, num = decay_constants(k, media)
+    nu0, num = _principal_decay(k, media)
     assert abs(media.eps_m * nu0 + media.eps_d * num) < 1e-8 * abs(
         media.eps_m * nu0)
 
@@ -156,9 +161,11 @@ def test_lossless_root_is_real():
 
 
 def test_classify_mode():
-    assert classify_mode(1e7 + 1.0j) == "attenuated"
-    assert classify_mode(1e7 - 1.0j) == "amplified"
-    assert classify_mode(complex(1e7, 0.0)) == "neutral"
+    """``ModeSolution.regime`` classifies a mode by the sign of Im k."""
+    sol = solve_dispersion(SYMMETRIC, GEOM, _media(-0.063))
+    assert sol._replace(k_spp=1e7 + 1.0j).regime == "attenuated"
+    assert sol._replace(k_spp=1e7 - 1.0j).regime == "amplified"
+    assert sol._replace(k_spp=complex(1e7, 0.0)).regime == "neutral"
 
 
 def test_thin_film_guard():
@@ -231,6 +238,47 @@ def test_sweep_branch_hop_keeps_root_closer_to_prediction(monkeypatch,
         roots[1e15, False], roots[2e15, False], kept, roots[4e15, False]]
     # the next row is predicted from the kept root
     assert guesses[-1] == kept.k_spp + (kept.k_spp - 2 * step)
+
+
+@pytest.mark.parametrize("kappas", [[-0.2, -0.1, 0.0, 0.1], [-0.2, -0.1, 0.0]],
+                         ids=["zero-row-inside", "zero-last-row"])
+def test_gain_sweep_crossing_on_an_exact_zero_is_that_row(monkeypatch,
+                                                          kappas):
+    """A traced row with Im k == 0.0 is the crossing itself, with its own
+    root and no refining solve, whether a row follows it or not."""
+    solved = []
+
+    def stub_solve(parity, geom, dielectric, guess=None):
+        solved.append(dielectric.n_imag)
+        return SimpleNamespace(k_spp=complex(1e7, 1e6 * dielectric.n_imag))
+
+    monkeypatch.setattr(dispersion, "solve_dispersion", stub_solve)
+    # the stub solver reads the cladding gain off the DielectricSpec itself
+    monkeypatch.setattr(dispersion, "make_medium_set",
+                        lambda metal, dielectric, omega: dielectric)
+    result = gain_sweep((SYMMETRIC,), GEOM, METAL, 0.9726, kappas, OMEGA)
+    assert solved == kappas
+    zero_row = result.rows[2]
+    assert zero_row.solution.k_spp.imag == 0.0
+    assert result.crossings["symmetric"] == (SYMMETRIC, 0.0,
+                                             zero_row.solution.k_spp)
+
+
+def test_newton_halves_a_step_that_lands_on_a_branch_point():
+    """A trial step where a decay constant vanishes is halved, not fatal."""
+    root = 2.0 + 1.0j
+    calls = []
+
+    def system(k):
+        calls.append(k)
+        if len(calls) == 2:  # the first full step
+            raise ZeroDivisionError("decay constant vanished")
+        return k - root, 1.0, 1.0, 1.0, 1.0
+
+    k, values = dispersion._newton(1.0 + 0.0j, 1.0, system)
+    assert calls[1] == root  # the full step from 1 lands on the root
+    assert calls[2] == 1.0 + 0.5 * (root - 1.0)
+    assert k == root and values[0] == 0
 
 
 def test_sweep_direction_independent():
@@ -336,7 +384,7 @@ def test_muller_fallback_root(monkeypatch):
     # each call gets a seed and the solve's residual closure, nothing else
     assert all(len(args) == 2 and callable(args[1]) for args in calls)
     assert sol.residual <= 1e-10
-    assert (sol.nu0, sol.num) == decay_constants(sol.k_spp, sol.media)
+    assert (sol.nu0, sol.num) == _principal_decay(sol.k_spp, sol.media)
 
 
 def test_nonconvergence_names_every_seed_in_order(monkeypatch):

@@ -210,6 +210,12 @@ def test_neutral_mode_rejected():
         h_field_mean(sol, COHERENT)
     with pytest.raises(NeutralModeSingularity):
         default_grid(sol)
+    # an explicit grid needs no decay length, but the launch normalization
+    # still diverges
+    with pytest.raises(NeutralModeSingularity,
+                       match=r"^Im\(k_spp\) = 0\.0: launch normalization "
+                             "diverges"):
+        h_field_mean(sol, COHERENT, grid=([0.0, 1e-7], [0.0, GEOM.d]))
 
 
 def test_state_describe():

@@ -15,8 +15,8 @@ from slabspp import (
     green_coefficient,
     green_tensor,
     make_medium_set,
+    bracket_of,
     normalization,
-    profile_bracket,
     solve_dispersion,
 )
 from slabspp.oracles import normalization_quadrature
@@ -34,9 +34,10 @@ def test_tangential_component_continuous():
     for parity in PARITIES:
         sol = _solution(parity)
         pm = parity.pm
+        bracket = bracket_of(sol)
         # cladding-side limits are (1, .) below and (pm, .) above
-        assert profile_bracket(sol, 0.0)[0] == pytest.approx(1.0, rel=1e-13)
-        assert profile_bracket(sol, GEOM.d)[0] == pytest.approx(pm, rel=1e-13)
+        assert bracket(0.0)[0] == pytest.approx(1.0, rel=1e-13)
+        assert bracket(GEOM.d)[0] == pytest.approx(pm, rel=1e-13)
 
 
 def test_displacement_component_continuous():
@@ -47,10 +48,10 @@ def test_displacement_component_continuous():
         eps_m = sol.media.eps_m
         k = sol.k_spp
         below = eps_d * (-1j * k / sol.nu0)  # cladding value at z -> 0-
-        at0 = eps_m * profile_bracket(sol, 0.0)[1]
+        at0 = eps_m * bracket_of(sol)(0.0)[1]
         assert at0 == pytest.approx(below, rel=1e-12)
         above = eps_d * parity.pm * (1j * k / sol.nu0)  # z -> d+
-        atd = eps_m * profile_bracket(sol, GEOM.d)[1]
+        atd = eps_m * bracket_of(sol)(GEOM.d)[1]
         assert atd == pytest.approx(above, rel=1e-12)
 
 
@@ -59,9 +60,10 @@ def test_parity_reflection_symmetry():
     for parity in PARITIES:
         sol = _solution(parity)
         pm = parity.pm
+        bracket = bracket_of(sol)
         for dz in (0.1 * GEOM.d, 0.27 * GEOM.d, 0.44 * GEOM.d):
-            lo = profile_bracket(sol, 0.5 * GEOM.d - dz)
-            hi = profile_bracket(sol, 0.5 * GEOM.d + dz)
+            lo = bracket(0.5 * GEOM.d - dz)
+            hi = bracket(0.5 * GEOM.d + dz)
             assert hi[0] == pytest.approx(pm * lo[0], rel=1e-12)
             assert hi[1] == pytest.approx(-pm * lo[1], rel=1e-12)
 
@@ -107,8 +109,8 @@ def test_green_tensor_separable():
     rp = (5.0e-8, 4.0e-8)
     g = np.array(green_tensor(sol, r, rp))
     gc = green_coefficient(sol)
-    b = profile_bracket(sol, r[1])
-    bp = profile_bracket(sol, rp[1])
+    b = bracket_of(sol)(r[1])
+    bp = bracket_of(sol)(rp[1])
     phase = cmath.exp(1j * sol.k_spp * abs(r[0] - rp[0]))
     expected = -1j * gc.d_value * phase * np.outer(b, bp)
     assert np.allclose(g, expected, rtol=1e-13, atol=0)

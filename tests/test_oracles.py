@@ -8,6 +8,8 @@ import pytest
 
 from slabspp import (
     ANTISYMMETRIC,
+    EPS0,
+    HBAR,
     PARITIES,
     SYMMETRIC,
     DielectricSpec,
@@ -15,12 +17,11 @@ from slabspp import (
     SlabGeometry,
     h_field_operator_bracket,
     make_medium_set,
-    noise_amplitudes,
     overlap_terms,
     solve_dispersion,
 )
 from slabspp import oracles
-from slabspp.modes import bracket_of, green_coefficient, profile_bracket
+from slabspp.modes import bracket_of, green_coefficient
 from slabspp.quantization import (
     _x_overlap_numeric,
     gamma_prime,
@@ -47,6 +48,12 @@ GEOM = SlabGeometry(60e-9)
 def _mode(parity=SYMMETRIC, kappa=-0.08):
     media = make_medium_set(METAL, DielectricSpec(0.9726, kappa), 4.8e15)
     return solve_dispersion(parity, GEOM, media)
+
+
+def _noise_amplitudes(media):
+    """Each medium's noise amplitude 2*hbar*omega^2*eps0*|Im eps|, (d, m)."""
+    scale = 2.0 * HBAR * media.omega**2 * EPS0
+    return scale * abs(media.eps_d.imag), scale * abs(media.eps_m.imag)
 
 
 _RULES = pytest.mark.parametrize(
@@ -229,17 +236,21 @@ def test_curl_consistency_away_from_interfaces():
             np.linspace(0.11, 0.93, 7) * GEOM.d,  # avoids the midplane node
             GEOM.d + np.linspace(0.05, 1.5, 7) / sol.nu0.real,
         ])
-        worst = max(curl_consistency_error(sol, z) for z in depths)
+        worst = curl_consistency_error(sol, depths)
         assert worst < 1e-7
 
 
 def test_curl_consistency_rejects_interface_and_node():
     sol = _mode(SYMMETRIC)
-    with pytest.raises(ValueError):
-        curl_consistency_error(sol, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="too close to an interface"):
+        curl_consistency_error(sol, [0.0])
+    with pytest.raises(ValueError, match="too close to an interface"):
+        curl_consistency_error(sol, [0.3 * GEOM.d, GEOM.d + 5e-13])
+    with pytest.raises(ValueError, match="has a node"):
         # the symmetric magnetic bracket has an exact node at the midplane
-        curl_consistency_error(sol, 0.5 * GEOM.d)
+        curl_consistency_error(sol, [0.3 * GEOM.d, 0.5 * GEOM.d])
+    with pytest.raises(ValueError, match="no sample depth"):
+        curl_consistency_error(sol, [])
 
 
 def test_thick_film_degeneracy_report():
@@ -387,9 +398,8 @@ def test_normalization_quadrature_matches_ndarray_reference(parity, kappa):
 @_PARITIES
 def test_weighted_abs2_matches_ndarray_reference(parity, kappa):
     sol = _mode(parity, kappa)
-    amps = noise_amplitudes(sol.media)
     t_clad, t_film = weighted_abs2_quadrature(sol)
-    for w_d, w_m in ((amps.alpha_d, amps.alpha_m),
+    for w_d, w_m in (_noise_amplitudes(sol.media),
                      (sol.media.eps_d.imag, sol.media.eps_m.imag)):
         assert (w_d * t_clad + w_m * t_film
                 == _reference_weighted_abs2(sol, w_d, w_m))
@@ -418,8 +428,10 @@ def test_curl_consistency_matches_ndarray_reference(parity, kappa):
         np.linspace(0.0321, 0.9679, 20) * GEOM.d,
         GEOM.d + np.linspace(0.05, 2.0, 20) * zc,
     ])
-    for z in depths:
-        assert curl_consistency_error(sol, z) == _reference_curl_error(sol, z)
+    reference = [_reference_curl_error(sol, z) for z in depths]
+    for z, expected in zip(depths, reference):
+        assert curl_consistency_error(sol, [z]) == expected
+    assert curl_consistency_error(sol, depths) == max(reference)
 
 
 @_CLADDINGS
@@ -435,7 +447,6 @@ def test_bracket_of_matches_ndarray_reference(parity, kappa):
     for z in depths:
         reference = tuple(_ndarray_bracket(sol, z))
         assert bracket(z) == reference, z
-        assert profile_bracket(sol, z) == reference, z
 
 
 # Reference for the rule: scipy's QUADPACK ``quad`` (complex integrands in
@@ -456,7 +467,7 @@ def _scipy_quad(f, a, b):
 
 def _oracle_values(sol):
     """Every quadrature oracle of the verify pass for one mode."""
-    amps = noise_amplitudes(sol.media)
+    alpha_d, alpha_m = _noise_amplitudes(sol.media)
     t_clad, t_film = weighted_abs2_quadrature(sol)
     k = sol.k_spp
     ell = min(1.0 / abs(k.imag), 400.0 * math.pi / k.real)
@@ -468,7 +479,7 @@ def _oracle_values(sol):
 
     return {
         "normalization": normalization_quadrature(sol),
-        "noise_weights": amps.alpha_d * t_clad + amps.alpha_m * t_film,
+        "noise_weights": alpha_d * t_clad + alpha_m * t_film,
         "im_eps_weights": (sol.media.eps_d.imag * t_clad
                            + sol.media.eps_m.imag * t_film),
         "signed_tail": signed_tail_integral(k.imag),
@@ -568,10 +579,10 @@ def _reference_green_identity(sol, z_terms):
         ((0.3 * ell, d + 0.7 * zc), (1.7 * ell, -0.5 * zc)),
         ((0.2 * ell, 0.25 * d), (0.2 * ell, 0.75 * d)),
     ]
+    bracket = bracket_of(sol)
     worst = 0.0
     for (xa, za), (xb, zb) in samples:
-        outer = np.outer(profile_bracket(sol, za),
-                         np.conj(profile_bracket(sol, zb)))
+        outer = np.outer(bracket(za), np.conj(bracket(zb)))
         lhs = dsq * gamma_quad * _x_overlap_numeric(k, xa, xb, tail) * outer
         delta = abs(xa - xb)
         braces = (cmath.exp(1j * k * delta) / k

@@ -87,7 +87,7 @@ def _records():
     """One instance of each public record type, keyed by its name."""
     from slabspp import (SYMMETRIC, DielectricSpec, DrudeMetalSpec,
                          SlabGeometry, SppState, gain_sweep, green_coefficient,
-                         make_medium_set, noise_amplitudes, solve_dispersion)
+                         make_medium_set, solve_dispersion)
     from slabspp.verify import CheckRecord
 
     metal = DrudeMetalSpec(1.402e16, 6.25e13)
@@ -97,7 +97,7 @@ def _records():
     sweep = gain_sweep([SYMMETRIC], geom, metal, 0.9726, [-0.1, 0.0], 4.8e15)
     records = [metal, DielectricSpec(0.9726), media, SYMMETRIC, geom, sol,
                sweep.rows[0], sweep.crossings["symmetric"], sweep,
-               green_coefficient(sol), noise_amplitudes(media),
+               green_coefficient(sol),
                CheckRecord("ccr_closure", "symmetric", 4.8e15, 0.0, 1e-12),
                SppState(1.0)]
     return {type(r).__name__: r for r in records}

@@ -22,7 +22,6 @@ from slabspp import (
     gamma_prime,
     green_identity_check,
     make_medium_set,
-    noise_amplitudes,
     overlap_terms,
     parity_from_name,
     solve_dispersion,
@@ -38,15 +37,11 @@ def _mode(kappa=-0.08, parity=SYMMETRIC, omega=4.8e15):
     return solve_dispersion(parity, GEOM, media), media
 
 
-def test_noise_amplitudes_definition():
-    _, media = _mode()
-    amps = noise_amplitudes(media)
-    assert amps.alpha_d == 2.0 * HBAR * media.omega**2 * EPS0 * abs(
-        media.eps_d.imag)
-    assert amps.alpha_m == 2.0 * HBAR * media.omega**2 * EPS0 * abs(
-        media.eps_m.imag)
-    assert amps.alpha_d == pytest.approx(6.695632512844642e-15, rel=1e-13)
-    assert amps.alpha_m == pytest.approx(4.7787693459513515e-15, rel=1e-13)
+def _gamma_magnitudes(sol):
+    """gamma_prime with |Im eps| for signed Im eps, as ccr_check weights it."""
+    t_clad, t_film = overlap_terms(sol)
+    return (abs(sol.media.eps_d.imag) * t_clad
+            + abs(sol.media.eps_m.imag) * t_film)
 
 
 def test_overlap_terms_frozen():
@@ -61,10 +56,11 @@ def test_beta_prime_matches_quadrature():
     for kappa in (0.0, -0.08):
         for parity in PARITIES:
             sol, media = _mode(kappa, parity)
-            amps = noise_amplitudes(media)
+            scale = 2.0 * HBAR * media.omega**2 * EPS0
             closed = beta_prime(sol)
             t_clad, t_film = weighted_abs2_quadrature(sol)
-            quad = amps.alpha_d * t_clad + amps.alpha_m * t_film
+            quad = (scale * abs(media.eps_d.imag) * t_clad
+                    + scale * abs(media.eps_m.imag) * t_film)
             assert closed == pytest.approx(quad, rel=1e-9)
 
 
@@ -75,7 +71,7 @@ def test_beta_prime_frozen():
 
 def test_gamma_prime_flavors():
     sol, _ = _mode()
-    mag = gamma_prime(sol, magnitudes=True)
+    mag = _gamma_magnitudes(sol)
     signed = gamma_prime(sol)
     assert mag == pytest.approx(1.77602516068208e-07, rel=1e-12)
     assert signed == pytest.approx(-1.7163834514863186e-07, rel=1e-12)
@@ -94,7 +90,7 @@ def test_ccr_exact_on_grid():
 def test_ccr_ratio_of_frozen_weights():
     sol, media = _mode()
     beta = beta_prime(sol)
-    gamma = gamma_prime(sol, magnitudes=True)
+    gamma = _gamma_magnitudes(sol)
     assert beta == pytest.approx(7.641638269517958e-21, rel=1e-12)
     assert gamma == pytest.approx(1.77602516068208e-07, rel=1e-12)
     ratio = beta / (2.0 * HBAR * EPS0 * media.omega**2 * gamma)
@@ -119,7 +115,7 @@ def test_ccr_check_is_exactly_the_ratio_of_the_weights():
                                      SlabGeometry(p["d"]), media))
     assert len(sols) > 70
     for sol in sols:
-        gamma = gamma_prime(sol, magnitudes=True)
+        gamma = _gamma_magnitudes(sol)
         ratio = beta_prime(sol) / (2.0 * HBAR * EPS0 * sol.omega**2 * gamma)
         assert ccr_check(sol) == ratio, sol
 
