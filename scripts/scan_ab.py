@@ -21,8 +21,10 @@ on both alike.
 
 Prints the points per reference second of each copy, the median speedup
 (old time over new time, per chunk pair) with its quartiles, and whether
-every ``(k_spp, d_value, ccr)`` and every refusal message is identical on
-every pass.  Exits 1 if they are not.
+every point's result is identical on every pass: the solution's ``k_spp``,
+``nu0``, ``num``, ``amplitude`` and ``residual``, the residue's
+``d_value`` and ``ccr``, each by ``repr``, or the refusal's type and
+message.  Exits 1 if one is not.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ def _evaluate(side, points, on_mode) -> list:
             sol = side.dispersion.solve_dispersion(parity, geom, medium)
             coeff = on_mode(side.modes.green_coefficient, sol)
             ccr = on_mode(side.quantization.ccr_check, sol)
-            out.append((sol.k_spp, coeff.d_value, ccr))
+            out.append((sol.k_spp, sol.nu0, sol.num, sol.amplitude,
+                        sol.residual, coeff.d_value, ccr))
         except Exception as exc:  # refusals, and anything else, compared
             out.append(exc)
     return out
@@ -149,8 +152,9 @@ def main(argv=None) -> int:
         i for i, (a, b) in enumerate(zip(*keys)) if a != b))
     refused = sum(len(k) == 2 for k in keys[0])
     if not differ:
-        print(f"identical: (k_spp, d_value, ccr) at {len(points) - refused} "
-              f"points and {refused} refusal messages, on every pass")
+        print(f"identical: (k_spp, nu0, num, amplitude, residual, d_value, "
+              f"ccr) at {len(points) - refused} points and {refused} refusal "
+              f"messages, on every pass")
         return 0
     i = differ[0]
     print(f"DIFFERENT: {len(differ)} of {len(points)} points (between the "

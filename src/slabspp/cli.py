@@ -23,7 +23,6 @@ as one ``error:`` line), 2 on usage/configuration errors (an unwritable
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import math
 import os
@@ -168,9 +167,14 @@ def load_config(path=None) -> dict:
     repeated section or key) or cannot decode is a
     :class:`ConfigError`, as is ``[DEFAULT]``: ``default_section=""`` names
     no section a file can open, so ``[DEFAULT]`` is an unknown section.
+    ``configparser`` is imported only when there is a file to read; without
+    one every key takes its default.
     """
-    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    given: dict = {}  # {section: {key: raw value}} of the file
     if path is not None:
+        import configparser
+
+        cp = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             with open(path, encoding="utf-8-sig") as fh:
                 cp.read_file(fh, source=os.fspath(path))
@@ -181,21 +185,21 @@ def load_config(path=None) -> dict:
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(
                 f"cannot parse {path}: {' '.join(str(exc).split())}") from None
-    for section in cp.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+        for section in cp.sections():
+            if section not in _SCHEMA:
+                raise ConfigError(f"unknown config section [{section}]")
+            given[section] = dict(cp[section])
+            for key in given[section]:
+                if key not in _SCHEMA[section]:
+                    raise ConfigError(
+                        f"unknown key {key!r} in section [{section}]")
 
     cfg: dict = {}
     for section, keys in _SCHEMA.items():
         cfg[section] = {}
+        values = given.get(section, {})
         for key, (parse, default) in keys.items():
-            if cp.has_option(section, key):
-                raw = cp.get(section, key)
-            else:
-                raw = default
+            raw = values.get(key, default)
             try:
                 cfg[section][key] = parse(raw)
             except (ValueError, TypeError) as exc:

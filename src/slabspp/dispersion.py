@@ -136,11 +136,13 @@ def single_interface_root(media: MediumSet) -> complex:
 def _scaled_system(d: float, media: MediumSet, pm: int):
     """The bounded residual of one slab system, as a function of ``k``.
 
-    Returns ``system(k) -> (F, dF/dk, scale, nu0, num)``: the normalization
-    scale ``|eps_d*num| + |eps_m*nu0|`` and the decay constants
+    Returns ``system(k) -> (F, dF/dk, nu0, num)``, with the decay constants
     ``nu0 = sqrt(k**2 - eps_d*k0**2)`` and ``num = sqrt(k**2 - eps_m*k0**2)``
-    on the decaying branch, :func:`_decaying_sqrt`.  ``system`` raises
-    ``ZeroDivisionError`` where a decay constant vanishes.
+    on the decaying branch, :func:`_decaying_sqrt`.  ``F``'s natural scale
+    ``|eps_d*num| + |eps_m*nu0|`` is not formed here: only the accepted
+    root needs it, and :func:`solve_dispersion` forms it there from the same
+    operands.  ``system`` raises ``ZeroDivisionError`` where a decay
+    constant vanishes.
 
     Antisymmetric (pm=-1): F = tanh(num*d/2)*eps_d*num + eps_m*nu0
     Symmetric     (pm=+1): F = tanh(num*d/2)*eps_m*nu0 + eps_d*num
@@ -152,8 +154,8 @@ def _scaled_system(d: float, media: MediumSet, pm: int):
     conditioned.
 
     What is fixed for one solve (``eps_d*k0**2``, ``eps_m*k0**2``, ``d/2``)
-    is formed once here, and ``k/num``, ``k/nu0`` once per call.  Each
-    hoisted value has the operands and order it would have inside the
+    is formed once here, and ``k*k``, ``k/num``, ``k/nu0`` once per call.
+    Each hoisted value has the operands and order it would have inside the
     call, except that the tanh argument is ``num*(d/2)`` for ``num*d/2``,
     which is the same number because halving is exact; so every result is
     bit for bit that of evaluating all of it per call.
@@ -167,8 +169,9 @@ def _scaled_system(d: float, media: MediumSet, pm: int):
     half_d = d / 2.0
 
     def system(k: complex):
-        nu0 = _decaying_sqrt(k * k - eps_d_k0sq)
-        num = _decaying_sqrt(k * k - eps_m_k0sq)
+        kk = k * k
+        nu0 = _decaying_sqrt(kk - eps_d_k0sq)
+        num = _decaying_sqrt(kk - eps_m_k0sq)
         if nu0 == 0 or num == 0:
             raise ZeroDivisionError("decay constant vanished during iteration")
         t = cmath.tanh(num * half_d)
@@ -184,7 +187,7 @@ def _scaled_system(d: float, media: MediumSet, pm: int):
         else:
             f = t * b + a
             df = dt * b + t * eps_m * k_nu0 + eps_d * k_num
-        return f, df, abs(a) + abs(b), nu0, num
+        return f, df, nu0, num
 
     return system
 
@@ -194,8 +197,14 @@ def _newton(k: complex, d: float,
     """Damped Newton iteration on the bounded residual ``system``.
 
     ``system`` is the :func:`_scaled_system` of film thickness ``d``.
-    Returns ``(k, system(k))`` at the accepted root, or None on failure,
-    which includes a seed on a branch point of a decay constant.
+    Returns ``(k, system(k))``, that is ``(k, (F, dF/dk, nu0, num))``, at the
+    accepted root, or None on failure, which includes a seed on a branch
+    point of a decay constant.
+
+    A step stops the iteration once its size is at most ``_TOL*max(|k|,
+    1/d)``, tested as ``size <= _TOL*(1/d) or size <= _TOL*|k|``: rounding
+    a product by a positive constant keeps the order of its operands, so
+    each comparison has the outcome of the ``max`` form.
     """
     try:
         values = system(k)
@@ -203,27 +212,30 @@ def _newton(k: complex, d: float,
         return None
     f, df = values[0], values[1]
     abs_f = abs(f)
-    inv_d = 1.0 / d
+    tol = _TOL
+    tol_floor = tol * (1.0 / d)
     for _ in range(_MAX_NEWTON):
         if df == 0:
             return None
         step = -f / df
         lam = 1.0
         for _ in range(8):
-            k_try = k + lam * step
+            delta = lam * step
+            k_try = k + delta
             try:
                 values = system(k_try)
             except ZeroDivisionError:
                 lam *= 0.5
                 continue
             abs_try = abs(values[0])
-            if abs_try <= abs_f or abs(lam * step) <= _TOL * abs(k_try):
+            if abs_try <= abs_f or abs(delta) <= tol * abs(k_try):
                 break
             lam *= 0.5
         else:
             return None
         k, f, df, abs_f = k_try, values[0], values[1], abs_try
-        if abs(lam * step) <= _TOL * max(abs(k), inv_d):
+        size = abs(delta)
+        if size <= tol_floor or size <= tol * abs(k):
             return k, values
     return None
 
@@ -332,7 +344,9 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
     with ``guess`` if given, then the single-interface root, then a
     light-line-adjacent seed, each generated only when the one before it
     fails; if Newton fails from all of them, Muller's method tries the same
-    seeds.  One :func:`_scaled_system` serves the whole solve.  Raises
+    seeds.  One :func:`_scaled_system` serves the whole solve; the
+    residual's scale ``|eps_d*num| + |eps_m*nu0|`` is formed once, at the
+    accepted root, not on every evaluation.  Raises
     :class:`NonConvergence` if every seed fails, naming the seeds tried,
     :class:`BranchViolation` if the converged root is not transversely
     bound.
@@ -365,8 +379,8 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
     # F, its scale and the decay constants depend on k only through k*k
     if root.real < 0.0:
         root = -root
-    f, _, scale, nu0, num = values
-    residual = abs(f) / scale
+    f, _, nu0, num = values
+    residual = abs(f) / (abs(media.eps_d * num) + abs(media.eps_m * nu0))
     if residual > 1e-10:
         raise NonConvergence(
             f"{parity.name} mode: iteration stalled at scaled residual "
@@ -378,16 +392,7 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
             f"Re(nu0)={nu0.real!r}, Re(num)={num.real!r}"
         )
     amp = 1.0 / (1.0 + parity.pm * cmath.exp(-num * geom.d))
-    return ModeSolution(
-        parity=parity,
-        k_spp=root,
-        nu0=nu0,
-        num=num,
-        amplitude=amp,
-        residual=residual,
-        media=media,
-        geom=geom,
-    )
+    return ModeSolution(parity, root, nu0, num, amp, residual, media, geom)
 
 
 # ---------------------------------------------------------------------------

@@ -127,4 +127,4 @@ def make_medium_set(metal: DrudeMetalSpec, dielectric: DielectricSpec,
     eps_d = dielectric_epsilon(dielectric)
     if eps_m == 0 or eps_d == 0:
         raise ValueError("permittivities must be non-zero")
-    return MediumSet(omega=omega, eps_d=eps_d, eps_m=eps_m)
+    return MediumSet(omega, eps_d, eps_m)

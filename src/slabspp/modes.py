@@ -143,7 +143,7 @@ def green_coefficient(sol: ModeSolution) -> GreenCoefficient:
             f"normalization * k_spp underflow ({denom!r}); "
             "pole strength undefined"
         )
-    return GreenCoefficient(d_value=-sol.media.eps_m / denom, n_prime=n_prime)
+    return GreenCoefficient(-sol.media.eps_m / denom, n_prime)
 
 
 def green_tensor(sol: ModeSolution, r: tuple[float, float],

@@ -137,7 +137,7 @@ def ccr_check(sol: ModeSolution) -> float:
     terms = overlap_terms(sol)
     beta = _launch_weight(media, terms)
     gamma = _loss_weight(abs(media.eps_d.imag), abs(media.eps_m.imag), terms)
-    return beta / (2.0 * HBAR * EPS0 * sol.omega**2 * gamma)
+    return beta / (2.0 * HBAR * EPS0 * media.omega**2 * gamma)
 
 
 # ---------------------------------------------------------------------------

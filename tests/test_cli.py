@@ -552,6 +552,19 @@ def test_no_subcommand_loads_scipy(tmp_path, argv, modules):
     assert json.loads(own) == modules
 
 
+def test_run_without_config_loads_no_configparser(tmp_path):
+    """Without ``--config`` every key takes its default, and a cold run
+    does not import ``configparser``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD + "print('configparser' in sys.modules)",
+         "--out", str(tmp_path / "out.csv"), "dispersion"],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+        check=True)
+    *_, code, _, _, loaded = proc.stdout.splitlines()
+    assert json.loads(code) == 0, proc.stderr
+    assert loaded == "False"
+
+
 def _modules_after(statement: str) -> tuple[list, list]:
     """``_HEAVY`` modules and slabspp submodules ``statement`` loads, fresh."""
     proc = subprocess.run(

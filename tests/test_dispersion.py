@@ -273,7 +273,7 @@ def test_newton_halves_a_step_that_lands_on_a_branch_point():
         calls.append(k)
         if len(calls) == 2:  # the first full step
             raise ZeroDivisionError("decay constant vanished")
-        return k - root, 1.0, 1.0, 1.0, 1.0
+        return k - root, 1.0, 1.0, 1.0
 
     k, values = dispersion._newton(1.0 + 0.0j, 1.0, system)
     assert calls[1] == root  # the full step from 1 lands on the root
@@ -524,6 +524,42 @@ def test_solver_roots_bit_for_bit():
     assert sum(p["d"] < 12e-9 for p in _solver_points()) >= 10
     for entry in frozen:
         assert _solver_record(entry["input"]) == entry["output"], entry
+
+
+def _evaluations_of_solve(monkeypatch, point):
+    """Residual evaluations one solve at ``point`` makes, and its outcome."""
+    evaluated = []
+    real_system = dispersion._scaled_system
+
+    def counting_system(*args):
+        system = real_system(*args)
+
+        def counted(k):
+            evaluated.append(k)
+            return system(k)
+        return counted
+
+    monkeypatch.setattr(dispersion, "_scaled_system", counting_system)
+    try:
+        outcome = solve_dispersion(*_point_system(point))
+    except DispersionError as exc:
+        outcome = exc
+    return len(evaluated), outcome
+
+
+def test_residual_evaluations_per_solve(monkeypatch):
+    """Pinned counts, so that a change that adds evaluations shows: the
+    default ``field`` mode, and the first stalled refusal of
+    ``solver_roots.json`` (a 3 nm film)."""
+    field_mode = {"parity": "symmetric", "n_real": 0.9726, "n_imag": -0.063,
+                  "omega": OMEGA, "d": GEOM.d}
+    count, sol = _evaluations_of_solve(monkeypatch, field_mode)
+    assert count == 6 and sol.residual <= 1e-10
+    stalled = _solver_points()[34]
+    count, exc = _evaluations_of_solve(monkeypatch, stalled)
+    assert count == 25
+    assert isinstance(exc, dispersion.NonConvergence)
+    assert "iteration stalled" in str(exc)
 
 
 def regenerate_solver_roots() -> None:

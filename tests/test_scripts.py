@@ -31,7 +31,8 @@ def test_scan_ab_tree_against_itself_is_identical():
          "--points", "300"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "\nidentical: (k_spp, d_value, ccr) at " in proc.stdout
+    assert ("\nidentical: (k_spp, nu0, num, amplitude, residual, d_value, "
+            "ccr) at ") in proc.stdout
     assert "speedup (old time / new time): median " in proc.stdout
 
 
@@ -44,3 +45,17 @@ def test_verify_ab_tree_against_itself_is_identical():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "\nidentical: 420 check records, on every round\n" in proc.stdout
     assert "speedup (old time / new time): median " in proc.stdout
+
+
+def test_sweep_ab_tree_against_itself_is_identical():
+    src = str(Path(slabspp.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sweep_ab.py"), src, src,
+         "--rounds", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "\nidentical: 1446 rows and 30 crossings, on every round\n" \
+        in proc.stdout
+    for kind in ("gain", "dispersion"):
+        assert f"\n{kind} speedup (old time / new time): median " \
+            in proc.stdout
