@@ -113,9 +113,16 @@ class SlabGeometry(NamedTuple("SlabGeometry", [("d", float)])):
 
 
 def _decaying_sqrt(z: complex) -> complex:
-    """Square root on the branch with Re >= 0, ties broken toward Im >= 0."""
+    """Square root on the branch with Re >= 0, ties broken toward Im >= 0.
+
+    ``cmath.sqrt`` is the principal root, whose real part is never negative
+    (it is ``+0.0``, positive or NaN), so only the tie rule is left to
+    apply: a root on the imaginary axis with ``Im < 0`` is negated.  The
+    residual closure of :func:`_scaled_system` applies the same rule inline
+    on its two decay constants; this function serves the seeds.
+    """
     r = cmath.sqrt(z)
-    if r.real < 0.0 or (r.real == 0.0 and r.imag < 0.0):
+    if r.real == 0.0 and r.imag < 0.0:
         r = -r
     return r
 
@@ -138,11 +145,16 @@ def _scaled_system(d: float, media: MediumSet, pm: int):
 
     Returns ``system(k) -> (F, dF/dk, nu0, num)``, with the decay constants
     ``nu0 = sqrt(k**2 - eps_d*k0**2)`` and ``num = sqrt(k**2 - eps_m*k0**2)``
-    on the decaying branch, :func:`_decaying_sqrt`.  ``F``'s natural scale
+    on the decaying branch of :func:`_decaying_sqrt`.  That function's one
+    test, the tie rule ``Re == 0 and Im < 0 -> negate``, is written inline
+    on each decay constant, after a ``cmath.sqrt`` bound to a local: the
+    same operation on the same operand, so the same bits, without two
+    Python calls per evaluation.  ``F``'s natural scale
     ``|eps_d*num| + |eps_m*nu0|`` is not formed here: only the accepted
     root needs it, and :func:`solve_dispersion` forms it there from the same
     operands.  ``system`` raises ``ZeroDivisionError`` where a decay
-    constant vanishes.
+    constant vanishes, tested as ``not nu0 or not num``: a complex is
+    false exactly where it ``== 0`` (signed zeros included, NaN excluded).
 
     Antisymmetric (pm=-1): F = tanh(num*d/2)*eps_d*num + eps_m*nu0
     Symmetric     (pm=+1): F = tanh(num*d/2)*eps_m*nu0 + eps_d*num
@@ -167,14 +179,21 @@ def _scaled_system(d: float, media: MediumSet, pm: int):
     eps_d_k0sq = eps_d * k0sq
     eps_m_k0sq = eps_m * k0sq
     half_d = d / 2.0
+    sqrt = cmath.sqrt
+    tanh = cmath.tanh
 
     def system(k: complex):
         kk = k * k
-        nu0 = _decaying_sqrt(kk - eps_d_k0sq)
-        num = _decaying_sqrt(kk - eps_m_k0sq)
-        if nu0 == 0 or num == 0:
+        # the decaying branch, as _decaying_sqrt applies it
+        nu0 = sqrt(kk - eps_d_k0sq)
+        if nu0.real == 0.0 and nu0.imag < 0.0:
+            nu0 = -nu0
+        num = sqrt(kk - eps_m_k0sq)
+        if num.real == 0.0 and num.imag < 0.0:
+            num = -num
+        if not nu0 or not num:
             raise ZeroDivisionError("decay constant vanished during iteration")
-        t = cmath.tanh(num * half_d)
+        t = tanh(num * half_d)
         k_num = k / num
         k_nu0 = k / nu0
         # d(tanh(num*d/2))/dk = (1 - t**2) * (d/2) * k/num
@@ -215,7 +234,7 @@ def _newton(k: complex, d: float,
     tol = _TOL
     tol_floor = tol * (1.0 / d)
     for _ in range(_MAX_NEWTON):
-        if df == 0:
+        if not df:
             return None
         step = -f / df
         lam = 1.0

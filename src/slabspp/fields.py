@@ -149,18 +149,43 @@ def _field_prefactor(sol: ModeSolution) -> complex:
     return 1j * dval * cmath.sqrt(complex(beta / (2.0 * ki)))
 
 
-def _finite_row(row: list[complex], x: float, what: str) -> list[complex]:
-    """``row``, unless the modulus of a sample at ``x`` is not finite.
+def _all_finite(row: list[complex]) -> bool:
+    """Whether the modulus of every sample of ``row`` is finite.
 
     A sample with finite parts can still have a modulus beyond the float
     range, for which ``abs`` raises instead of returning inf.
     """
     try:
-        if all(math.isfinite(abs(v)) for v in row):
-            return row
+        return all(math.isfinite(abs(v)) for v in row)
     except OverflowError:
-        pass
+        return False
+
+
+def _finite_row(row: list[complex], x: float, what: str) -> list[complex]:
+    """``row``, unless the modulus of a sample at ``x`` is not finite."""
+    if _all_finite(row):
+        return row
     raise FieldOverflowError(f"{what} overflows at x = {x!r} m")
+
+
+def _rescaled_row(ikx: complex, pref: complex,
+                  zprof: list[complex]) -> list[complex]:
+    """The samples ``pref*p*e^{ikx}``, each formed as ``e^{ikx + log(pref*p)}``.
+
+    An amplified mode's ``e^{ikx}`` (or its product with ``p``) can leave
+    the float range where the sample, scaled back down by a small
+    ``pref``, is still inside it; this order never forms the large factor
+    alone.  A zero ``pref*p`` gives a zero sample.  Raises
+    ``OverflowError`` where a sample itself is beyond the float range (and
+    ``ValueError`` where ``cmath`` meets an infinite argument).
+    """
+    exp = cmath.exp
+    log = cmath.log
+    row = []
+    for p in zprof:
+        c = pref * p
+        row.append(exp(ikx + log(c)) if c else c)
+    return row
 
 
 def h_field_mean(sol: ModeSolution, state: SppState,
@@ -169,9 +194,12 @@ def h_field_mean(sol: ModeSolution, state: SppState,
 
     ``grid`` is an ``(xs, zs)`` pair of 1-D float sequences (defaults to
     :func:`default_grid`).  The x dependence is a single exponential, so
-    |H| is monotone along x at fixed z.  Raises :class:`FieldOverflowError`,
-    naming the state and the first x that overflows, instead of returning
-    infinite or NaN samples.
+    |H| is monotone along x at fixed z.  Each sample is ``pref*(e^{ikx}*p)``;
+    a row in which that order overflows is formed again by
+    :func:`_rescaled_row`, so it fails only where a sample itself leaves
+    the float range.  Raises :class:`FieldOverflowError`, naming the state
+    and the first x that overflows, instead of returning infinite or NaN
+    samples.
     """
     if grid is None:
         grid = default_grid(sol)
@@ -186,13 +214,22 @@ def h_field_mean(sol: ModeSolution, state: SppState,
     zprof = [h_field_operator_bracket(sol, z) for z in zs]
     rows = []
     for x in xs:
+        ikx = ik * x
         try:
-            phase = cmath.exp(ik * x)
+            phase = cmath.exp(ikx)
         except OverflowError:
-            raise FieldOverflowError(f"{what} overflows at x = {x!r} m"
-                                     ) from None
-        # a finite phase can still overflow the product, which is not raised
-        rows.append(_finite_row([pref * (phase * p) for p in zprof], x, what))
+            row = None
+        else:
+            # a finite phase can still overflow the product, which is not
+            # raised
+            row = [pref * (phase * p) for p in zprof]
+        if row is None or not _all_finite(row):
+            try:
+                row = _finite_row(_rescaled_row(ikx, pref, zprof), x, what)
+            except (OverflowError, ValueError):  # cmath's, or _finite_row's
+                raise FieldOverflowError(
+                    f"{what} overflows at x = {x!r} m") from None
+        rows.append(row)
     return FieldSamples(xs=xs, zs=zs, rows=rows)
 
 

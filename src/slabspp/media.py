@@ -88,7 +88,7 @@ class MediumSet(NamedTuple("MediumSet", [("omega", float), ("eps_d", complex),
     def __new__(cls, omega: float, eps_d: complex, eps_m: complex):
         if not omega > 0.0:
             raise ValueError(f"omega must be positive, got {omega!r}")
-        return super().__new__(cls, omega, eps_d, eps_m)
+        return tuple.__new__(cls, (omega, eps_d, eps_m))
 
     @property
     def k0(self) -> float:
@@ -125,6 +125,6 @@ def make_medium_set(metal: DrudeMetalSpec, dielectric: DielectricSpec,
     """
     eps_m = drude_epsilon(metal, omega)
     eps_d = dielectric_epsilon(dielectric)
-    if eps_m == 0 or eps_d == 0:
+    if not eps_m or not eps_d:
         raise ValueError("permittivities must be non-zero")
     return MediumSet(omega, eps_d, eps_m)

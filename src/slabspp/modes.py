@@ -112,9 +112,11 @@ def normalization(sol: ModeSolution) -> complex:
     a2 = sol.amplitude * sol.amplitude
     eps_d = sol.media.eps_d
     eps_m = sol.media.eps_m
-    cladding = (eps_d / nu0) * (1.0 + k * k / (nu0 * nu0))
-    direct = (1.0 + k * k / (num * num)) * (1.0 - cmath.exp(-2.0 * num * d)) / num
-    cross = 2.0 * pm * d * (1.0 - k * k / (num * num)) * cmath.exp(-num * d)
+    kk = k * k
+    cladding = (eps_d / nu0) * (1.0 + kk / (nu0 * nu0))
+    kk_num2 = kk / (num * num)
+    direct = (1.0 + kk_num2) * (1.0 - cmath.exp(-2.0 * num * d)) / num
+    cross = 2.0 * pm * d * (1.0 - kk_num2) * cmath.exp(-num * d)
     return cladding + eps_m * a2 * (direct + cross)
 
 

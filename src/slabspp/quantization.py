@@ -60,15 +60,18 @@ def overlap_terms(sol: ModeSolution) -> tuple[float, float]:
     These are the only two geometric quantities entering beta_prime and
     gamma_prime; sharing a single code path makes their ratio exact.
     """
+    nu0 = sol.nu0
+    num = sol.num
     k2 = abs(sol.k_spp) ** 2
-    a0 = sol.nu0.real
-    am = sol.num.real
-    bm = sol.num.imag
+    a0 = nu0.real
+    am = num.real
+    bm = num.imag
     d = sol.geom.d
-    t_clad = (1.0 + k2 / abs(sol.nu0) ** 2) / a0
+    t_clad = (1.0 + k2 / abs(nu0) ** 2) / a0
     amp2 = abs(sol.amplitude) ** 2
-    direct = (1.0 + k2 / abs(sol.num) ** 2) * (-math.expm1(-2.0 * am * d)) / am
-    cross = (sol.parity.pm * (1.0 - k2 / abs(sol.num) ** 2)
+    k2_num2 = k2 / abs(num) ** 2
+    direct = (1.0 + k2_num2) * (-math.expm1(-2.0 * am * d)) / am
+    cross = (sol.parity.pm * (1.0 - k2_num2)
              * 2.0 * d * math.exp(-am * d) * _sinc(bm * d))
     t_film = amp2 * (direct + cross)
     return t_clad, t_film

@@ -28,10 +28,12 @@ from slabspp import (
     DrudeMetalSpec,
     MediumSet,
     SlabGeometry,
+    beta_prime,
     ccr_check,
     dielectric_epsilon,
     dispersion_sweep,
     gain_sweep,
+    gamma_prime,
     green_coefficient,
     make_medium_set,
     parity_from_name,
@@ -354,6 +356,9 @@ def test_gain_sweep_solve_count(monkeypatch):
 MULLER_POINT = {"parity": "symmetric", "n_real": 2.239514158245674,
                 "n_imag": 0.10237423201714438, "omega": 8213894388051735.0,
                 "d": 7.41448047205626e-07}
+# residual evaluations and refusals of the 500 solves of _box_sample(500)
+BOX_EVALUATIONS = 3628
+BOX_REFUSED = 34
 # a point of the benchmark's scan pool where every seed fails both methods
 NO_ROOT_POINT = {"parity": "symmetric", "n_real": 1.8661914523852046,
                  "n_imag": -0.11638233679455903, "omega": 8338336064035265.0,
@@ -437,6 +442,46 @@ def test_seed_on_a_branch_point_moves_on_to_the_next_seed(parity):
                           ref.residual)]
 
 
+_LOSSLESS = MediumSet(OMEGA, complex(2.25, 0.0), complex(-20.0, 0.0))
+_INSIDE_LIGHT_CONE = 0.5 * _LOSSLESS.k0  # nu0's radicand is a negative real
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("media, k", [
+    (_LOSSLESS, complex(_INSIDE_LIGHT_CONE, 0.0)),
+    (_LOSSLESS, complex(_INSIDE_LIGHT_CONE, -0.0)),
+    (_LOSSLESS, complex(-_INSIDE_LIGHT_CONE, 0.0)),
+    (MediumSet(OMEGA, complex(_INF, 1.0), complex(-_INF, -1.0)), 1 + 0j),
+    (MediumSet(OMEGA, complex(_NAN, 0.0), complex(0.0, _NAN)), 1 + 0j),
+    (_LOSSLESS, complex(-1e-200, 1e200)),  # radicands -inf - 2j
+    (_LOSSLESS, complex(0.0, _INF)),
+    (_LOSSLESS, complex(_INF, _INF)),
+    (_LOSSLESS, complex(_NAN, 0.0)),
+], ids=["-re+0j", "-re-0j", "-k", "inf", "nan", "-inf-2j", "k-inf",
+        "k-inf-inf", "k-nan"])
+def test_closure_decay_constants_are_decaying_sqrt(media, k):
+    """The residual closure writes the decaying-branch rule inline; on tie
+    and non-finite radicands its ``nu0``, ``num`` are :func:`_decaying_sqrt`
+    bit for bit, and ``cmath.sqrt`` never gives a negative real part (the
+    test that :func:`_decaying_sqrt` no longer makes)."""
+    system = dispersion._scaled_system(GEOM.d, media, SYMMETRIC.pm)
+    kk = k * k
+    k0sq = media.k0 * media.k0
+    for got, eps in zip(system(k)[2:], (media.eps_d, media.eps_m)):
+        z = kk - eps * k0sq
+        assert not cmath.sqrt(z).real < 0.0
+        assert repr(got) == repr(dispersion._decaying_sqrt(z))
+
+
+def test_closure_breaks_the_tie_toward_positive_imaginary_part():
+    """Both signed zeros of a negative-real radicand give ``Im nu0 > 0``."""
+    system = dispersion._scaled_system(GEOM.d, _LOSSLESS, SYMMETRIC.pm)
+    plus = system(complex(_INSIDE_LIGHT_CONE, 0.0))[2]
+    minus = system(complex(_INSIDE_LIGHT_CONE, -0.0))[2]
+    assert plus.real == minus.real == 0.0
+    assert plus.imag == minus.imag > 0.0
+
+
 def test_gain_sweep_without_crossing():
     kappas = np.linspace(-0.08, -0.05, 7)
     result = gain_sweep((SYMMETRIC,), GEOM, METAL, 0.9726, kappas, OMEGA)
@@ -481,17 +526,26 @@ def _solver_points():
     the parity, and last :data:`MULLER_POINT` and :data:`NO_ROOT_POINT`.
     """
     rng = random.Random(13)
-    points = []
-    for i in range(80):
-        d_max = 3e-6 if i < 68 else 12e-9
-        points.append({
-            "parity": ("symmetric", "antisymmetric")[i % 2],
-            "n_real": rng.uniform(0.9, 2.5),
-            "n_imag": rng.uniform(-0.15, 0.15),
-            "omega": rng.uniform(1e15, 9e15),
-            "d": 10.0 ** rng.uniform(math.log10(3e-9), math.log10(d_max)),
-        })
+    points = [_box_point(rng, i, 3e-6 if i < 68 else 12e-9) for i in range(80)]
     return points + [MULLER_POINT, NO_ROOT_POINT]
+
+
+def _box_point(rng, i, d_max=3e-6):
+    """Point ``i`` of a draw over the scan box, the parity alternating."""
+    return {
+        "parity": ("symmetric", "antisymmetric")[i % 2],
+        "n_real": rng.uniform(0.9, 2.5),
+        "n_imag": rng.uniform(-0.15, 0.15),
+        "omega": rng.uniform(1e15, 9e15),
+        "d": 10.0 ** rng.uniform(math.log10(3e-9), math.log10(d_max)),
+    }
+
+
+def _box_sample(n):
+    """The first ``n`` points of one fixed draw, ``random.Random(17)``,
+    over the whole scan box."""
+    rng = random.Random(17)
+    return [_box_point(rng, i) for i in range(n)]
 
 
 def _solver_record(point):
@@ -526,8 +580,9 @@ def test_solver_roots_bit_for_bit():
         assert _solver_record(entry["input"]) == entry["output"], entry
 
 
-def _evaluations_of_solve(monkeypatch, point):
-    """Residual evaluations one solve at ``point`` makes, and its outcome."""
+def _counted_evaluations(monkeypatch):
+    """Count the solver's residual evaluations from here on: returns the
+    list that each evaluated ``k`` is appended to."""
     evaluated = []
     real_system = dispersion._scaled_system
 
@@ -540,6 +595,12 @@ def _evaluations_of_solve(monkeypatch, point):
         return counted
 
     monkeypatch.setattr(dispersion, "_scaled_system", counting_system)
+    return evaluated
+
+
+def _evaluations_of_solve(monkeypatch, point):
+    """Residual evaluations one solve at ``point`` makes, and its outcome."""
+    evaluated = _counted_evaluations(monkeypatch)
     try:
         outcome = solve_dispersion(*_point_system(point))
     except DispersionError as exc:
@@ -560,6 +621,63 @@ def test_residual_evaluations_per_solve(monkeypatch):
     assert count == 25
     assert isinstance(exc, dispersion.NonConvergence)
     assert "iteration stalled" in str(exc)
+
+
+def test_residual_evaluations_over_the_scan_box(monkeypatch):
+    """The residual evaluations of 500 solves over the scan box, pinned.
+
+    A change that makes each evaluation cheaper leaves this count as it
+    is; a change that adds or saves evaluations (ROADMAP item 1a, say)
+    moves it, and states in CHANGES.md by how much.  No timing is read.
+    """
+    evaluated = _counted_evaluations(monkeypatch)
+    refused = 0
+    for point in _box_sample(500):
+        try:
+            solve_dispersion(*_point_system(point))
+        except DispersionError:
+            refused += 1
+    assert (len(evaluated), refused) == (BOX_EVALUATIONS, BOX_REFUSED)
+
+
+def _mode_record(parity, geom, media):
+    """The scan's numbers of one system, or the class of its refusal."""
+    try:
+        sol = solve_dispersion(parity, geom, media)
+        return (sol.k_spp, sol.nu0, sol.num, sol.amplitude,
+                green_coefficient(sol).d_value, sol.residual,
+                beta_prime(sol), ccr_check(sol), gamma_prime(sol))
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_gain_loss_mirror_on_the_scan_box():
+    """Conjugating both permittivities trades gain for loss exactly.
+
+    On 2000 points of the scan box, the system with ``conj(eps_d)`` and
+    ``conj(eps_m)`` (built directly: its metal has gain) has the conjugate
+    ``k_spp``, ``nu0``, ``num``, ``amplitude`` and ``d_value``, the same
+    ``residual``, ``beta_prime`` and ``ccr_check`` and the negated
+    ``gamma_prime``, bit for bit, and is refused where the original is,
+    with the same class.
+    """
+    mismatched = []
+    refused = 0
+    for point in _box_sample(2000):
+        parity, geom, media = _point_system(point)
+        mirror = MediumSet(media.omega, media.eps_d.conjugate(),
+                           media.eps_m.conjugate())
+        record = _mode_record(parity, geom, media)
+        if isinstance(record, type):
+            expected = record
+            refused += 1
+        else:
+            expected = (*(v.conjugate() for v in record[:5]), *record[5:8],
+                        -record[8])
+        if repr(_mode_record(parity, geom, mirror)) != repr(expected):
+            mismatched.append(point)
+    assert not mismatched, mismatched[:3]
+    assert 0 < refused < 400  # both outcomes are exercised
 
 
 def regenerate_solver_roots() -> None:

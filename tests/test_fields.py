@@ -24,6 +24,7 @@ from slabspp import (
     solve_dispersion,
 )
 from slabspp.cli import load_config, main
+from slabspp.fields import _field_prefactor
 
 METAL = DrudeMetalSpec(14.02e15, 6.25e13)
 GEOM = SlabGeometry(60e-9)
@@ -175,6 +176,23 @@ def test_overflowing_samples_raise():
     assert abs(h_field_mean(sol, squeezed, grid=grid).rows[0][0]) < 1.6e308
     with pytest.raises(FieldOverflowError, match="minus squeezed"):
         compare_states(sol, SppState(alpha_mag=alpha), squeezed, grid=grid)
+
+
+@pytest.mark.parametrize("parity", [SYMMETRIC, ANTISYMMETRIC])
+def test_sample_inside_float_range_past_overflowing_phase(parity):
+    """At Im(k)*x = 700, |e^{ikx}*p| ~ 1e311 but |H| ~ 1e297: a finite
+    sample, returned to within 1e-12 of |pref|*|p|*e^{|Im k|*x}."""
+    sol = _amplified(parity)
+    ki = abs(sol.k_spp.imag)
+    x = 700.0 / ki
+    zs = [0.0, GEOM.d]
+    row = h_field_mean(sol, SppState(alpha_mag=1.0), grid=([x], zs)).rows[0]
+    pref = abs(_field_prefactor(sol))
+    for z, v in zip(zs, row):
+        p = h_field_operator_bracket(sol, z)
+        assert not math.isfinite(abs(cmath.exp(1j * sol.k_spp * x) * p))
+        expected = pref * abs(p) * math.exp(ki * x)
+        assert abs(abs(v) - expected) <= 1e-12 * expected
 
 
 def test_compare_states_is_pointwise_difference():
