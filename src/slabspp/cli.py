@@ -281,11 +281,21 @@ def _atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
+def _text(cell: str) -> str:
+    """A text cell of a CSV row: a ``,`` inside it becomes ``;``."""
+    return cell.replace(",", ";")
+
+
 def _write_csv(path, meta_lines, header, rows, trailer_lines=()):
-    """Write the CSV; a ``,`` inside a header or row cell becomes ``;``."""
+    """Write the CSV: ``header`` is its column names, each of ``rows`` one
+    formatted line.
+
+    A writer formats each row with one ``%``-format, numeric cells as
+    ``%.17g`` and text cells through :func:`_text`.
+    """
     parts = [f"# {line}" for line in meta_lines]
-    parts.extend(",".join(cell.replace(",", ";") for cell in row)
-                 for row in [header, *rows])
+    parts.append(",".join(header))
+    parts.extend(rows)
     parts.extend(f"# {line}" for line in trailer_lines)
     _atomic_write(path, "\n".join(parts) + "\n")
 
@@ -314,17 +324,15 @@ def _cmd_dispersion(cfg, out_path) -> int:
     for row in rows:
         if row.solution is None:
             failures += 1
-            rows_out.append([_g(row.x), row.parity.name] + ["nan"] * 7
-                            + [f"error: {row.error}"])
+            rows_out.append("%.17g,%s,nan,nan,nan,nan,nan,nan,nan,%s" % (
+                row.x, _text(row.parity.name), _text(f"error: {row.error}")))
             continue
         s = row.solution
-        rows_out.append([
-            _g(row.x), row.parity.name,
-            _g(s.k_spp.real), _g(s.k_spp.imag),
-            _g(s.nu0.real), _g(s.nu0.imag),
-            _g(s.num.real), _g(s.num.imag),
-            _g(s.residual), s.regime,
-        ])
+        rows_out.append(
+            "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s" % (
+                row.x, _text(row.parity.name), s.k_spp.real, s.k_spp.imag,
+                s.nu0.real, s.nu0.imag, s.num.real, s.num.imag, s.residual,
+                _text(s.regime)))
     meta = ["slabspp dispersion sweep"] + _media_meta(cfg) + [
         f"omega grid: {_g(sec['omega_min'])} .. {_g(sec['omega_max'])} rad/s, "
         f"{sec['omega_points']} points"]
@@ -346,12 +354,13 @@ def _cmd_gain_sweep(cfg, out_path) -> int:
     for row in result.rows:
         if row.solution is None:
             failures += 1
-            rows_out.append([_g(row.x), row.parity.name, "nan", "nan",
-                             f"error: {row.error}"])
+            rows_out.append("%.17g,%s,nan,nan,%s" % (
+                row.x, _text(row.parity.name), _text(f"error: {row.error}")))
             continue
         s = row.solution
-        rows_out.append([_g(row.x), row.parity.name, _g(s.k_spp.real),
-                         _g(s.k_spp.imag), s.regime])
+        rows_out.append("%.17g,%s,%.17g,%.17g,%s" % (
+            row.x, _text(row.parity.name), s.k_spp.real, s.k_spp.imag,
+            _text(s.regime)))
     trailer = [f"continuation: kappa from {_g(kappas[0])} to {_g(kappas[-1])}"]
     for parity in sec["parities"]:
         crossing = result.crossings.get(parity.name)
@@ -393,7 +402,7 @@ def _cmd_field(cfg, out_path, compare: bool) -> int:
     else:
         samples = h_field_mean(sol, state, grid=grid)
         described = state.describe()
-    rows = [[_g(x), _g(z), _g(v.real), _g(v.imag), _g(abs(v))]
+    rows = ["%.17g,%.17g,%.17g,%.17g,%.17g" % (x, z, v.real, v.imag, abs(v))
             for x, row in zip(samples.xs, samples.rows)
             for z, v in zip(samples.zs, row)]
     meta = (["slabspp mean magnetic field"
@@ -418,8 +427,9 @@ def _cmd_verify(cfg, out_path) -> int:
     rows = []
     for r in records:
         status = "pass" if r.passed else "FAIL"
-        rows.append([r.check, r.parity, _g(r.omega), _g(r.value),
-                     _g(r.tolerance), status, r.note])
+        rows.append("%s,%s,%.17g,%.17g,%.17g,%s,%s" % (
+            _text(r.check), _text(r.parity), r.omega, r.value, r.tolerance,
+            status, _text(r.note)))
         print(f"{r.check:28s} {r.parity:13s} {_g(r.value):>24s} "
               f"(tol {r.tolerance:g}) {status}")
     all_pass = all(r.passed for r in records)

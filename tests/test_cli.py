@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import slabspp
+from slabspp import cli
 from slabspp.cli import (ConfigError, _build_parser, dump_config, load_config,
                          main)
 
@@ -313,6 +314,17 @@ def test_gain_sweep_at_omega_p_refuses_every_row(tmp_path, capsys):
     assert out.read_text().splitlines()[-2:] == [
         "# crossing symmetric: none in grid",
         "# crossing antisymmetric: none in grid"]
+
+
+def test_csv_comma_rule_applies_to_text_cells_only(tmp_path):
+    """A ``,`` in a text cell becomes ``;``; metadata lines keep theirs."""
+    out = tmp_path / "t.csv"
+    cli._write_csv(str(out), ["seeds [1, 2]"], ["x", "note"],
+                   ["%.17g,%s" % (0.1, cli._text("error: seeds [1, 2]"))],
+                   ["crossing a, b"])
+    assert out.read_text() == ("# seeds [1, 2]\nx,note\n"
+                               "0.10000000000000001,error: seeds [1; 2]\n"
+                               "# crossing a, b\n")
 
 
 @pytest.mark.parametrize("command", ["field", "verify"])
