@@ -17,13 +17,17 @@ round, so the host's drift falls on both alike.
 Prints each copy's median time per config, the median speedup (old time
 over new time, per round) with its quartiles, and whether every
 ``CheckRecord`` is identical by ``repr`` between the copies and across
-rounds.  Exits 1 if one is not.
+rounds.  Exits 1 if one is not.  When the copies differ, a table per check
+follows: how many records changed (a record is a config's check of one
+parity), the worst value of the check on each side (``nan`` if a record
+of it was refused or missing) and the records whose pass/FAIL status flipped.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import statistics
 import sys
 import tempfile
@@ -49,6 +53,42 @@ def _run(side, configs) -> list:
     """Every check record of one pass over ``configs``."""
     return [r for media, geom in configs
             for r in side.verify.run_checks(media, geom, THICK_D)]
+
+
+def _worst(values) -> float:
+    """The largest value; NaN if there is none or one is NaN (refused)."""
+    return (math.nan if not values or any(map(math.isnan, values))
+            else max(values))
+
+
+def _check_table(old_configs, new_configs) -> list[str]:
+    """Per check: changed records, the worst value of each side, flips.
+
+    Each argument holds one list of records per config.  Records are
+    paired by config, check and parity; one present on a single side (a
+    refused solve replaces a parity's checks) counts as changed.
+    """
+    sides = [{(i, r.check, r.parity): r
+              for i, records in enumerate(configs) for r in records}
+             for configs in (old_configs, new_configs)]
+    keys = list(dict.fromkeys([*sides[0], *sides[1]]))
+    lines = [f"  {'check':28s} {'changed':>9s} {'worst old':>24s} "
+             f"{'worst new':>24s}  flips"]
+    for check in dict.fromkeys(key[1] for key in keys):
+        pairs = [(sides[0].get(key), sides[1].get(key))
+                 for key in keys if key[1] == check]
+        changed = sum(repr(a) != repr(b) for a, b in pairs)
+        worst = [_worst([r.value for r in side if r is not None])
+                 for side in zip(*pairs)]
+        flips = [f"{'pass' if a.passed else 'FAIL'}->"
+                 f"{'pass' if b.passed else 'FAIL'}"
+                 for a, b in pairs
+                 if a is not None and b is not None and a.passed != b.passed]
+        flip_text = ", ".join(f"{flips.count(f)} {f}"
+                              for f in dict.fromkeys(flips)) or "none"
+        lines.append(f"  {check:28s} {changed:4d}/{len(pairs):<4d} "
+                     f"{worst[0]:24.17g} {worst[1]:24.17g}  {flip_text}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -79,8 +119,11 @@ def main(argv=None) -> int:
             side.verify = importlib.import_module(f"{side.label}.verify")
         configs = [_configs(side, phases) for side in sides]
 
-        first = [list(map(repr, _run(side, cfgs)))
-                 for side, cfgs in zip(sides, configs)]
+        checked = [[side.verify.run_checks(media, geom, THICK_D)
+                    for media, geom in cfgs]
+                   for side, cfgs in zip(sides, configs)]
+        first = [[repr(r) for records in side for r in records]
+                 for side in checked]
         per_config = ([], [])
         speedups = []
         unstable = False
@@ -111,6 +154,7 @@ def main(argv=None) -> int:
     i, old, new = differ[0]
     print(f"DIFFERENT: {len(differ)} of {len(first[0])} check records; "
           f"first, record {i}:\n  old {old}\n  new {new}")
+    print("\n".join(_check_table(*checked)))
     return 1
 
 

@@ -1,6 +1,7 @@
 """Smoke tests for the analysis scripts under ``scripts/``."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,55 @@ def test_verify_ab_tree_against_itself_is_identical():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "\nidentical: 420 check records, on every round\n" in proc.stdout
     assert "speedup (old time / new time): median " in proc.stdout
+
+
+def test_verify_ab_tables_the_checks_of_differing_trees(tmp_path):
+    src = Path(slabspp.__file__).resolve().parents[1]
+    shutil.copytree(src / "slabspp", tmp_path / "slabspp",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    oracles = tmp_path / "slabspp" / "oracles.py"
+    text = oracles.read_text()
+    assert "\n_FD_STEP = 1e-12 " in text
+    # a 100x coarser curl step fails the curl check of every mode
+    oracles.write_text(text.replace("\n_FD_STEP = 1e-12 ",
+                                    "\n_FD_STEP = 1e-10 "))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "verify_ab.py"), str(src),
+         str(tmp_path), "--rounds", "2"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "\nDIFFERENT: 60 of 420 check records; first, record 5:\n" \
+        in proc.stdout
+    rows = {line.split()[0]: line.split()[1:]
+            for line in proc.stdout.splitlines()[-9:]}
+    assert rows.pop("check") == ["changed", "worst", "old", "worst", "new",
+                                 "flips"]
+    curl = rows.pop("curl_consistency")
+    assert curl[0] == "60/60" and curl[3:] == ["60", "pass->FAIL"]
+    assert float(curl[1]) < 1e-6 < float(curl[2])
+    assert len(rows) == 7
+    for check, (changed, old, new, flips) in rows.items():
+        assert changed.startswith("0/") and old == new and flips == "none"
+
+
+def test_verify_box_counts_by_check_and_band():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "verify_box.py"),
+         "--points", "40"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("verify box: first 40 points of the seed-0 "
+                               "pool, both parities, 2e-06 m thick film, ")
+    assert lines[1].split()[1:] == ["<", "0.95", "0.95-1.35", ">", "1.35"]
+    assert lines[2].split()[0] == "points"
+    assert sum(map(int, lines[2].split()[1:])) == 40
+    assert lines[3] == "  check (FAIL / refused)"
+    counts = {line.split()[0]: line.split()[1:] for line in lines[4:]}
+    assert {"ccr_closure", "normalization_quadrature", "curl_consistency",
+            "thick_film_parity_split"} <= set(counts)
+    for cells in counts.values():
+        assert len(cells) == 9 and cells[1::3] == ["/"] * 3
 
 
 def test_sweep_ab_tree_against_itself_is_identical():
