@@ -304,7 +304,10 @@ def test_quadrature_error_raised_for_hopeless_integrand():
 
 # Reference for the scalar integrands: the ndarray bracket and numpy-scalar
 # integrand arithmetic the oracles used before.  The oracles must reproduce
-# it bit for bit, so the verify report cannot drift with the rewrite.
+# it bit for bit, so the verify report cannot drift with the rewrite.  The
+# tails are integrated over the oracles' window in the decay variable.
+
+_TAIL = 40.0
 
 def _ndarray_bracket(sol, z):
     k = sol.k_spp
@@ -346,9 +349,9 @@ def _reference_weighted_abs2(sol, w_d, w_m):
     total = 0.0
     if w_d != 0.0:
         lower = complex_quad(_python(lambda u: dens(u / s) / s, float),
-                             -np.inf, 0.0)
+                             -_TAIL, 0.0)
         upper = complex_quad(_python(lambda u: dens(d + u / s) / s, float),
-                             0.0, np.inf)
+                             0.0, _TAIL)
         total += w_d * (lower + upper)
     if w_m != 0.0:
         total += w_m * complex_quad(_python(dens, float), 0.0, d)
@@ -366,10 +369,10 @@ def _reference_normalization(sol):
         return b[0] * b[0] - b[1] * b[1]
 
     return (eps_d * complex_quad(_python(lambda u: pair(u / s) / s, complex),
-                                 -np.inf, 0.0)
+                                 -_TAIL, 0.0)
             + eps_m * complex_quad(_python(pair, complex), 0.0, d)
             + eps_d * complex_quad(
-                _python(lambda u: pair(d + u / s) / s, complex), 0.0, np.inf))
+                _python(lambda u: pair(d + u / s) / s, complex), 0.0, _TAIL))
 
 
 def _reference_curl_error(sol, z, h=1e-12):
@@ -509,6 +512,46 @@ def test_oracles_match_scipy_quadpack(monkeypatch, omega, d, kappa):
         for name, value in native.items():
             assert value == pytest.approx(reference[name], rel=1e-12,
                                           abs=0), (parity.name, name)
+
+
+# The window against the whole tail: the same integrands, each tail
+# integrated by ``quad`` over its semi-infinite interval (mapped onto (0, 1]
+# with the 15-point rule), at both parities of the benchmark's verify
+# configurations and of their 2 um thick film.  The part the window leaves
+# out is at most exp(-40) of the integrand at the interface.
+
+_THICK_POINTS = [(omega, 2e-6) for omega in dict.fromkeys(
+    omega for omega, _ in _VERIFY_POINTS)]
+
+
+def _tail_oracles(sol):
+    return {
+        "signed_tail": signed_tail_integral(sol.k_spp.imag),
+        "weighted_abs2": weighted_abs2_quadrature(sol),
+        "normalization": normalization_quadrature(sol),
+    }
+
+
+@_CLADDINGS
+@pytest.mark.parametrize("omega, d", _VERIFY_POINTS + _THICK_POINTS,
+                         ids=[f"{w:.2g}-{d * 1e9:.0f}nm"
+                              for w, d in _VERIFY_POINTS + _THICK_POINTS])
+def test_tail_window_matches_semi_infinite_quad(monkeypatch, omega, d,
+                                                 kappa):
+    assert oracles._TAIL == 40.0
+    media = make_medium_set(METAL, DielectricSpec(0.9726, kappa), omega)
+    for parity in PARITIES:
+        sol = solve_dispersion(parity, SlabGeometry(d), media)
+        window = _tail_oracles(sol)
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "_TAIL", math.inf)
+            whole = _tail_oracles(sol)
+        assert whole["weighted_abs2"][1] == window["weighted_abs2"][1]
+        for name in ("signed_tail", "normalization"):
+            assert window[name] == pytest.approx(whole[name], rel=1e-14,
+                                                 abs=0), (parity.name, name)
+        assert window["weighted_abs2"][0] == pytest.approx(
+            whole["weighted_abs2"][0], rel=1e-14, abs=0), parity.name
 
 
 # Reference copies of the ndarray code two oracles ran before they became

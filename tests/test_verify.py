@@ -93,6 +93,21 @@ def test_each_mode_integrates_its_regions_and_x_tail_once(monkeypatch):
     assert len(tail_calls) == len(set(tail_calls)) == 2
 
 
+def test_rule_steps_of_the_default_pass(monkeypatch):
+    """Pinned Gauss-Kronrod steps of one default verify pass, so that a
+    change that adds or saves quadrature work shows; no timing is read."""
+    steps = []
+    kronrod = oracles._kronrod
+
+    def counted(*args):
+        steps.append(args[1:3])
+        return kronrod(*args)
+
+    monkeypatch.setattr(oracles, "_kronrod", counted)
+    assert all(r.passed for r in _default_checks())
+    assert len(steps) == 119
+
+
 def test_failed_region_quadrature_fails_its_three_checks(monkeypatch,
                                                          tmp_path):
     """The quadrature runs once per mode; its error fails all three."""
