@@ -50,9 +50,14 @@ def _configs(side, phases) -> list:
 
 
 def _run(side, configs) -> list:
-    """Every check record of one pass over ``configs``."""
-    return [r for media, geom in configs
-            for r in side.verify.run_checks(media, geom, THICK_D)]
+    """The check records of one pass over ``configs``, a list per config."""
+    return [side.verify.run_checks(media, geom, THICK_D)
+            for media, geom in configs]
+
+
+def _reprs(checked) -> list:
+    """The ``repr`` of every record of a pass, in order."""
+    return [repr(r) for records in checked for r in records]
 
 
 def _worst(values) -> float:
@@ -119,11 +124,8 @@ def main(argv=None) -> int:
             side.verify = importlib.import_module(f"{side.label}.verify")
         configs = [_configs(side, phases) for side in sides]
 
-        checked = [[side.verify.run_checks(media, geom, THICK_D)
-                    for media, geom in cfgs]
-                   for side, cfgs in zip(sides, configs)]
-        first = [[repr(r) for records in side for r in records]
-                 for side in checked]
+        checked = [_run(side, cfgs) for side, cfgs in zip(sides, configs)]
+        first = [_reprs(records) for records in checked]
         per_config = ([], [])
         speedups = []
         unstable = False
@@ -132,7 +134,7 @@ def main(argv=None) -> int:
             for s in ((0, 1) if run % 2 == 0 else (1, 0)):
                 records, elapsed[s] = phases.timed(_run, sides[s], configs[s])
                 per_config[s].append(elapsed[s] / len(configs[s]))
-                unstable = unstable or list(map(repr, records)) != first[s]
+                unstable = unstable or _reprs(records) != first[s]
             speedups.append(elapsed[0] / elapsed[1])
 
     print(f"verify A/B: {len(configs[0])} configs of the benchmark, "

@@ -78,7 +78,8 @@ __all__ = [
 # at the center, its weights, and the weights of the embedded Gauss rule,
 # whose nodes are every second abscissa from the second on.  The 21-point
 # rule (dqk21) integrates finite intervals, the 15-point one (dqk15i) the
-# mapped semi-infinite ones.
+# mapped semi-infinite ones; the oracles' tails are finite windows, so only
+# the tests map a semi-infinite interval.
 _XK21 = (
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
