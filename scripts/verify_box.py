@@ -3,10 +3,10 @@
     python scripts/verify_box.py [--points N]
 
 Runs ``verify.run_checks`` of this checkout's ``src`` at the first ``N``
-points of the benchmark's seed-0 scan pool, built by
-``perfbench/phases.build`` (imported, never edited).  Each point gives its
-film, cladding and frequency; ``run_checks`` checks both parities there, and
-the thick film is the CLI's default 2 um.
+points of the benchmark's seed-0 scan pool (``ab.scan_pool``, from
+``perfbench/phases``, imported, never edited).  Each point gives its film,
+cladding and frequency; ``run_checks`` checks both parities there, at the
+thick film of the default config (2 um).
 
 Prints, per check and per frequency band, how many records FAIL and how
 many were refused.  A refused record holds the error that stopped its check
@@ -21,12 +21,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import tempfile
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-THICK_D = 2e-6  # the CLI's [verify] thick_d
+from ab import ROOT, scan_pool
+
 BANDS = ("< 0.95", "0.95-1.35", "> 1.35")
 
 
@@ -48,12 +46,10 @@ def main(argv=None) -> int:
 
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
     import phases
-    from slabspp import media, verify
+    from slabspp import cli, media, verify
 
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = phases.build(ROOT, 0, phases.Sizes(), Path(tmp))
-    pool = next(p for p in paths if p.name == "scan").points
-    points = pool[:args.points]
+    points = scan_pool(phases)[:args.points]
+    thick_d = cli.load_config()["verify"]["thick_d"]
 
     counted = [0, 0, 0]             # points per band
     fails: dict[str, list] = {}     # check -> [FAILs per band]
@@ -63,7 +59,7 @@ def main(argv=None) -> int:
         medium = media.make_medium_set(phases.METAL, diel, omega)
         band = _band(omega, phases.METAL.omega_p, medium.eps_d)
         counted[band] += 1
-        for r in verify.run_checks(medium, geom, THICK_D):
+        for r in verify.run_checks(medium, geom, thick_d):
             fails.setdefault(r.check, [0, 0, 0])
             refused.setdefault(r.check, [0, 0, 0])
             if r.note:
@@ -73,7 +69,7 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - start
 
     print(f"verify box: first {len(points)} points of the seed-0 pool, both "
-          f"parities, {THICK_D:g} m thick film, {elapsed:.1f} s")
+          f"parities, {thick_d:g} m thick film, {elapsed:.1f} s")
     print(f"  {'omega/omega_sp':28s}"
           + "".join(f"{band:>16s}" for band in BANDS))
     print(f"  {'points':28s}" + "".join(f"{n:16d}" for n in counted))

@@ -130,10 +130,11 @@ def ccr_check(sol: ModeSolution) -> float:
     """Equal-point commutator of the launched mode operator.
 
     Returns beta_prime / (2 hbar eps0 omega^2 gamma_prime) with gamma_prime
-    weighted by |Im eps| instead of signed Im eps; exactly 1 when the two
-    weights are assembled consistently, regardless of loss or gain.  The
-    overlap terms are taken once and weighted by the helpers those two
-    functions use.
+    weighted by |Im eps| instead of signed Im eps.  The overlap terms are
+    taken once and weighted by the helpers those two functions use, by
+    ``2 hbar eps0 omega^2 |Im eps|`` and by ``|Im eps|``, so the ratio is 1
+    by construction, regardless of loss or gain: it tests the rounding of
+    that assembly only, not the overlap terms, the mode or the residue ``D``.
     Raises ``ValueError`` where beta_prime is 0 (transparent media).
     """
     media = sol.media

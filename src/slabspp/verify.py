@@ -105,6 +105,8 @@ def run_checks(media: MediumSet, geom: SlabGeometry,
                                        f"{type(exc).__name__}: {exc}"))
             continue
 
+        # beta'/(2 hbar eps0 omega^2 gamma') with |Im eps| weights is 1 by
+        # construction, so this check tests rounding only
         check("ccr_closure", parity.name, 1e-12,
               lambda: abs(ccr_check(sol) - 1.0))
 

@@ -64,6 +64,8 @@ def _report(number, ok, detail):
 
 
 def test_criterion_1_ccr_closure():
+    """``ccr_check`` divides two weightings of the same two overlap terms,
+    so it is 1 by construction: this criterion tests rounding only."""
     t0 = time.monotonic()
     worst = 0.0
     for omega in (2e15, 3e15, 4e15, 4.8e15, 5.5e15):

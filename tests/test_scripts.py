@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import slabspp
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,30 +27,31 @@ def test_criteria_4_7_analysis_runs():
     assert proc.stdout.count("mode turns amplified at n_imag") == 4
 
 
-def test_scan_ab_tree_against_itself_is_identical():
-    src = str(Path(slabspp.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "scan_ab.py"), src, src,
-         "--points", "300"],
+def _ab(*args):
+    """Run ``scripts/ab.py`` with ``args``; the finished process."""
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab.py"), *map(str, args)],
         capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("mode, rounds, identical, groups", [
+    pytest.param("scan", 1, "18713 points and 1287 refusals", ("scan",),
+                 id="scan"),
+    pytest.param("sweeps", 1, "1446 rows and 30 crossings",
+                 ("gain", "dispersion"), id="sweeps"),
+    pytest.param("verify", 2, "420 records", ("verify",), id="verify"),
+])
+def test_ab_tree_against_itself_is_identical(mode, rounds, identical, groups):
+    src = Path(slabspp.__file__).resolve().parents[1]
+    proc = _ab(src, src, mode, "--rounds", rounds)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert ("\nidentical: (k_spp, nu0, num, amplitude, residual, d_value, "
-            "ccr) at ") in proc.stdout
-    assert "speedup (old time / new time): median " in proc.stdout
+    assert proc.stdout.endswith(f"\nidentical: {identical}, on every round\n")
+    for group in groups:
+        assert f"\n{group} speedup (old time / new time): median " \
+            in proc.stdout
 
 
-def test_verify_ab_tree_against_itself_is_identical():
-    src = str(Path(slabspp.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "verify_ab.py"), src, src,
-         "--rounds", "2"],
-        capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "\nidentical: 420 check records, on every round\n" in proc.stdout
-    assert "speedup (old time / new time): median " in proc.stdout
-
-
-def test_verify_ab_tables_the_checks_of_differing_trees(tmp_path):
+def test_ab_verify_tables_the_checks_of_differing_trees(tmp_path):
     src = Path(slabspp.__file__).resolve().parents[1]
     shutil.copytree(src / "slabspp", tmp_path / "slabspp",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -58,12 +61,9 @@ def test_verify_ab_tables_the_checks_of_differing_trees(tmp_path):
     # a 100x coarser curl step fails the curl check of every mode
     oracles.write_text(text.replace("\n_FD_STEP = 1e-12 ",
                                     "\n_FD_STEP = 1e-10 "))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "verify_ab.py"), str(src),
-         str(tmp_path), "--rounds", "2"],
-        capture_output=True, text=True, timeout=300)
+    proc = _ab(src, tmp_path, "verify", "--rounds", 2)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "\nDIFFERENT: 60 of 420 check records; first, record 5:\n" \
+    assert "\nDIFFERENT: 60 of 420 entries; first, the verify pass, entry 5:\n" \
         in proc.stdout
     rows = {line.split()[0]: line.split()[1:]
             for line in proc.stdout.splitlines()[-9:]}
@@ -75,6 +75,22 @@ def test_verify_ab_tables_the_checks_of_differing_trees(tmp_path):
     assert len(rows) == 7
     for check, (changed, old, new, flips) in rows.items():
         assert changed.startswith("0/") and old == new and flips == "none"
+
+
+def test_ab_usage_errors_exit_2(tmp_path):
+    src = Path(slabspp.__file__).resolve().parents[1]
+    for args, message in [
+            ((tmp_path, src, "scan"), f"{tmp_path} holds no slabspp package"),
+            ((src, src, "cli"), "argument mode: invalid choice: 'cli' "),
+            ((src, src, "verify", "--rounds", 1),
+             "--rounds 1 gives the verify group fewer than the 2 pairs its "
+             "quartiles need")]:
+        proc = _ab(*args)
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+        *usage, last = proc.stderr.splitlines()
+        assert last.startswith(f"ab.py: error: {message}"), proc.stderr
+        assert usage and all(line.startswith(("usage:", " "))
+                             for line in usage), proc.stderr
 
 
 def test_verify_box_counts_by_check_and_band():
@@ -95,17 +111,3 @@ def test_verify_box_counts_by_check_and_band():
             "thick_film_parity_split"} <= set(counts)
     for cells in counts.values():
         assert len(cells) == 9 and cells[1::3] == ["/"] * 3
-
-
-def test_sweep_ab_tree_against_itself_is_identical():
-    src = str(Path(slabspp.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "sweep_ab.py"), src, src,
-         "--rounds", "1"],
-        capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "\nidentical: 1446 rows and 30 crossings, on every round\n" \
-        in proc.stdout
-    for kind in ("gain", "dispersion"):
-        assert f"\n{kind} speedup (old time / new time): median " \
-            in proc.stdout
