@@ -120,10 +120,13 @@ def _sweep_units(side, phases) -> list:
 
 
 def _sweep_key(group, result) -> list:
-    """Every row's ``k_spp`` or error, then every crossing."""
+    """Every row's numbers, as ``scan`` keys a point, or its error; then
+    every crossing."""
     rows, crossings = (result.rows, result.crossings) if group == "gain" \
         else (result, {})
-    return ([("row", repr(r.solution.k_spp) if r.solution else r.error)
+    return ([("row", ", ".join(map(repr, (s.k_spp, s.nu0, s.num,
+                                          s.amplitude, s.residual)))
+              if (s := r.solution) else r.error)
              for r in rows]
             + [("crossing", f"{name} {c!r}") for name, c in crossings.items()])
 

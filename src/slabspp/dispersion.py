@@ -119,7 +119,8 @@ def _decaying_sqrt(z: complex) -> complex:
     (it is ``+0.0``, positive or NaN), so only the tie rule is left to
     apply: a root on the imaginary axis with ``Im < 0`` is negated.  The
     residual closure of :func:`_scaled_system` applies the same rule inline
-    on its two decay constants; this function serves the seeds.
+    on its two decay constants; this function serves the seeds that
+    :func:`solve_dispersion` builds, the single-interface root included.
     """
     r = cmath.sqrt(z)
     if r.real == 0.0 and r.imag < 0.0:
@@ -237,21 +238,30 @@ def _newton(k: complex, d: float,
         if not df:
             return None
         step = -f / df
-        lam = 1.0
-        for _ in range(8):
-            delta = lam * step
-            k_try = k + delta
-            try:
-                values = system(k_try)
-            except ZeroDivisionError:
-                lam *= 0.5
-                continue
+        # the full step first, as the complex product lam*step at lam = 1,
+        # whose signed zeros can differ from those of step itself
+        delta = 1.0 * step
+        k_try = k + delta
+        try:
+            values = system(k_try)
             abs_try = abs(values[0])
-            if abs_try <= abs_f or abs(delta) <= tol * abs(k_try):
-                break
-            lam *= 0.5
-        else:
-            return None
+            taken = abs_try <= abs_f or abs(delta) <= tol * abs(k_try)
+        except ZeroDivisionError:
+            taken = False
+        if not taken:
+            # then the halved steps, lam = 1/2 ... 1/128
+            for lam in (1/2, 1/4, 1/8, 1/16, 1/32, 1/64, 1/128):
+                delta = lam * step
+                k_try = k + delta
+                try:
+                    values = system(k_try)
+                except ZeroDivisionError:
+                    continue
+                abs_try = abs(values[0])
+                if abs_try <= abs_f or abs(delta) <= tol * abs(k_try):
+                    break
+            else:
+                return None
         k, f, df, abs_f = k_try, values[0], values[1], abs_try
         size = abs(delta)
         if size <= tol_floor or size <= tol * abs(k):
@@ -297,21 +307,6 @@ def _muller(k: complex, system) -> Optional[tuple[complex, tuple]]:
         x0, x1, x2 = x1, x2, x3
         f0, f1, f2 = f1, f2, values[0]
     return None
-
-
-def _seed_list(media: MediumSet, guess: Optional[complex]):
-    """Yield the root seeds in order: guess, single interface, light line."""
-    if guess is not None:
-        yield complex(guess)
-    try:
-        seed = single_interface_root(media)
-    except ValueError:
-        pass
-    else:
-        yield seed
-    # cutoff-hugging seed just outside the cladding light line; the
-    # antisymmetric branch of thin films sits here
-    yield 1.05 * media.k0 * _decaying_sqrt(media.eps_d)
 
 
 class ModeSolution(NamedTuple):
@@ -361,28 +356,41 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
 
     Seeds damped Newton (bounded tanh-form residual, analytic derivative)
     with ``guess`` if given, then the single-interface root, then a
-    light-line-adjacent seed, each generated only when the one before it
-    fails; if Newton fails from all of them, Muller's method tries the same
-    seeds.  One :func:`_scaled_system` serves the whole solve; the
+    light-line-adjacent seed, in that order, written once in the body; each
+    is built only when Newton has failed from every seed before it.  If
+    Newton fails from all of them, Muller's method tries the same seeds, in
+    the same order.  One :func:`_scaled_system` serves the whole solve; the
     residual's scale ``|eps_d*num| + |eps_m*nu0|`` is formed once, at the
     accepted root, not on every evaluation.  Raises
     :class:`NonConvergence` if every seed fails, naming the seeds tried,
     :class:`BranchViolation` if the converged root is not transversely
     bound.
     """
-    if geom.d < D_MIN:
+    d = geom.d
+    if d < D_MIN:
         raise ValueError(
-            f"film thickness {geom.d!r} m below solver floor {D_MIN} m; "
+            f"film thickness {d!r} m below solver floor {D_MIN} m; "
             "the mode pair degenerates as d -> 0"
         )
-    system = _scaled_system(geom.d, media, parity.pm)
+    system = _scaled_system(d, media, parity.pm)
+    # the seeds in order, each built once Newton failed from all before it:
+    # guess, single-interface root, then a cutoff-hugging seed just outside
+    # the cladding light line (where thin films' antisymmetric branch sits)
     seeds = []
     found = None
-    for seed in _seed_list(media, guess):
-        seeds.append(seed)
-        found = _newton(seed, geom.d, system)
-        if found is not None:
-            break
+    if guess is not None:
+        seeds.append(complex(guess))
+        found = _newton(seeds[-1], d, system)
+    if found is None:
+        try:
+            seeds.append(single_interface_root(media))
+        except ValueError:
+            pass
+        else:
+            found = _newton(seeds[-1], d, system)
+    if found is None:
+        seeds.append(1.05 * media.k0 * _decaying_sqrt(media.eps_d))
+        found = _newton(seeds[-1], d, system)
     if found is None:
         for seed in seeds:
             found = _muller(seed, system)
@@ -410,7 +418,7 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
             f"{parity.name} root {root!r} is not transversely bound: "
             f"Re(nu0)={nu0.real!r}, Re(num)={num.real!r}"
         )
-    amp = 1.0 / (1.0 + parity.pm * cmath.exp(-num * geom.d))
+    amp = 1.0 / (1.0 + parity.pm * cmath.exp(-num * d))
     return ModeSolution(parity, root, nu0, num, amp, residual, media, geom)
 
 
@@ -427,25 +435,34 @@ class SweepRow(NamedTuple):
     error: Optional[str] = None
 
 
-def _continuation(parity, xs, media_of, geom):
-    """March a root along grid xs, re-seeding when the branch hops."""
-    rows: list[SweepRow] = []
-    hist_x: list[float] = []
-    hist_k: list[complex] = []
+def _media_grid(xs, media_of) -> list:
+    """Each grid point as ``(x, media, None)``, or ``(x, None, error)``."""
+    grid = []
     for x in xs:
-        # two roots at one x give no slope; seed from the last one alone
-        if len(hist_k) >= 2 and hist_x[-1] != hist_x[-2]:
-            frac = (x - hist_x[-1]) / (hist_x[-1] - hist_x[-2])
-            pred = hist_k[-1] + (hist_k[-1] - hist_k[-2]) * frac
-            trend = abs(hist_k[-1] - hist_k[-2]) * abs(frac)
-        elif hist_k:
-            pred = hist_k[-1]
-            trend = None
-        else:
-            pred = None
-            trend = None
         try:
-            media = media_of(x)
+            grid.append((x, media_of(x), None))
+        except ValueError as exc:
+            grid.append((x, None, f"{type(exc).__name__}: {exc}"))
+    return grid
+
+
+def _continuation(parity, grid, geom):
+    """March a root along :func:`_media_grid`'s grid, re-seeding when the
+    branch hops."""
+    rows: list[SweepRow] = []
+    # the last two solved points, (x1, k1) the newer
+    x1 = x2 = k1 = k2 = None
+    for x, media, error in grid:
+        if error is not None:
+            rows.append(SweepRow(x, parity, None, error))
+            continue
+        # two roots at one x give no slope; seed from the last one alone
+        pred, trend = k1, None
+        if k2 is not None and x1 != x2:
+            frac = (x - x1) / (x1 - x2)
+            pred = k1 + (k1 - k2) * frac
+            trend = abs(k1 - k2) * abs(frac)
+        try:
             sol = solve_dispersion(parity, geom, media, guess=pred)
             if trend is not None:
                 dev = abs(sol.k_spp - pred)
@@ -460,12 +477,11 @@ def _continuation(parity, xs, media_of, geom):
                             sol = alt
                     except ValueError:
                         pass
-            rows.append(SweepRow(x=x, parity=parity, solution=sol))
-            hist_x.append(x)
-            hist_k.append(sol.k_spp)
+            rows.append(SweepRow(x, parity, sol))
+            x2, k2, x1, k1 = x1, k1, x, sol.k_spp
         except ValueError as exc:
-            rows.append(SweepRow(x=x, parity=parity, solution=None,
-                                 error=f"{type(exc).__name__}: {exc}"))
+            rows.append(SweepRow(x, parity, None,
+                                 f"{type(exc).__name__}: {exc}"))
     return rows
 
 
@@ -496,19 +512,17 @@ def dispersion_sweep(parities: Sequence[Parity], geom: SlabGeometry,
     """Trace each parity across a frequency grid.
 
     The media at each frequency are :func:`slabspp.media.make_medium_set` of
-    ``metal`` and ``dielectric``.  Rows that fail to converge carry an error
+    ``metal`` and ``dielectric``, built once and shared by every parity.
+    Rows that fail to converge, or whose media are refused, carry an error
     string instead of aborting the sweep.
     """
     omegas = [float(w) for w in omega_grid]
     if not omegas:
         raise ValueError("omega_grid is empty")
+    grid = _media_grid(omegas, lambda w: make_medium_set(metal, dielectric, w))
     rows: list[SweepRow] = []
     for parity in parities:
-        rows.extend(_continuation(
-            parity, omegas,
-            media_of=lambda w: make_medium_set(metal, dielectric, w),
-            geom=geom,
-        ))
+        rows.extend(_continuation(parity, grid, geom))
     return rows
 
 
@@ -536,7 +550,8 @@ def gain_sweep(parities: Sequence[Parity], geom: SlabGeometry,
     ``kappa_grid`` (negative values pump the claddings).  For every parity
     whose Im(k_spp) changes sign inside the grid, the crossing gain is
     refined by false position (to ~1e-13 relative) and reported in
-    ``crossings``.
+    ``crossings``.  Rows and media are as in :func:`dispersion_sweep`; each
+    false-position iterate builds its own media.
     """
     kappas = [float(k) for k in kappa_grid]
     if not kappas:
@@ -545,10 +560,11 @@ def gain_sweep(parities: Sequence[Parity], geom: SlabGeometry,
     def media_of(kap):
         return make_medium_set(metal, DielectricSpec(n_real, kap), omega)
 
+    grid = _media_grid(kappas, media_of)
     rows: list[SweepRow] = []
     crossings: dict[str, Optional[GainCrossing]] = {}
     for parity in parities:
-        prows = _continuation(parity, kappas, media_of, geom)
+        prows = _continuation(parity, grid, geom)
         rows.extend(prows)
         crossings[parity.name] = _find_crossing(parity, prows, media_of, geom)
     return GainSweepResult(rows=tuple(rows),

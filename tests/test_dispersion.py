@@ -283,6 +283,21 @@ def test_newton_halves_a_step_that_lands_on_a_branch_point():
     assert k == root and values[0] == 0
 
 
+def test_newton_gives_up_after_the_full_step_and_seven_halvings():
+    """A line search where |F| never falls evaluates the seed, then the
+    trial points at lam = 1, 1/2, ..., 1/128, and returns None."""
+    calls = []
+
+    def system(k):
+        calls.append(k)
+        return complex(len(calls), 1.0), 1.0 - 2.0j, 1.0, 1.0
+
+    seed = 1.0 + 1.0j
+    assert dispersion._newton(seed, 1.0, system) is None
+    step = -complex(1, 1.0) / (1.0 - 2.0j)
+    assert calls == [seed] + [seed + 0.5 ** i * step for i in range(8)]
+
+
 def test_sweep_direction_independent():
     omegas = np.linspace(2e15, 6e15, 17)
     fwd = dispersion_sweep((SYMMETRIC,), GEOM, METAL,
@@ -350,6 +365,68 @@ def test_gain_sweep_solve_count(monkeypatch):
     result = gain_sweep(PARITIES, GEOM, METAL, 0.9726, kappas, OMEGA)
     assert all(c is not None for c in result.crossings.values())
     assert len(calls) <= 2 * len(kappas) + 2 * 10
+
+
+def _counted_media_builds(monkeypatch):
+    """Count ``make_medium_set`` calls of the sweeps: returns the list that
+    each call's arguments are appended to."""
+    built = []
+    real_build = dispersion.make_medium_set
+
+    def counting_build(*args):
+        built.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(dispersion, "make_medium_set", counting_build)
+    return built
+
+
+def test_dispersion_sweep_builds_each_frequency_media_once(monkeypatch):
+    """Both parities share the media of each grid frequency."""
+    built = _counted_media_builds(monkeypatch)
+    omegas = np.linspace(2e15, 6e15, 9)
+    rows = dispersion_sweep(PARITIES, GEOM, METAL,
+                            DielectricSpec(0.9726, -0.063), omegas)
+    assert len(rows) == 2 * len(omegas)
+    assert all(row.error is None for row in rows)
+    assert len(built) == len(omegas)
+
+
+def test_gain_sweep_builds_each_gain_media_once(monkeypatch):
+    """Both parities share the media of each grid gain; each false-position
+    iterate of a crossing builds its own."""
+    built = _counted_media_builds(monkeypatch)
+    iterates = []
+    real_find = dispersion._find_crossing
+
+    def counting_find(parity, prows, media_of, geom):
+        def counted(x):
+            iterates.append(x)
+            return media_of(x)
+        return real_find(parity, prows, counted, geom)
+
+    monkeypatch.setattr(dispersion, "_find_crossing", counting_find)
+    kappas = np.linspace(-0.1, 0.0, 41)
+    result = gain_sweep(PARITIES, GEOM, METAL, 0.9726, kappas, OMEGA)
+    assert all(c is not None for c in result.crossings.values())
+    assert iterates
+    assert len(built) == len(kappas) + len(iterates)
+
+
+def test_refused_media_give_each_parity_the_same_error_row():
+    """A grid point whose media are refused is an error row in every
+    parity, and the continuation carries on past it."""
+    omegas = [4.0e15, -1.0, 4.8e15]
+    rows = dispersion_sweep(PARITIES, GEOM, METAL,
+                            DielectricSpec(0.9726, -0.063), omegas)
+    assert [(row.x, row.parity) for row in rows] == [
+        (w, p) for p in PARITIES for w in omegas]
+    for row in rows:
+        if row.x == -1.0:
+            assert row.solution is None
+            assert row.error == "ValueError: omega must be positive, got -1.0"
+        else:
+            assert row.error is None and row.solution.residual <= 1e-10
 
 
 # a point where Newton fails from every seed and Muller converges

@@ -1,6 +1,8 @@
 """The verify pass as a library call, and the CLI report written from it."""
 
 import math
+import random
+from collections import Counter
 
 from slabspp import (DielectricSpec, DrudeMetalSpec, NonConvergence,
                      SlabGeometry, make_medium_set, oracles)
@@ -160,3 +162,56 @@ def test_unsolvable_thick_film_fails_its_two_checks(monkeypatch, tmp_path):
     assert [r.note for r in records[-2:]] == ["NonConvergence: injected"] * 2
     assert all(r.passed for r in records[:-2])
     assert not any(r.passed for r in records[-2:])
+
+
+# FAIL and refused records per check of the verify box draw below: ROADMAP
+# item 8's gate; a change that moves them says so in CHANGES.md
+BOX_COUNTS = {
+    "solve": (0, 3),
+    "ccr_closure": (0, 0),
+    "commutator_same_direction": (0, 0),
+    "commutator_cross_direction": (0, 0),
+    "green_identity": (0, 0),
+    "normalization_quadrature": (0, 0),
+    "curl_consistency": (0, 0),
+    "thick_film_parity_split": (0, 0),
+    "thick_film_single_interface": (0, 0),
+}
+
+
+def _box_below_omega_sp(n, metal):
+    """The first ``n`` systems of one fixed draw, ``random.Random(8)``, over
+    the benchmark's scan box (n_real in [0.9, 2.5], n_imag in [-0.15,
+    0.15], omega in [1e15, 9e15] rad/s, a log-uniform d in [3 nm, 3 um])
+    that lie below 0.95 omega_sp of their own cladding."""
+    rng = random.Random(8)
+    systems = []
+    while len(systems) < n:
+        n_real = rng.uniform(0.9, 2.5)
+        n_imag = rng.uniform(-0.15, 0.15)
+        omega = rng.uniform(1e15, 9e15)
+        d = 10.0 ** rng.uniform(math.log10(3e-9), math.log10(3e-6))
+        media = make_medium_set(metal, DielectricSpec(n_real, n_imag), omega)
+        omega_sp = metal.omega_p / math.sqrt(1.0 + media.eps_d.real)
+        if omega < 0.95 * omega_sp:
+            systems.append((media, SlabGeometry(d)))
+    return systems
+
+
+def test_verify_box_below_the_surface_plasmon_frequency():
+    """The verify pass at 150 scan-box systems below 0.95 omega_sp: the
+    FAIL and refused records of each check, pinned as the draw holds them.
+
+    Today the only ones are solver refusals (ROADMAP item 1a); every other
+    check passes.  The sample is fixed: a change that moves a count changes
+    it here and says why, and never re-draws the sample.
+    """
+    cfg = load_config(None)
+    metal = DrudeMetalSpec(cfg["metal"]["omega_p"], cfg["metal"]["gamma"])
+    fails, refused = Counter(), Counter()
+    for media, geom in _box_below_omega_sp(150, metal):
+        for r in run_checks(media, geom, cfg["verify"]["thick_d"]):
+            refused[r.check] += bool(r.note)
+            fails[r.check] += not r.note and not r.passed
+    assert {check: (fails[check], refused[check])
+            for check in refused} == BOX_COUNTS
