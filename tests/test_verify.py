@@ -164,7 +164,7 @@ def test_unsolvable_thick_film_fails_its_two_checks(monkeypatch, tmp_path):
     assert not any(r.passed for r in records[-2:])
 
 
-# FAIL and refused records per check of the verify box draw below: ROADMAP
+# FAIL and refused records per check of the verify box draws below: ROADMAP
 # item 8's gate; a change that moves them says so in CHANGES.md
 BOX_COUNTS = {
     "solve": (0, 3),
@@ -177,13 +177,25 @@ BOX_COUNTS = {
     "thick_film_parity_split": (0, 0),
     "thick_film_single_interface": (0, 0),
 }
+BOX_COUNTS_ABOVE = {
+    "solve": (0, 36),
+    "ccr_closure": (0, 0),
+    "commutator_same_direction": (0, 0),
+    "commutator_cross_direction": (0, 0),
+    "green_identity": (0, 0),
+    "normalization_quadrature": (0, 2),
+    "curl_consistency": (1, 0),
+    "thick_film_parity_split": (51, 0),
+    "thick_film_single_interface": (52, 0),
+}
 
 
-def _box_below_omega_sp(n, metal):
+def _box_draw(n, metal, below):
     """The first ``n`` systems of one fixed draw, ``random.Random(8)``, over
     the benchmark's scan box (n_real in [0.9, 2.5], n_imag in [-0.15,
     0.15], omega in [1e15, 9e15] rad/s, a log-uniform d in [3 nm, 3 um])
-    that lie below 0.95 omega_sp of their own cladding."""
+    that lie below 0.95 omega_sp of their own cladding (``below``), or at
+    or above it."""
     rng = random.Random(8)
     systems = []
     while len(systems) < n:
@@ -193,9 +205,21 @@ def _box_below_omega_sp(n, metal):
         d = 10.0 ** rng.uniform(math.log10(3e-9), math.log10(3e-6))
         media = make_medium_set(metal, DielectricSpec(n_real, n_imag), omega)
         omega_sp = metal.omega_p / math.sqrt(1.0 + media.eps_d.real)
-        if omega < 0.95 * omega_sp:
+        if (omega < 0.95 * omega_sp) == below:
             systems.append((media, SlabGeometry(d)))
     return systems
+
+
+def _box_counts(n, below):
+    """(FAIL, refused) records per check of the verify pass over a draw."""
+    cfg = load_config(None)
+    metal = DrudeMetalSpec(cfg["metal"]["omega_p"], cfg["metal"]["gamma"])
+    fails, refused = Counter(), Counter()
+    for media, geom in _box_draw(n, metal, below):
+        for r in run_checks(media, geom, cfg["verify"]["thick_d"]):
+            refused[r.check] += bool(r.note)
+            fails[r.check] += not r.note and not r.passed
+    return {check: (fails[check], refused[check]) for check in refused}
 
 
 def test_verify_box_below_the_surface_plasmon_frequency():
@@ -206,12 +230,17 @@ def test_verify_box_below_the_surface_plasmon_frequency():
     check passes.  The sample is fixed: a change that moves a count changes
     it here and says why, and never re-draws the sample.
     """
-    cfg = load_config(None)
-    metal = DrudeMetalSpec(cfg["metal"]["omega_p"], cfg["metal"]["gamma"])
-    fails, refused = Counter(), Counter()
-    for media, geom in _box_below_omega_sp(150, metal):
-        for r in run_checks(media, geom, cfg["verify"]["thick_d"]):
-            refused[r.check] += bool(r.note)
-            fails[r.check] += not r.note and not r.passed
-    assert {check: (fails[check], refused[check])
-            for check in refused} == BOX_COUNTS
+    assert _box_counts(150, below=True) == BOX_COUNTS
+
+
+def test_verify_box_above_the_surface_plasmon_frequency():
+    """The verify pass at the first 100 systems of the same draw at or above
+    0.95 omega_sp, pinned as the draw holds them.
+
+    The thick-film FAILs are the 2 um film's evanescent roots, which are not
+    the SPP (ROADMAP item 8); the solve and normalization refusals and the
+    curl FAIL are the solver's and the oracles' (items 1, 3 and 8).  A change
+    that moves a count changes it here and says why, and never re-draws the
+    sample.
+    """
+    assert _box_counts(100, below=False) == BOX_COUNTS_ABOVE
