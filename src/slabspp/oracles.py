@@ -221,14 +221,37 @@ def complex_quad(f, a, b) -> complex:
 def complex_quad_chunked(f, a, b, phase_rate: float) -> complex:
     """Quadrature of a rapidly oscillating complex integrand on [a, b].
 
-    ``phase_rate`` bounds |d(arg f)/ds|; the interval is split at roughly
-    half-period granularity so the adaptive rule never has to resolve
-    cancellation across many cycles itself.  Accumulated error estimates are
-    checked against the (possibly strongly cancelled) total.
+    ``phase_rate`` bounds |d(arg f)/ds|.  The interval is cut into
+    ``n = ceil((b - a)*|phase_rate| / (1.9*pi))`` equal chunks, so each
+    spans at most 1.9*pi of phase, just under one period, and each goes
+    through :func:`quad`; the adaptive rule never has to resolve
+    cancellation across many cycles itself.  On the verify pass's pure
+    oscillations ``C*exp(-+2i*Re(k)*s)`` the 21-point rule meets its target
+    on every chunk in its first step, with an error estimate on its
+    ``50*eps*resabs`` floor.  A chunk stays below a full period on purpose:
+    over a whole period the integral is ~0, so :func:`quad`'s relative
+    target cannot be met and it bisects to its 300-subinterval limit, and
+    from about 2.8*pi on the rule's error estimate leaves its floor.
+
+    The summed error estimates are gated on the (possibly strongly
+    cancelled) total: at most ``max(1e-7*|total|, 1e-12*mass)``, where
+    ``mass`` is the sum of the moduli of the chunk values, the un-cancelled
+    magnitude at this chunk width.  A chunk of nearly a period cancels
+    partly within itself, so ``mass`` is smaller than with shorter chunks,
+    while the summed estimates stay on the same floor per width of
+    interval: wider chunks make the gate stricter, never looser.  A span
+    that needs more than 40000 chunks is refused with a
+    :class:`QuadratureError` before any rule step.
     """
     if b <= a:
         return 0j
-    n = int(min(40000, max(1, math.ceil((b - a) * abs(phase_rate) / math.pi))))
+    chunks = (b - a) * abs(phase_rate) / (1.9 * math.pi)
+    if not chunks <= 40000:  # an infinite or NaN span too
+        needed = math.ceil(chunks) if math.isfinite(chunks) else chunks
+        raise QuadratureError(
+            f"oscillating integrand needs {needed} chunks of 1.9*pi in "
+            f"phase, more than 40000")
+    n = max(1, math.ceil(chunks))
     edges = linspace(a, b, n + 1)
     total = 0j
     err_sum = 0.0

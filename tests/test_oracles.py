@@ -218,6 +218,54 @@ def test_complex_quad_chunked_empty_interval():
     assert complex_quad_chunked(lambda u: 1.0 + 0j, 2.0, 1.0, 5.0) == 0j
 
 
+def _counted_steps(monkeypatch) -> list:
+    """The (a, b) of every Gauss-Kronrod step taken from now on."""
+    steps = []
+    kronrod = oracles._kronrod
+
+    def counted(*args):
+        steps.append(args[1:3])
+        return kronrod(*args)
+
+    monkeypatch.setattr(oracles, "_kronrod", counted)
+    return steps
+
+
+def test_complex_quad_chunked_takes_one_rule_step_per_chunk(monkeypatch):
+    """A pure oscillation over 1-60 whole periods and over spans between
+    them: chunks of at most 1.9*pi in phase, each met by the first step of
+    the 21-point rule.  A chunk of a whole period integrates to ~0 and
+    bisects to the subinterval limit, so a wider rule fails here."""
+    steps = _counted_steps(monkeypatch)
+    a = 0.37
+    for rate in (2.0, -2.0):
+        f = partial(lambda r, s: cmath.exp(1j * r * s), rate)
+        for periods in [*range(1, 61), 0.2, 0.95, 1.5, 2.6, 9.99, 33.3,
+                        59.95]:
+            b = a + periods * 2.0 * math.pi / abs(rate)
+            steps.clear()
+            val = complex_quad_chunked(f, a, b, rate)
+            n = math.ceil((b - a) * abs(rate) / (1.9 * math.pi))
+            edges = oracles.linspace(a, b, n + 1)
+            assert steps == list(zip(edges[:-1], edges[1:])), periods
+            exact = (f(b) - f(a)) / (1j * rate)
+            assert abs(val - exact) <= 1e-13 * (b - a), periods  # of the integral of |f|
+
+
+def test_complex_quad_chunked_refuses_more_than_40000_chunks(monkeypatch):
+    steps = _counted_steps(monkeypatch)
+    f = lambda s: cmath.exp(1j * s)
+    with pytest.raises(QuadratureError, match=r"needs 167532 chunks of "
+                       r"1\.9\*pi in phase, more than 40000"):
+        complex_quad_chunked(f, 0.0, 1e6, 1.0)
+    with pytest.raises(QuadratureError, match="needs 40001 chunks"):
+        complex_quad_chunked(f, 0.0, 40000.5 * 1.9 * math.pi, 1.0)
+    for rate in (math.inf, math.nan):
+        with pytest.raises(QuadratureError, match=f"needs {rate} chunks"):
+            complex_quad_chunked(f, 0.0, 1.0, rate)
+    assert steps == []
+
+
 def test_signed_tail_integral():
     assert signed_tail_integral(3.0e4) == pytest.approx(1.0 / 6.0e4,
                                                         rel=1e-10)

@@ -107,7 +107,7 @@ def test_rule_steps_of_the_default_pass(monkeypatch):
 
     monkeypatch.setattr(oracles, "_kronrod", counted)
     assert all(r.passed for r in _default_checks())
-    assert len(steps) == 119
+    assert len(steps) == 89
 
 
 def test_failed_region_quadrature_fails_its_three_checks(monkeypatch,
