@@ -9,8 +9,9 @@ checkout's.  Each is copied into a temporary directory as ``slabspp_old`` or
 one process.  A mode builds the benchmark's inputs (``perfbench/phases``,
 imported, never edited) with each copy's own classes, in timed units:
 
-- ``scan``: the seed-0 pool of 20 000 points in 1000-point chunks, each
-  point doing what ``phases.Scan`` does (4 rounds by default).
+- ``scan``: the seed-0 pool of 20 000 points in 4000-point slices of
+  ~0.1 s each, each point doing what ``phases.Scan`` does (6 rounds by
+  default, so 30 slice pairs).
 - ``sweeps``: one unit per gain sweep (group ``gain``) and per frequency
   sweep (group ``dispersion``) of the benchmark (100 rounds).
 - ``verify``: one unit is ``verify.run_checks`` over the 30 verify configs,
@@ -43,7 +44,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
-CHUNK = 1000
+SLICE = 4000
 ITEM = {"scan": "point", "gain": "sweep", "dispersion": "sweep",
         "verify": "config"}
 
@@ -91,10 +92,10 @@ def _scan_units(side, phases) -> list:
     points = [(disp.parity_from_name(parity.name), disp.SlabGeometry(geom.d),
                media.DielectricSpec(diel.n_real, diel.n_imag), omega)
               for parity, geom, diel, omega in scan_pool(phases)]
-    chunks = [points[lo:lo + CHUNK] for lo in range(0, len(points), CHUNK)]
-    return [("scan", f"chunk {i} ({CHUNK} points each)", len(chunk),
-             functools.partial(_scan, side, chunk, on_mode))
-            for i, chunk in enumerate(chunks)]
+    slices = [points[lo:lo + SLICE] for lo in range(0, len(points), SLICE)]
+    return [("scan", f"slice {i} ({SLICE} points each)", len(part),
+             functools.partial(_scan, side, part, on_mode))
+            for i, part in enumerate(slices)]
 
 
 def _scan_key(group, results) -> list:
@@ -180,7 +181,7 @@ def _check_table(old_checked, new_checked) -> list[str]:
 
 # mode: (units of one copy, key of one unit's result, default rounds,
 #        lines explaining the first differing unit's results or None)
-MODES = {"scan": (_scan_units, _scan_key, 4, None),
+MODES = {"scan": (_scan_units, _scan_key, 6, None),
          "sweeps": (_sweep_units, _sweep_key, 100, None),
          "verify": (_verify_units, _verify_key, 100, _check_table)}
 
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
     parser.add_argument("new_src", type=Path)
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--rounds", type=int, help="timed rounds over every "
-                        "unit (default: scan 4, sweeps and verify 100)")
+                        "unit (default: scan 6, sweeps and verify 100)")
     args = parser.parse_args(argv)
     for src in (args.old_src, args.new_src):
         if not (src / "slabspp" / "__init__.py").is_file():
