@@ -20,6 +20,13 @@ window ``|u| <= 40`` with the 21-point rule: the part left out is at most
 ``exp(-40)``, about 4.2e-18, of the interface value, seven orders below
 the quadrature's ``1e-11`` target.
 
+The x-overlaps of the cross-direction commutator and of the Green-tensor
+identity between two finite points are pure oscillations
+``C*exp(-+2i*Re(k)*s)``.  :func:`complex_quad_chunked` cuts them into
+chunks of at most 1.9*pi of phase, just under a period, which the 21-point
+rule meets in one step each, and gates the summed error estimates on the
+cancelled total.
+
 The adaptive quadrature is :func:`quad`, QUADPACK's globally adaptive
 Gauss-Kronrod scheme in pure Python: it integrates a real or a complex
 integrand in one pass, so each node is evaluated once, and an interval whose

@@ -235,7 +235,8 @@ def test_complex_quad_chunked_takes_one_rule_step_per_chunk(monkeypatch):
     """A pure oscillation over 1-60 whole periods and over spans between
     them: chunks of at most 1.9*pi in phase, each met by the first step of
     the 21-point rule.  A chunk of a whole period integrates to ~0 and
-    bisects to the subinterval limit, so a wider rule fails here."""
+    bisects to the subinterval limit, so a rule of wider chunks fails
+    here."""
     steps = _counted_steps(monkeypatch)
     a = 0.37
     for rate in (2.0, -2.0):
@@ -249,7 +250,8 @@ def test_complex_quad_chunked_takes_one_rule_step_per_chunk(monkeypatch):
             edges = oracles.linspace(a, b, n + 1)
             assert steps == list(zip(edges[:-1], edges[1:])), periods
             exact = (f(b) - f(a)) / (1j * rate)
-            assert abs(val - exact) <= 1e-13 * (b - a), periods  # of the integral of |f|
+            # b - a is the integral of |f|
+            assert abs(val - exact) <= 1e-13 * (b - a), periods
 
 
 def test_complex_quad_chunked_refuses_more_than_40000_chunks(monkeypatch):
