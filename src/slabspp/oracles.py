@@ -80,13 +80,12 @@ __all__ = [
     "contour_slab_roots",
 ]
 
-# QUADPACK's Gauss-Kronrod pairs (Piessens et al., *QUADPACK*, Springer
-# 1983): abscissae of the Kronrod rule on [0, 1], largest first and ending
-# at the center, its weights, and the weights of the embedded Gauss rule,
-# whose nodes are every second abscissa from the second on.  The 21-point
-# rule (dqk21) integrates finite intervals, the 15-point one (dqk15i) the
-# mapped semi-infinite ones; the oracles' tails are finite windows, so only
-# the tests map a semi-infinite interval.
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21; Piessens et al.,
+# *QUADPACK*, Springer 1983): abscissae of the Kronrod rule on [0, 1],
+# largest first and ending at the center, its weights, and the weights of
+# the embedded 10-point Gauss rule, whose nodes are every second abscissa
+# from the second on.  It is the only rule: every oracle integrates finite
+# intervals, its tails included, and :func:`quad` refuses infinite limits.
 _XK21 = (
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -105,32 +104,11 @@ _WG10 = (
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338)
-_XK15 = (
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245, 0.0)
-_WK15 = (
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
-_WG7 = (
-    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
-
-
-def _mirror(half: tuple) -> tuple:
-    """Values at the ascending nodes on [-1, 1] from those on [0, 1]."""
-    return half + half[-2::-1]
-
 
 # (nodes on [-1, 1] ascending, Kronrod weights, Gauss weights of the odd
-# positions); the G10 rule has no center node, the G7 rule has one
-_K21 = (tuple(-x for x in _XK21[:-1]) + _XK21[::-1], _mirror(_WK21),
+# positions); the G10 rule has no center node
+_K21 = (tuple(-x for x in _XK21[:-1]) + _XK21[::-1], _WK21 + _WK21[-2::-1],
         _WG10 + _WG10[::-1])
-_K15 = (tuple(-x for x in _XK15[:-1]) + _XK15[::-1], _mirror(_WK15),
-        _mirror(_WG7))
 
 _EPS = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
@@ -144,20 +122,12 @@ class QuadratureError(ValueError):
     """Refusal: adaptive quadrature failed to reach its target accuracy."""
 
 
-def _kronrod(f, a: float, b: float, rule, bound=None, sign=1.0) -> tuple:
-    """One Gauss-Kronrod step on [a, b]: (value, QUADPACK error estimate).
-
-    With a finite ``bound``, [a, b] is a piece of (0, 1] and the integrand
-    is ``f(bound + sign*(1-t)/t) / t**2``.
-    """
-    nodes, wk, wg = rule
+def _kronrod(f, a: float, b: float) -> tuple:
+    """One 21-point Gauss-Kronrod step on [a, b]: (value, error estimate)."""
+    nodes, wk, wg = _K21
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    if bound is None:
-        fv = [f(center + half * t) for t in nodes]
-    else:
-        fv = [f(bound + sign * ((1.0 - t) / t)) / (t * t)
-              for t in [center + half * s for s in nodes]]
+    fv = [f(center + half * t) for t in nodes]
     resk = sum(map(mul, wk, fv))
     resg = sum(map(mul, wg, fv[1::2]))
     mean = 0.5 * resk
@@ -180,20 +150,15 @@ def quad(f, a: float, b: float) -> tuple:
     ``1e-11`` times the modulus of the summed value, or until 300
     subintervals; a first step that already meets the target is returned as
     it is.  ``f`` may return real or complex values; the value comes back as
-    the same type, with a float error estimate.  A semi-infinite
-    interval (``a = -inf`` or ``b = inf``) is mapped onto (0, 1] by
-    ``x = b - (1-t)/t`` or ``x = a + (1-t)/t`` and integrated with the
-    15-point rule, as QUADPACK's dqagie does; finite intervals use the
-    21-point rule.  Nothing is raised when the target is missed: the caller
-    judges the returned error estimate.
+    the same type, with a float error estimate.  Every step is the 21-point
+    rule.  The limits must be finite: an infinite or NaN limit raises
+    ``ValueError`` before ``f`` is called (the oracles integrate their
+    tails over finite windows).  Nothing is raised when the target is
+    missed: the caller judges the returned error estimate.
     """
-    rule, bound, sign = _K21, None, 1.0
-    if a == -math.inf or b == math.inf:
-        if a == -math.inf and b == math.inf:
-            raise ValueError("quad maps only semi-infinite intervals")
-        bound, sign = (b, -1.0) if a == -math.inf else (a, 1.0)
-        a, b, rule = 0.0, 1.0, _K15
-    val, err = _kronrod(f, a, b, rule, bound, sign)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"quad needs finite limits, got [{a!r}, {b!r}]")
+    val, err = _kronrod(f, a, b)
     if not err > _EPSREL * abs(val):
         # the loop's own test, met by the first step: what the sums over a
         # one-entry heap give, down to the sign of a zero
@@ -203,8 +168,8 @@ def quad(f, a: float, b: float) -> tuple:
     while err_sum > _EPSREL * abs(total) and len(heap) < _LIMIT:
         neg_err, lo, hi, v = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        v1, e1 = _kronrod(f, lo, mid, rule, bound, sign)
-        v2, e2 = _kronrod(f, mid, hi, rule, bound, sign)
+        v1, e1 = _kronrod(f, lo, mid)
+        v2, e2 = _kronrod(f, mid, hi)
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
         total += (v1 + v2) - v
@@ -303,7 +268,8 @@ def weighted_abs2_quadrature(sol: ModeSolution) -> tuple[float, float]:
     interface value times ``exp(-|u|)``: over ``-40 <= u <= 0`` below the
     film and ``0 <= u <= 40`` above it, leaving out at most ``exp(-40)``
     (about 4.2e-18) of the interface value.  The raw meter-scale variable
-    would underflow the adaptive rule's initial mesh.
+    would underflow the adaptive rule's initial mesh.  It leans on the
+    closed-form profile :func:`~slabspp.modes.bracket_of`.
     """
     d = sol.geom.d
     s = 2.0 * sol.nu0.real  # |bracket|^2 decay rate in the claddings
@@ -334,7 +300,9 @@ def normalization_quadrature(sol: ModeSolution) -> complex:
     2*Re(nu0)*z`` from each interface, where the integrand's modulus is its
     interface value times ``exp(-|u|)``: over ``-40 <= u <= 0`` and ``0 <=
     u <= 40``, leaving out at most ``exp(-40)`` (about 4.2e-18) of the
-    interface value.
+    interface value.  It leans on the closed-form profile
+    :func:`~slabspp.modes.bracket_of`: it checks the integral, not that
+    ``1/N'`` is the strength of the Green tensor's pole (ROADMAP item 7).
     """
     d = sol.geom.d
     eps_d = sol.media.eps_d
@@ -369,7 +337,9 @@ def curl_consistency_error(sol: ModeSolution, depths) -> float:
     both interfaces so the stencil stays in one region, and off a node of
     the magnetic bracket.  The mode's bracket is built once for all depths.
     Raises ``ValueError`` for an empty ``depths``, and at the first depth
-    that breaks either rule.
+    that breaks either rule.  It leans on two closed forms: the profile
+    :func:`~slabspp.modes.bracket_of` it differentiates and the magnetic
+    bracket :func:`~slabspp.modes.h_field_operator_bracket` it compares with.
     """
     h = _FD_STEP
     d = sol.geom.d
@@ -403,7 +373,9 @@ def thick_film_degeneracy(media: MediumSet, d: float) -> dict:
     Solves both parities of ``media`` at thickness ``d`` and compares them
     with each other and with the single-interface mode.  All three should
     coincide to within the solver tolerance once exp(-Re(num) d) underflows
-    the splitting scale.
+    the splitting scale.  It leans on the solver: both modes come from
+    :func:`~slabspp.dispersion.solve_dispersion`, the reference from
+    :func:`~slabspp.dispersion.single_interface_root`.
     """
     geom = SlabGeometry(d=d)
     sym = solve_dispersion(SYMMETRIC, geom, media)

@@ -188,6 +188,11 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
     cross-check :func:`commutator`.  Raises ``ValueError`` where beta_prime
     is 0, as :func:`ccr_check` does, before ``x_tail`` is called, so a
     neutral mode of transparent media is refused for its launch weight.
+
+    Closed forms it leans on: it divides by the closed-form beta_prime,
+    ``_launch_weight(sol.media, overlap_terms(sol))``, so it tests the
+    quadrature overlaps against :func:`overlap_terms`; ``z_terms``
+    integrates the closed-form profile :func:`~slabspp.modes.bracket_of`.
     """
     z_quad = _noise_weight(sol.media, z_terms)
     beta = _launch_weight(sol.media, overlap_terms(sol))
@@ -234,6 +239,13 @@ def green_identity_check(sol: ModeSolution, z_terms: tuple[float, float],
     the right side from the closed forms, returning the worst relative
     Frobenius deviation over four point pairs that span all three regions,
     a few decay lengths apart along x.
+
+    Closed forms it leans on: ``|D|^2`` from
+    :func:`~slabspp.modes.green_coefficient` multiplies both sides, the
+    right side takes the closed-form :func:`gamma_prime`, and both sides
+    share the profile :func:`~slabspp.modes.bracket_of`.  So it tests
+    gamma_prime's overlaps and the x-profile, not the scale of ``D``; no
+    check tests that scale yet (ROADMAP item 7).
     """
     k = sol.k_spp
     kr, ki = k.real, k.imag
