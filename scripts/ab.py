@@ -25,7 +25,9 @@ time over new time, per unit pair) with its quartiles.  Then ``identical``
 and the count of each kind of entry of the keys, or, exiting 1, the first
 entry that differs between the copies or a unit whose key changed between
 rounds; for verify, a table per check follows: records changed, the worst
-value on each side (``nan`` if one was refused) and pass/FAIL flips.
+value on each side (``nan`` if one was refused), the largest ``|old - new|``
+of a changed record (0 if none, ``nan`` if a side was refused) and
+pass/FAIL flips.
 """
 
 from __future__ import annotations
@@ -162,11 +164,15 @@ def _check_table(old_checked, new_checked) -> list[str]:
              for checked in (old_checked, new_checked)]
     keys = list(dict.fromkeys([*sides[0], *sides[1]]))
     lines = [f"  {'check':28s} {'changed':>9s} {'worst old':>24s} "
-             f"{'worst new':>24s}  flips"]
+             f"{'worst new':>24s} {'max |Δ|':>10s}  flips"]
     for check in dict.fromkeys(key[1] for key in keys):
         pairs = [(sides[0].get(key), sides[1].get(key))
                  for key in keys if key[1] == check]
-        changed = sum(repr(a) != repr(b) for a, b in pairs)
+        moves = [abs(a.value - b.value) if a and b else math.nan
+                 for a, b in pairs if repr(a) != repr(b)]
+        changed = len(moves)
+        move = (math.nan if any(map(math.isnan, moves))
+                else max(moves, default=0.0))
         values = [[r.value for r in side if r is not None]
                   for side in zip(*pairs)]  # NaN: refused, or none at all
         worst = [max(v) if v and not any(map(math.isnan, v)) else math.nan
@@ -175,7 +181,8 @@ def _check_table(old_checked, new_checked) -> list[str]:
                         for a, b in pairs if a and b and a.passed != b.passed)
         flip_text = ", ".join(f"{n} {f}" for f, n in flips.items()) or "none"
         lines.append(f"  {check:28s} {changed:4d}/{len(pairs):<4d} "
-                     f"{worst[0]:24.17g} {worst[1]:24.17g}  {flip_text}")
+                     f"{worst[0]:24.17g} {worst[1]:24.17g} {move:10.3g}  "
+                     f"{flip_text}")
     return lines
 
 

@@ -17,6 +17,8 @@ through Im(num) -> 0 (real decay constants) without any regularization.
 Sign conventions: the noise weight carries |Im eps| (a variance), whereas
 gamma_prime and the Green-function overlap identity carry signed Im eps.
 The commutation ratio :func:`ccr_check` weights the overlaps with |Im eps|.
+The residue |D|^2 and the bracket profile cancel from that identity, so
+:func:`green_identity_check` compares gamma_prime times the x-overlap.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Callable
 from . import oracles
 from .media import EPS0, HBAR, MediumSet
 from .dispersion import ModeSolution
-from .modes import bracket_of, green_coefficient
 
 __all__ = [
     "SAME_DIRECTION",
@@ -192,7 +193,7 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
     Closed forms it leans on: it divides by the closed-form beta_prime,
     ``_launch_weight(sol.media, overlap_terms(sol))``, so it tests the
     quadrature overlaps against :func:`overlap_terms`; ``z_terms``
-    integrates the closed-form profile :func:`~slabspp.modes.bracket_of`.
+    integrates the closed-form bracket profile of :mod:`slabspp.modes`.
     """
     z_quad = _noise_weight(sol.media, z_terms)
     beta = _launch_weight(sol.media, overlap_terms(sol))
@@ -230,64 +231,40 @@ def green_identity_check(sol: ModeSolution, z_terms: tuple[float, float],
 
     The integral of Im(eps(s)) G(r, s) G^*(s, r') over the source plane
     factorizes into gamma_prime (signed) times an exactly integrable
-    x-profile.  This evaluates the left side by quadrature -- z from
+    x-profile.  The residue ``|D|^2`` and the bracket outer product
+    ``b(z) b^*(z')`` multiply both sides and cancel, so this compares what
+    remains: gamma_prime times the x-overlap, by quadrature -- z from
     ``z_terms``, the region integrals ``oracles.weighted_abs2_quadrature(sol)``
     weighted with signed Im eps as :func:`gamma_prime` weights the closed
     forms; x semi-analytically, with ``x_tail()``,
     ``oracles.signed_tail_integral(k.imag)``, for each semi-infinite end
-    (continued for amplified modes) -- and
-    the right side from the closed forms, returning the worst relative
-    Frobenius deviation over four point pairs that span all three regions,
-    a few decay lengths apart along x.
+    (continued for amplified modes) -- against the closed form.  Returns
+    the worst relative deviation over three source separations, up to a
+    few decay lengths along x.
 
-    Closed forms it leans on: ``|D|^2`` from
-    :func:`~slabspp.modes.green_coefficient` multiplies both sides, the
-    right side takes the closed-form :func:`gamma_prime`, and both sides
-    share the profile :func:`~slabspp.modes.bracket_of`.  So it tests
-    gamma_prime's overlaps and the x-profile, not the scale of ``D``; no
-    check tests that scale yet (ROADMAP item 7).
+    So it tests gamma_prime's overlaps and the x-profile, not ``D``: no
+    check tests ``D`` yet (ROADMAP item 7).  ``z_terms`` integrates the
+    closed-form bracket profile of :mod:`slabspp.modes`.
     """
     k = sol.k_spp
     kr, ki = k.real, k.imag
-    coeff = green_coefficient(sol)
-    dsq = abs(coeff.d_value) ** 2
     gamma_closed = gamma_prime(sol)
     gamma_quad = _loss_weight(sol.media.eps_d.imag, sol.media.eps_m.imag,
                               z_terms)
     tail = x_tail()
-
     ell = 1.0 / max(abs(ki), abs(kr) / 20.0)
-    zc = 0.4 / sol.nu0.real
-    d = sol.geom.d
-    bracket = bracket_of(sol)
-    samples = [
-        ((0.0, -zc), (0.0, 0.5 * d)),
-        ((0.8 * ell, 0.5 * d), (0.0, d + zc)),
-        ((0.3 * ell, d + 0.7 * zc), (1.7 * ell, -0.5 * zc)),
-        ((0.2 * ell, 0.25 * d), (0.2 * ell, 0.75 * d)),
-    ]
 
     worst = 0.0
-    for (xa, za), (xb, zb) in samples:
-        # the 2x2 outer product of the bracket at a with the conjugate at b
-        outer = [ca * cb.conjugate() for ca in bracket(za)
-                 for cb in bracket(zb)]
-        lhs = dsq * gamma_quad * _x_overlap_numeric(k, xa, xb, tail)
+    for xa, xb in ((0.0, 0.0), (0.8 * ell, 0.0), (0.3 * ell, 1.7 * ell)):
+        lhs = gamma_quad * _x_overlap_numeric(k, xa, xb, tail)
         delta = abs(xa - xb)
         braces = (cmath.exp(1j * k * delta) / k
                   + cmath.exp(-1j * k.conjugate() * delta) / k.conjugate())
-        rhs = dsq * gamma_closed * abs(k) ** 2 / (2.0 * kr * ki) * braces
-        denom = _frobenius([rhs * c for c in outer])
-        if denom == 0.0:
+        rhs = gamma_closed * abs(k) ** 2 / (2.0 * kr * ki) * braces
+        if rhs == 0.0:
             raise ValueError("degenerate sample pair: closed form vanished")
-        worst = max(worst,
-                    _frobenius([lhs * c - rhs * c for c in outer]) / denom)
+        worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return worst
-
-
-def _frobenius(entries: list[complex]) -> float:
-    """Frobenius norm of a matrix given as its list of complex entries."""
-    return math.hypot(*(c.real for c in entries), *(c.imag for c in entries))
 
 
 def _x_overlap_numeric(k: complex, x: float, x_prime: float,

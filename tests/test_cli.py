@@ -339,21 +339,31 @@ def test_single_point_at_omega_p_is_one_error_line(tmp_path, capsys,
 
 
 def test_verify_of_transparent_system_fails_the_launch_checks(tmp_path):
-    """Neither medium absorbs or amplifies: beta_prime = 0 and Im k = 0."""
+    """Neither medium absorbs or amplifies: beta_prime = 0 and Im k = 0.
+
+    The launch checks refuse the mode for its launch weight, before the
+    x-tail is asked for; only the Green identity, which has no launch
+    weight, reaches the tail and is refused for the neutral mode.
+    """
     p = tmp_path / "run.ini"
     p.write_text(_LOSSLESS + "[dielectric]\nn_imag = 0\n")
     out = tmp_path / "report.csv"
     assert _run("--config", str(p), "--out", str(out), "verify") == 1
     rows = _data_rows(out)
     assert len(rows) == 14
-    refused = {"ccr_closure", "commutator_same_direction",
-               "commutator_cross_direction", "green_identity"}
+    launch = ("ValueError: beta_prime = 0: a mode whose media neither absorb "
+              "nor amplify has no launch normalization")
+    refused = {"ccr_closure": launch,
+               "commutator_same_direction": launch,
+               "commutator_cross_direction": launch,
+               "green_identity": "ValueError: neutral mode: semi-infinite "
+                                 "overlap diverges"}
     for row in rows:
         if row[0] in refused:
-            assert (row[3], row[5]) == ("nan", "FAIL")
-            assert row[6].startswith("ValueError: ")
+            assert (row[3], row[5], row[6]) == ("nan", "FAIL",
+                                                refused[row[0]]), row
         else:
-            assert (row[5], row[6]) == ("pass", "")
+            assert (row[5], row[6]) == ("pass", ""), row
 
 
 def test_verify_passes_on_defaults(tmp_path, capsys):

@@ -96,7 +96,8 @@ _STEPS = [
 def test_first_step_matches_quadpack(f, a, b):
     # with limit=1, QUADPACK returns its first dqk21 step: value and error
     # estimate
-    scipy_integrate = pytest.importorskip("scipy.integrate")
+    import scipy.integrate as scipy_integrate
+
     step = oracles._kronrod(f, a, b)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy_integrate.IntegrationWarning)
@@ -537,7 +538,6 @@ _VERIFY_POINTS = [(omega, d) for omega in (2e15, 3e15, 4.8e15, 6e15, 7e15)
                          ids=[f"{w:.2g}-{d * 1e9:.0f}nm"
                               for w, d in _VERIFY_POINTS])
 def test_oracles_match_scipy_quadpack(monkeypatch, omega, d, kappa):
-    pytest.importorskip("scipy.integrate")
     media = make_medium_set(METAL, DielectricSpec(0.9726, kappa), omega)
     for parity in PARITIES:
         sol = solve_dispersion(parity, SlabGeometry(d), media)
@@ -675,8 +675,14 @@ def _reference_green_identity(sol, z_terms):
 
 @_CLADDINGS
 @_PARITIES
-def test_green_identity_matches_ndarray_reference(parity, kappa):
-    sol = _mode(parity, kappa)
+@pytest.mark.parametrize("omega, d", _VERIFY_POINTS + _THICK_POINTS,
+                         ids=[f"{w:.2g}-{d * 1e9:.0f}nm"
+                              for w, d in _VERIFY_POINTS + _THICK_POINTS])
+def test_green_identity_matches_ndarray_reference(omega, d, parity, kappa):
+    """The scalar check equals the tensor form, with ``D`` and all four
+    (x, z) pairs, over the benchmark's verify modes and their thick films."""
+    media = make_medium_set(METAL, DielectricSpec(0.9726, kappa), omega)
+    sol = solve_dispersion(parity, SlabGeometry(d), media)
     z_terms = weighted_abs2_quadrature(sol)
     x_tail = partial(signed_tail_integral, sol.k_spp.imag)
     assert green_identity_check(sol, z_terms, x_tail) == pytest.approx(

@@ -68,13 +68,17 @@ def test_ab_verify_tables_the_checks_of_differing_trees(tmp_path):
     rows = {line.split()[0]: line.split()[1:]
             for line in proc.stdout.splitlines()[-9:]}
     assert rows.pop("check") == ["changed", "worst", "old", "worst", "new",
-                                 "flips"]
+                                 "max", "|Δ|", "flips"]
     curl = rows.pop("curl_consistency")
-    assert curl[0] == "60/60" and curl[3:] == ["60", "pass->FAIL"]
+    assert curl[0] == "60/60" and curl[4:] == ["60", "pass->FAIL"]
     assert float(curl[1]) < 1e-6 < float(curl[2])
+    # the old values are tiny beside the worst new one, so the largest move
+    # is that value, to the column's three digits
+    assert float(curl[3]) == pytest.approx(float(curl[2]), rel=1e-2)
     assert len(rows) == 7
-    for check, (changed, old, new, flips) in rows.items():
+    for check, (changed, old, new, move, flips) in rows.items():
         assert changed.startswith("0/") and old == new and flips == "none"
+        assert move == "0"
 
 
 def test_ab_usage_errors_exit_2(tmp_path):
