@@ -23,11 +23,12 @@ and from round to round, so the host's drift falls on both alike.  Prints
 per group each copy's median time per item and the median speedup (old
 time over new time, per unit pair) with its quartiles.  Then ``identical``
 and the count of each kind of entry of the keys, or, exiting 1, the first
-entry that differs between the copies or a unit whose key changed between
-rounds; for verify, a table per check follows: records changed, the worst
-value on each side (``nan`` if one was refused), the largest ``|old - new|``
-of a changed record (0 if none, ``nan`` if a side was refused) and
-pass/FAIL flips.
+entry that differs between the copies and the count of each kind of
+change over all differing entries (``67 point -> refusal``, say), or a unit
+whose key changed between rounds; for verify, a table per check follows:
+records changed, the worst value on each side (``nan`` if one was
+refused), the largest ``|old - new|`` of a changed record (0 if none,
+``nan`` if a side was refused) and pass/FAIL flips.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ def _sweep_key(group, result) -> list:
     rows, crossings = (result.rows, result.crossings) if group == "gain" \
         else (result, {})
     return ([("row", ", ".join(map(repr, (s.k_spp, s.nu0, s.num,
-                                          s.amplitude, s.residual)))
-              if (s := r.solution) else r.error)
+                                          s.amplitude, s.residual))))
+             if (s := r.solution) else ("error", r.error)
              for r in rows]
             + [("crossing", f"{name} {c!r}") for name, c in crossings.items()])
 
@@ -269,6 +270,10 @@ def main(argv=None) -> int:
         print(f"DIFFERENT: {len(differ)} of "
               f"{sum(len(keys) for _, keys in first[0])} entries; first, "
               f"{units[0][u][1]}, entry {j}:\n  old {show[0]}\n  new {show[1]}")
+        kinds = Counter(tuple("(none)" if e is None else e[0] for e in (a, b))
+                        for _, _, a, b in differ)
+        print("by kind: " + ", ".join(f"{n} {was} -> {now}"
+                                      for (was, now), n in kinds.most_common()))
         if explain:
             print("\n".join(explain(first[0][u][0], first[1][u][0])))
     return 1

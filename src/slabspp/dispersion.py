@@ -57,8 +57,7 @@ __all__ = [
 D_MIN = 1e-10
 
 _MAX_NEWTON = 80
-_MAX_MULLER = 60
-_TOL = 1e-12  # relative step size at which Newton and Muller stop
+_TOL = 1e-12  # relative step size at which Newton stops
 
 
 class DispersionError(ValueError):
@@ -269,46 +268,6 @@ def _newton(k: complex, d: float,
     return None
 
 
-def _muller(k: complex, system) -> Optional[tuple[complex, tuple]]:
-    """Muller's method fallback (quadratic interpolation, complex-capable).
-
-    Returns ``(k, system(k))`` like :func:`_newton`, or None on failure.
-    """
-
-    def f(z):
-        return system(z)[0]
-
-    h = 1e-4 * max(abs(k), 1.0)
-    x0, x1, x2 = k - h, k + h, k
-    try:
-        f0, f1, f2 = f(x0), f(x1), f(x2)
-    except ZeroDivisionError:
-        return None
-    for _ in range(_MAX_MULLER):
-        h1 = x1 - x0
-        h2 = x2 - x1
-        if h1 == 0 or h2 == 0:
-            return None
-        d1 = (f1 - f0) / h1
-        d2 = (f2 - f1) / h2
-        a = (d2 - d1) / (h2 + h1)
-        b = a * h2 + d2
-        disc = cmath.sqrt(b * b - 4.0 * f2 * a)
-        den = b + disc if abs(b + disc) >= abs(b - disc) else b - disc
-        if den == 0:
-            return None
-        x3 = x2 - 2.0 * f2 / den
-        try:
-            values = system(x3)
-        except ZeroDivisionError:
-            return None
-        if abs(x3 - x2) <= _TOL * abs(x3):
-            return x3, values
-        x0, x1, x2 = x1, x2, x3
-        f0, f1, f2 = f1, f2, values[0]
-    return None
-
-
 class ModeSolution(NamedTuple):
     """One converged slab mode at fixed omega.
 
@@ -357,12 +316,13 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
     Seeds damped Newton (bounded tanh-form residual, analytic derivative)
     with ``guess`` if given, then the single-interface root, then a
     light-line-adjacent seed, in that order, written once in the body; each
-    is built only when Newton has failed from every seed before it.  If
-    Newton fails from all of them, Muller's method tries the same seeds, in
-    the same order.  One :func:`_scaled_system` serves the whole solve; the
+    is built only when Newton has failed from every seed before it.  Newton
+    is the only method: no other iteration rescues a point where it fails
+    from every seed.  One :func:`_scaled_system` serves the whole solve; the
     residual's scale ``|eps_d*num| + |eps_m*nu0|`` is formed once, at the
     accepted root, not on every evaluation.  Raises
-    :class:`NonConvergence` if every seed fails, naming the seeds tried,
+    :class:`NonConvergence` if every seed fails, naming the seeds tried, or
+    if the root stalls above a scaled residual of 1e-10, and
     :class:`BranchViolation` if the converged root is not transversely
     bound.
     """
@@ -391,11 +351,6 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
     if found is None:
         seeds.append(1.05 * media.k0 * _decaying_sqrt(media.eps_d))
         found = _newton(seeds[-1], d, system)
-    if found is None:
-        for seed in seeds:
-            found = _muller(seed, system)
-            if found is not None:
-                break
     if found is None:
         raise NonConvergence(
             f"{parity.name} mode: no root from seeds {seeds!r} "
@@ -491,8 +446,13 @@ def linspace(a: float, b: float, n: int) -> list[float]:
     Point ``i`` is ``a + i*step`` with ``step = (b - a)/(n - 1)`` and the
     last point is exactly ``b``, bit for bit as numpy computes them
     (including numpy's fallback for a step that underflows to zero), so the
-    sweep grids need no numpy.
+    sweep grids need no numpy.  As in numpy, ``n == 0`` gives no point and
+    a negative ``n`` raises ``ValueError``.
     """
+    if n < 0:
+        raise ValueError(f"number of samples must be non-negative, got {n!r}")
+    if n == 0:
+        return []
     if n == 1:
         return [0.0 * (b - a) + a]  # numpy's sign of zero for a == -0.0
     div = n - 1

@@ -435,8 +435,8 @@ def contour_slab_roots(geom: SlabGeometry, media: MediumSet,
     Comp.* 21, 1967); splitting ``D`` this way keeps full precision when
     the two modes nearly coincide (thick films).  The contour integrals use
     the trapezoidal rule in the scaled variable ``z = (k - center)/radius``,
-    summed node by node in ``cmath``.  No seed, Newton or Muller step and no
-    tanh form is involved, so the result is independent of
+    summed node by node in ``cmath``.  No seed, Newton step and no tanh
+    form is involved, so the result is independent of
     :func:`solve_dispersion`.
 
     ``radius`` defaults to half the distance from the center to the nearest

@@ -429,21 +429,22 @@ def test_refused_media_give_each_parity_the_same_error_row():
             assert row.error is None and row.solution.residual <= 1e-10
 
 
-# a point where Newton fails from every seed and Muller converges
+# a point where Newton fails from every seed; a Muller fallback, since
+# removed, returned a backward wrong-branch root here
 MULLER_POINT = {"parity": "symmetric", "n_real": 2.239514158245674,
                 "n_imag": 0.10237423201714438, "omega": 8213894388051735.0,
                 "d": 7.41448047205626e-07}
 # residual evaluations and refusals of the 500 solves of _box_sample(500)
-BOX_EVALUATIONS = 3628
-BOX_REFUSED = 34
-# a point of the benchmark's scan pool where every seed fails both methods
+BOX_EVALUATIONS = 3597
+BOX_REFUSED = 36
+# a point of the benchmark's scan pool where Newton fails from every seed
 NO_ROOT_POINT = {"parity": "symmetric", "n_real": 1.8661914523852046,
                  "n_imag": -0.11638233679455903, "omega": 8338336064035265.0,
                  "d": 2.7351368950349566e-06}
 
 
 def _point_system(point):
-    """(parity, geometry, media) of a point given as in ``MULLER_POINT``."""
+    """(parity, geometry, media) of a point given as in :data:`MULLER_POINT`."""
     media = make_medium_set(
         METAL, DielectricSpec(point["n_real"], point["n_imag"]),
         point["omega"])
@@ -451,45 +452,41 @@ def _point_system(point):
             media)
 
 
-def test_muller_fallback_root(monkeypatch):
-    """A point where Newton fails from every seed and Muller converges."""
-    calls = []
-    real_muller = dispersion._muller
-
-    def counting_muller(*args):
-        calls.append(args)
-        return real_muller(*args)
-
-    monkeypatch.setattr(dispersion, "_muller", counting_muller)
-    sol = solve_dispersion(*_point_system(MULLER_POINT))
-    assert calls
-    # each call gets a seed and the solve's residual closure, nothing else
-    assert all(len(args) == 2 and callable(args[1]) for args in calls)
-    assert sol.residual <= 1e-10
-    assert (sol.nu0, sol.num) == _principal_decay(sol.k_spp, sol.media)
+def test_refused_where_newton_fails_from_every_seed():
+    """At :data:`MULLER_POINT` Newton fails from both seeds, and no other
+    method steps in: the solve raises the refusal that
+    ``solver_roots.json`` pins, naming the two seeds in order."""
+    parity, geom, media = _point_system(MULLER_POINT)
+    seeds = [single_interface_root(media),
+             1.05 * media.k0 * cmath.sqrt(media.eps_d)]
+    message = (f"symmetric mode: no root from seeds {seeds!r} "
+               f"at omega={media.omega!r}")
+    pinned = next(entry["output"] for entry in
+                  json.loads(SOLVER_ROOTS.read_text())["points"]
+                  if entry["input"] == MULLER_POINT)
+    assert pinned == {"error": "NonConvergence", "message": message}
+    with pytest.raises(dispersion.NonConvergence) as info:
+        solve_dispersion(parity, geom, media)
+    assert str(info.value) == message
 
 
 def test_nonconvergence_names_every_seed_in_order(monkeypatch):
     """Seeds are generated one at a time, yet a refusal lists them all, in
-    the order Newton and then Muller tried them."""
+    the order Newton tried them."""
     tried = []
 
-    def failing(method):
-        def run(seed, *args):
-            tried.append((method, seed))
-            return None
-        return run
+    def failing(seed, *args):
+        tried.append(seed)
+        return None
 
-    monkeypatch.setattr(dispersion, "_newton", failing("newton"))
-    monkeypatch.setattr(dispersion, "_muller", failing("muller"))
+    monkeypatch.setattr(dispersion, "_newton", failing)
     media = _media(-0.063)
     guess = 1.6e7 + 1e5j
     seeds = [guess, single_interface_root(media),
              1.05 * media.k0 * cmath.sqrt(media.eps_d)]
     with pytest.raises(dispersion.NonConvergence) as info:
         solve_dispersion(SYMMETRIC, GEOM, media, guess=guess)
-    assert tried == ([("newton", s) for s in seeds]
-                     + [("muller", s) for s in seeds])
+    assert tried == seeds
     assert str(info.value) == (f"symmetric mode: no root from seeds "
                                f"{seeds!r} at omega={media.omega!r}")
 
@@ -779,14 +776,23 @@ def _numpy_linspace(a, b, n):
 @settings(deadline=None, max_examples=300)
 @given(a=st.floats(allow_nan=False, allow_infinity=False),
        b=st.floats(allow_nan=False, allow_infinity=False),
-       n=st.integers(1, 2000))
+       n=st.integers(0, 2000))
 @example(a=1.5, b=1.5, n=7)            # a == b
+@example(a=1.0, b=2.0, n=0)             # no point
 @example(a=-0.0, b=-0.0, n=1)
 @example(a=3.0, b=-2.0, n=2000)        # a > b
 @example(a=0.0, b=5e-324, n=3)         # step underflows to zero
 @example(a=-1e308, b=1e308, n=5)       # b - a overflows
 def test_linspace_matches_numpy_bit_for_bit(a, b, n):
     assert _bits(linspace(a, b, n)) == _bits(_numpy_linspace(a, b, n))
+
+
+@pytest.mark.parametrize("n", [-1, -2000])
+def test_linspace_refuses_a_negative_count_as_numpy(n):
+    with pytest.raises(ValueError):
+        np.linspace(0.0, 1.0, n)
+    with pytest.raises(ValueError, match=f"non-negative, got {n}$"):
+        linspace(0.0, 1.0, n)
 
 
 def test_linspace_matches_numpy_on_default_cli_grids():

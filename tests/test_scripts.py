@@ -35,7 +35,7 @@ def _ab(*args):
 
 
 @pytest.mark.parametrize("mode, rounds, identical, groups", [
-    pytest.param("scan", 1, "18713 points and 1287 refusals", ("scan",),
+    pytest.param("scan", 1, "18646 points and 1354 refusals", ("scan",),
                  id="scan"),
     pytest.param("sweeps", 1, "1446 rows and 30 crossings",
                  ("gain", "dispersion"), id="sweeps"),
@@ -79,6 +79,23 @@ def test_ab_verify_tables_the_checks_of_differing_trees(tmp_path):
     for check, (changed, old, new, move, flips) in rows.items():
         assert changed.startswith("0/") and old == new and flips == "none"
         assert move == "0"
+
+
+def test_ab_scan_counts_each_kind_of_change(tmp_path):
+    src = Path(slabspp.__file__).resolve().parents[1]
+    shutil.copytree(src / "slabspp", tmp_path / "slabspp",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    dispersion = tmp_path / "slabspp" / "dispersion.py"
+    text = dispersion.read_text()
+    assert "\nD_MIN = 1e-10\n" in text
+    # a 3.5 nm solver floor refuses the pool's thinnest films, solved or not
+    dispersion.write_text(text.replace("\nD_MIN = 1e-10\n",
+                                       "\nD_MIN = 3.5e-9\n"))
+    proc = _ab(src, tmp_path, "scan", "--rounds", 1)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "\nDIFFERENT: 422 of 20000 entries; first, slice 0 " in proc.stdout
+    assert proc.stdout.endswith(
+        "\nby kind: 286 point -> refusal, 136 refusal -> refusal\n")
 
 
 def test_ab_usage_errors_exit_2(tmp_path):
