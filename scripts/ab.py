@@ -14,14 +14,20 @@ imported, never edited) with each copy's own classes, in timed units:
   default, so 30 slice pairs).
 - ``sweeps``: one unit per gain sweep (group ``gain``) and per frequency
   sweep (group ``dispersion``) of the benchmark (100 rounds).
-- ``verify``: one unit is ``verify.run_checks`` over the 30 verify configs,
-  at the thick film of the copy's default config (100 rounds).
+- ``verify``: one unit per verify config of the benchmark (30), each
+  ``verify.run_checks`` at the thick film of the copy's default config
+  (100 rounds, so 3000 unit pairs).
 
 Each round times every unit on both copies with ``phases.timed``
 (reference seconds), the copy that goes first alternating from unit to unit
-and from round to round, so the host's drift falls on both alike.  Prints
-per group each copy's median time per item and the median speedup (old
-time over new time, per unit pair) with its quartiles.  Then ``identical``
+and from round to round, so the host's drift falls on both alike.  Before
+the timed rounds, one untimed pass over every unit (which also warms each
+copy) counts each copy's work per group: Gauss-Kronrod steps
+(``oracles._kronrod`` calls) for ``verify``, residual evaluations (calls of
+the closures ``dispersion._scaled_system`` returns) for ``scan`` and
+``sweeps``.  Prints per group each copy's median time per item beside that
+count, and the median speedup (old time over new time, per unit pair) with
+its quartiles.  Then ``identical``
 and the count of each kind of entry of the keys, or, exiting 1, the first
 entry that differs between the copies and the count of each kind of
 change over all differing entries (``67 point -> refusal``, say), or a unit
@@ -66,8 +72,8 @@ def _load_copy(src: Path, name: str, workdir: Path, metal) -> SimpleNamespace:
                     ignore=shutil.ignore_patterns("__pycache__"))
     side = SimpleNamespace(label=name, src=src, **{
         m: importlib.import_module(f"{name}.{m}")
-        for m in ("cli", "dispersion", "media", "modes", "quantization",
-                  "verify")})
+        for m in ("cli", "dispersion", "media", "modes", "oracles",
+                  "quantization", "verify")})
     side.metal = side.media.DrudeMetalSpec(metal.omega_p, metal.gamma)
     return side
 
@@ -137,21 +143,23 @@ def _sweep_key(group, result) -> list:
 
 def _verify_units(side, phases) -> list:
     media = side.media
-    configs = [(media.make_medium_set(
-                    side.metal, media.DielectricSpec(phases.N_REAL, n_imag),
-                    omega),
-                side.dispersion.SlabGeometry(d))
-               for omega, d in phases.OP_POINTS
+    configs = [(omega, d, n_imag) for omega, d in phases.OP_POINTS
                for n_imag in (phases.N_GAIN, phases.N_LOSS)]
     thick_d = side.cli.load_config()["verify"]["thick_d"]
-    run_checks = side.verify.run_checks
-    return [("verify", "the verify pass", len(configs),
-             lambda: [run_checks(m, g, thick_d) for m, g in configs])]
+    return [("verify", f"config {i} (omega={omega!r}, d={d!r}, "
+                       f"n_imag={n_imag!r})", 1,
+             functools.partial(
+                 side.verify.run_checks,
+                 media.make_medium_set(
+                     side.metal, media.DielectricSpec(phases.N_REAL, n_imag),
+                     omega),
+                 side.dispersion.SlabGeometry(d), thick_d))
+            for i, (omega, d, n_imag) in enumerate(configs)]
 
 
-def _verify_key(group, checked) -> list:
-    """Every check record of every config."""
-    return [("record", repr(r)) for records in checked for r in records]
+def _verify_key(group, records) -> list:
+    """Every check record of one config."""
+    return [("record", repr(r)) for r in records]
 
 
 def _check_table(old_checked, new_checked) -> list[str]:
@@ -187,11 +195,48 @@ def _check_table(old_checked, new_checked) -> list[str]:
     return lines
 
 
+def _counting_calls(real, tally):
+    """``real``, counting each call in ``tally[0]``."""
+    def counted(*args):
+        tally[0] += 1
+        return real(*args)
+    return counted
+
+
+def _counting_closures(real, tally):
+    """``real``, whose returned closures count each call in ``tally[0]``."""
+    def build(*args):
+        return _counting_calls(real(*args), tally)
+    return build
+
+
+def _work(side, units, module, name, counting) -> Counter:
+    """Per group, the calls one untimed pass over ``units`` makes of what
+    ``counting`` wraps: ``module.name`` of ``side``, restored after."""
+    mod = getattr(side, module)
+    real = getattr(mod, name)
+    tally = [0]
+    work = Counter()
+    setattr(mod, name, counting(real, tally))
+    try:
+        for group, _, _, run in units:
+            before = tally[0]
+            run()
+            work[group] += tally[0] - before
+    finally:
+        setattr(mod, name, real)
+    return work
+
+
+RESIDUALS = ("dispersion", "_scaled_system", _counting_closures,
+             "residual evaluations")
+STEPS = ("oracles", "_kronrod", _counting_calls, "Kronrod steps")
 # mode: (units of one copy, key of one unit's result, default rounds,
-#        lines explaining the first differing unit's results or None)
-MODES = {"scan": (_scan_units, _scan_key, 6, None),
-         "sweeps": (_sweep_units, _sweep_key, 100, None),
-         "verify": (_verify_units, _verify_key, 100, _check_table)}
+#        lines explaining the first round's results of every unit, or None,
+#        work counted: (module, name, counting wrapper, what it counts))
+MODES = {"scan": (_scan_units, _scan_key, 6, None, RESIDUALS),
+         "sweeps": (_sweep_units, _sweep_key, 100, None, RESIDUALS),
+         "verify": (_verify_units, _verify_key, 100, _check_table, STEPS)}
 
 
 def main(argv=None) -> int:
@@ -207,7 +252,7 @@ def main(argv=None) -> int:
     for src in (args.old_src, args.new_src):
         if not (src / "slabspp" / "__init__.py").is_file():
             parser.error(f"{src} holds no slabspp package")
-    build, key, rounds, explain = MODES[args.mode]
+    build, key, rounds, explain, (*counted, noun) = MODES[args.mode]
     rounds = rounds if args.rounds is None else args.rounds
 
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
@@ -225,8 +270,8 @@ def main(argv=None) -> int:
             if rounds * n < 2:
                 parser.error(f"--rounds {rounds} gives the {group} group "
                              f"fewer than the 2 pairs its quartiles need")
-        for side_units in units:
-            side_units[0][3]()  # warm each copy, untimed
+        work = [_work(side, side_units, *counted)
+                for side, side_units in zip(sides, units)]
 
         times = {group: [] for group in groups}  # (old, new) per unit pair
         first = ([], [])   # per copy: (result, key) of each unit in round 0
@@ -247,9 +292,10 @@ def main(argv=None) -> int:
     print(f"{args.mode} A/B: {rounds} round(s) of {len(units[0])} timed "
           f"unit(s)")
     for group, pairs in times.items():
-        for side, t in zip(sides, zip(*pairs)):
+        for side, t, w in zip(sides, zip(*pairs), work):
             print(f"  {group} {side.label} ({side.src}): median "
-                  f"{1e3 * statistics.median(t):.4g} ms(ref)/{ITEM[group]}")
+                  f"{1e3 * statistics.median(t):.4g} ms(ref)/{ITEM[group]}, "
+                  f"{w[group]} {noun}")
         q1, med, q3 = statistics.quantiles([a / b for a, b in pairs], n=4)
         print(f"{group} speedup (old time / new time): median {med:.3f} "
               f"(q1 {q1:.3f}, q3 {q3:.3f}) over {len(pairs)} pairs")
@@ -275,7 +321,8 @@ def main(argv=None) -> int:
         print("by kind: " + ", ".join(f"{n} {was} -> {now}"
                                       for (was, now), n in kinds.most_common()))
         if explain:
-            print("\n".join(explain(first[0][u][0], first[1][u][0])))
+            print("\n".join(explain(*([result for result, _ in side_first]
+                                       for side_first in first))))
     return 1
 
 

@@ -13,19 +13,24 @@ its callers apply.
 The semi-infinite tails of :func:`signed_tail_integral`,
 :func:`weighted_abs2_quadrature` and :func:`normalization_quadrature` are
 integrated in a decay variable ``u`` (``u = 2*|Im k|*t`` for the x-tail,
-``u = 2*Re(nu0)*z`` from each interface for the cladding tails), in which
-the modulus of each tail integrand is exactly its value at the interface
-times ``exp(-|u|)``.  Each tail is therefore integrated over the finite
-window ``|u| <= 40`` with the 21-point rule: the part left out is at most
+``u = 2*Re(nu0)*|z - interface|`` for the cladding tails), in which the
+modulus of each tail integrand is exactly its value at the interface times
+``exp(-u)``.  The tails are therefore integrated over the finite window
+``0 <= u <= 40`` with the 21-point rule: the part left out is at most
 ``exp(-40)``, about 4.2e-18, of the interface value, seven orders below
-the quadrature's ``1e-11`` target.
+the quadrature's ``1e-11`` target.  Both cladding tails decay at the same
+rate in ``u``, and every caller sums them, so the two z-oracles integrate
+both cladding tails in one window, as one integrand that evaluates the
+lower and the upper cladding at every node.
 
 The x-overlaps of the cross-direction commutator and of the Green-tensor
 identity between two finite points are pure oscillations
-``C*exp(-+2i*Re(k)*s)``.  :func:`complex_quad_chunked` cuts them into
-chunks of at most 1.9*pi of phase, just under a period, which the 21-point
-rule meets in one step each, and gates the summed error estimates on the
-cancelled total.
+``C*exp(-+2i*Re(k)*s)``, one ``cmath.exp`` per node
+(:func:`slabspp.quantization._x_overlap_integrand`).
+:func:`complex_quad_chunked` cuts them into chunks of at most 1.9*pi of
+phase, just under a period, which the 21-point rule meets in one step each,
+and gates the summed error estimates on the cancelled total.  A default
+verify pass takes 69 rule steps, the benchmark's 30 verify configs 2633.
 
 The adaptive quadrature is :func:`quad`, QUADPACK's globally adaptive
 Gauss-Kronrod scheme in pure Python: it integrates a real or a complex
@@ -115,7 +120,7 @@ _UFLOW = sys.float_info.min
 _EPSREL = 1e-11  # relative target of every quadrature
 _LIMIT = 300     # most subintervals of one quadrature
 _FD_STEP = 1e-12  # central-difference step of curl_consistency_error (m)
-_TAIL = 40.0      # window |u| <= _TAIL of each tail in its decay variable
+_TAIL = 40.0      # window 0 <= u <= _TAIL of the tails' decay variable
 
 
 class QuadratureError(ValueError):
@@ -264,32 +269,30 @@ def weighted_abs2_quadrature(sol: ModeSolution) -> tuple[float, float]:
     film: the numerical twin of :func:`slabspp.quantization.overlap_terms`.
     Callers weight the two terms per region themselves.  The cladding tails
     are integrated numerically (no analytic shortcut) in ``u =
-    2*Re(nu0)*z`` from each interface, where the integrand's modulus is its
-    interface value times ``exp(-|u|)``: over ``-40 <= u <= 0`` below the
-    film and ``0 <= u <= 40`` above it, leaving out at most ``exp(-40)``
-    (about 4.2e-18) of the interface value.  The raw meter-scale variable
-    would underflow the adaptive rule's initial mesh.  It leans on the
-    closed-form profile :func:`~slabspp.modes.bracket_of`.
+    2*Re(nu0)*|z - interface|``, where each integrand's modulus is its
+    interface value times ``exp(-u)``: both cladding tails in one window
+    ``0 <= u <= 40``, as one integrand that evaluates the lower cladding at
+    ``z = -u/(2*Re(nu0))`` and the upper at ``z = d + u/(2*Re(nu0))`` at
+    every node, leaving out at most ``exp(-40)`` (about 4.2e-18) of the
+    interface value.  The raw meter-scale variable would underflow the
+    adaptive rule's initial mesh.  It leans on the closed-form profile
+    :func:`~slabspp.modes.bracket_of`.
     """
     d = sol.geom.d
     s = 2.0 * sol.nu0.real  # |bracket|^2 decay rate in the claddings
     bracket = bracket_of(sol)
 
-    def lower(u):
-        bx, bz = bracket(u / s)
-        return (abs(bx) ** 2 + abs(bz) ** 2) / s
+    def tails(u):  # the lower cladding at z = -u/s, the upper at d + u/s
+        bx, bz = bracket(-u / s)
+        cx, cz = bracket(d + u / s)
+        return ((abs(bx) ** 2 + abs(bz) ** 2)
+                + (abs(cx) ** 2 + abs(cz) ** 2)) / s
 
     def film(z):
         bx, bz = bracket(z)
         return abs(bx) ** 2 + abs(bz) ** 2
 
-    def upper(u):
-        bx, bz = bracket(d + u / s)
-        return (abs(bx) ** 2 + abs(bz) ** 2) / s
-
-    claddings = (complex_quad(lower, -_TAIL, 0.0)
-                 + complex_quad(upper, 0.0, _TAIL))
-    return claddings, complex_quad(film, 0.0, d)
+    return complex_quad(tails, 0.0, _TAIL), complex_quad(film, 0.0, d)
 
 
 def normalization_quadrature(sol: ModeSolution) -> complex:
@@ -297,10 +300,12 @@ def normalization_quadrature(sol: ModeSolution) -> complex:
 
     The unconjugated pairing that the closed-form normalization claims to
     equal.  The cladding tails are integrated numerically in ``u =
-    2*Re(nu0)*z`` from each interface, where the integrand's modulus is its
-    interface value times ``exp(-|u|)``: over ``-40 <= u <= 0`` and ``0 <=
-    u <= 40``, leaving out at most ``exp(-40)`` (about 4.2e-18) of the
-    interface value.  It leans on the closed-form profile
+    2*Re(nu0)*|z - interface|``, where each integrand's modulus is its
+    interface value times ``exp(-u)``: both cladding tails in one window
+    ``0 <= u <= 40``, as one integrand that evaluates both claddings at
+    every node and is weighted with ``eps_d`` once, leaving out at most
+    ``exp(-40)`` (about 4.2e-18) of the interface value.  It leans on the
+    closed-form profile
     :func:`~slabspp.modes.bracket_of`: it checks the integral, not that
     ``1/N'`` is the strength of the Green tensor's pole (ROADMAP item 7).
     """
@@ -311,21 +316,17 @@ def normalization_quadrature(sol: ModeSolution) -> complex:
     inv_s = 1.0 / s
     bracket = bracket_of(sol)
 
-    def lower(u):
-        bx, bz = bracket(u / s)
-        return (bx * bx - bz * bz) * inv_s
+    def tails(u):  # the lower cladding at z = -u/s, the upper at d + u/s
+        bx, bz = bracket(-u / s)
+        cx, cz = bracket(d + u / s)
+        return ((bx * bx - bz * bz) + (cx * cx - cz * cz)) * inv_s
 
     def film(z):
         bx, bz = bracket(z)
         return bx * bx - bz * bz
 
-    def upper(u):
-        bx, bz = bracket(d + u / s)
-        return (bx * bx - bz * bz) * inv_s
-
-    return (eps_d * complex_quad(lower, -_TAIL, 0.0)
-            + eps_m * complex_quad(film, 0.0, d)
-            + eps_d * complex_quad(upper, 0.0, _TAIL))
+    return (eps_d * complex_quad(tails, 0.0, _TAIL)
+            + eps_m * complex_quad(film, 0.0, d))
 
 
 def curl_consistency_error(sol: ModeSolution, depths) -> float:

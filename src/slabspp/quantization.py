@@ -208,15 +208,10 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
     if kind == CROSS_DIRECTION:
         if x <= x_prime:
             return 0j
-        ik, mik_conj = 1j * k, -1j * k.conjugate()
-
-        def integrand(xs):
-            return (cmath.exp(ik * (x - xs))
-                    * cmath.exp(mik_conj * (xs - x_prime)))
         # the source phase advances at 2 Re(k); chunk the interval so the
         # heavy cross-cycle cancellation cannot defeat the adaptive rule
-        x_quad = oracles.complex_quad_chunked(integrand, x_prime, x,
-                                              2.0 * k.real)
+        x_quad = oracles.complex_quad_chunked(
+            _x_overlap_integrand(k, x, x_prime), x_prime, x, 2.0 * k.real)
         return (two_ki / beta) * z_quad * x_quad
     raise ValueError(f"unknown commutator kind {kind!r}")
 
@@ -269,21 +264,34 @@ def green_identity_check(sol: ModeSolution, z_terms: tuple[float, float],
 
 def _x_overlap_numeric(k: complex, x: float, x_prime: float,
                        tail: float) -> complex:
-    """Quadrature of exp(ik|x-s|) exp(-ik*|s-x'|) over the source line.
+    """Quadrature of exp(ik|x-s| - ik*|s-x'|) over the source line.
 
-    ``tail`` is ``oracles.signed_tail_integral(k.imag)``, the integral of
-    each semi-infinite end.
+    The finite middle integrates :func:`_x_overlap_integrand`, one
+    exponential per node.  ``tail`` is
+    ``oracles.signed_tail_integral(k.imag)``, the integral of each
+    semi-infinite end.
     """
     lo, hi = (x, x_prime) if x <= x_prime else (x_prime, x)
     ik, mik_conj = 1j * k, -1j * k.conjugate()
-
-    def middle(s):
-        return (cmath.exp(ik * abs(x - s))
-                * cmath.exp(mik_conj * abs(s - x_prime)))
-
     c_lo = cmath.exp(ik * (x - lo)) * cmath.exp(mik_conj * (x_prime - lo))
     c_hi = cmath.exp(ik * (hi - x)) * cmath.exp(mik_conj * (hi - x_prime))
     total = (c_lo + c_hi) * tail
     if hi > lo:
-        total += oracles.complex_quad_chunked(middle, lo, hi, 2.0 * k.real)
+        total += oracles.complex_quad_chunked(
+            _x_overlap_integrand(k, x, x_prime), lo, hi, 2.0 * k.real)
     return total
+
+
+def _x_overlap_integrand(k: complex, x: float, x_prime: float):
+    """exp(ik|x-s| - ik*|s-x'|) as a function of the source position ``s``.
+
+    One ``cmath.exp`` of the summed exponent per node.  Between ``x`` and
+    ``x'`` each difference keeps its sign, so its ``abs`` is exact: on
+    ``[x', x]`` this is the cross-direction commutator's integrand
+    ``exp(ik(x-s)) exp(-ik*(s-x'))``.
+    """
+    ik, mik_conj = 1j * k, -1j * k.conjugate()
+
+    def integrand(s):
+        return cmath.exp(ik * abs(x - s) + mik_conj * abs(s - x_prime))
+    return integrand

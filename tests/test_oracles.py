@@ -21,7 +21,7 @@ from slabspp import (
     solve_dispersion,
 )
 from slabspp import oracles
-from slabspp.modes import bracket_of, green_coefficient
+from slabspp.modes import bracket_of, green_coefficient, normalization
 from slabspp.quantization import (
     _x_overlap_numeric,
     gamma_prime,
@@ -341,8 +341,9 @@ def test_quadrature_error_raised_for_hopeless_integrand():
 
 # Reference for the scalar integrands: the ndarray bracket and numpy-scalar
 # integrand arithmetic the oracles used before.  The oracles must reproduce
-# it bit for bit, so the verify report cannot drift with the rewrite.  The
-# tails are integrated over the oracles' window in the decay variable.
+# it bit for bit, so the verify report cannot drift with the rewrite.  As in
+# the oracles, the two cladding tails are summed at each node of the decay
+# variable and integrated over the one window.
 
 _TAIL = 40.0
 
@@ -385,11 +386,10 @@ def _reference_weighted_abs2(sol, w_d, w_m):
 
     total = 0.0
     if w_d != 0.0:
-        lower = complex_quad(_python(lambda u: dens(u / s) / s, float),
-                             -_TAIL, 0.0)
-        upper = complex_quad(_python(lambda u: dens(d + u / s) / s, float),
-                             0.0, _TAIL)
-        total += w_d * (lower + upper)
+        tails = complex_quad(
+            _python(lambda u: (dens(-u / s) + dens(d + u / s)) / s, float),
+            0.0, _TAIL)
+        total += w_d * tails
     if w_m != 0.0:
         total += w_m * complex_quad(_python(dens, float), 0.0, d)
     return total
@@ -405,11 +405,10 @@ def _reference_normalization(sol):
         b = _ndarray_bracket(sol, z)
         return b[0] * b[0] - b[1] * b[1]
 
-    return (eps_d * complex_quad(_python(lambda u: pair(u / s) / s, complex),
-                                 -_TAIL, 0.0)
-            + eps_m * complex_quad(_python(pair, complex), 0.0, d)
-            + eps_d * complex_quad(
-                _python(lambda u: pair(d + u / s) / s, complex), 0.0, _TAIL))
+    return (eps_d * complex_quad(
+                _python(lambda u: (pair(-u / s) + pair(d + u / s)) / s,
+                        complex), 0.0, _TAIL)
+            + eps_m * complex_quad(_python(pair, complex), 0.0, d))
 
 
 def _reference_curl_error(sol, z, h=1e-12):
@@ -454,6 +453,32 @@ def test_weighted_abs2_matches_overlap_terms(parity, kappa):
                                overlap_terms(sol), strict=True):
         assert numeric > 0.0
         assert numeric == pytest.approx(closed, rel=1e-10)
+
+
+@_CLADDINGS
+@_PARITIES
+@pytest.mark.parametrize("cladding", ("lower", "upper"))
+def test_merged_tails_see_each_cladding(monkeypatch, cladding, parity, kappa):
+    """The one tail window integrates both claddings: a profile scaled by
+    1 + 1e-6 in one cladding alone moves both z-oracles off their closed
+    forms, which they otherwise meet to 1e-10."""
+    sol = _mode(parity, kappa)
+    d = sol.geom.d
+
+    def scaled_bracket_of(mode):
+        bracket = bracket_of(mode)
+
+        def scaled(z):
+            bx, bz = bracket(z)
+            if (z < 0.0) if cladding == "lower" else (z > d):
+                return bx * (1.0 + 1e-6), bz * (1.0 + 1e-6)
+            return bx, bz
+        return scaled
+
+    monkeypatch.setattr(oracles, "bracket_of", scaled_bracket_of)
+    t_clad, _ = weighted_abs2_quadrature(sol)
+    assert abs(t_clad / overlap_terms(sol)[0] - 1.0) > 1e-7
+    assert abs(normalization_quadrature(sol) / normalization(sol) - 1.0) > 1e-7
 
 
 @_CLADDINGS

@@ -1,6 +1,7 @@
 """Smoke tests for the analysis scripts under ``scripts/``."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -34,21 +35,29 @@ def _ab(*args):
         capture_output=True, text=True, timeout=300)
 
 
-@pytest.mark.parametrize("mode, rounds, identical, groups", [
-    pytest.param("scan", 1, "18646 points and 1354 refusals", ("scan",),
-                 id="scan"),
-    pytest.param("sweeps", 1, "1446 rows and 30 crossings",
-                 ("gain", "dispersion"), id="sweeps"),
-    pytest.param("verify", 2, "420 records", ("verify",), id="verify"),
+@pytest.mark.parametrize("mode, identical, noun, work", [
+    pytest.param("scan", "18646 points and 1354 refusals",
+                 "residual evaluations", {"scan": 144646}, id="scan"),
+    pytest.param("sweeps", "1446 rows and 30 crossings",
+                 "residual evaluations", {"gain": 5213, "dispersion": 1118},
+                 id="sweeps"),
+    pytest.param("verify", "420 records", "Kronrod steps", {"verify": 2633},
+                 id="verify"),
 ])
-def test_ab_tree_against_itself_is_identical(mode, rounds, identical, groups):
+def test_ab_tree_against_itself_is_identical(mode, identical, noun, work):
+    """One round; each copy prints the same work per group, pinned here."""
     src = Path(slabspp.__file__).resolve().parents[1]
-    proc = _ab(src, src, mode, "--rounds", rounds)
+    proc = _ab(src, src, mode, "--rounds", 1)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.endswith(f"\nidentical: {identical}, on every round\n")
-    for group in groups:
+    for group, count in work.items():
         assert f"\n{group} speedup (old time / new time): median " \
             in proc.stdout
+        printed = re.findall(
+            rf"^  {group} (slabspp_old|slabspp_new) \(.*\): median \S+ "
+            rf"ms\(ref\)/\w+, (\d+) {noun}$", proc.stdout, re.MULTILINE)
+        assert printed == [("slabspp_old", str(count)),
+                           ("slabspp_new", str(count))], proc.stdout
 
 
 def test_ab_verify_tables_the_checks_of_differing_trees(tmp_path):
@@ -61,10 +70,11 @@ def test_ab_verify_tables_the_checks_of_differing_trees(tmp_path):
     # a 100x coarser curl step fails the curl check of every mode
     oracles.write_text(text.replace("\n_FD_STEP = 1e-12 ",
                                     "\n_FD_STEP = 1e-10 "))
-    proc = _ab(src, tmp_path, "verify", "--rounds", 2)
+    proc = _ab(src, tmp_path, "verify", "--rounds", 1)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "\nDIFFERENT: 60 of 420 entries; first, the verify pass, entry 5:\n" \
-        in proc.stdout
+    assert ("\nDIFFERENT: 60 of 420 entries; first, config 0 "
+            "(omega=2000000000000000.0, d=2e-08, n_imag=-0.063), entry 5:\n"
+            in proc.stdout)
     rows = {line.split()[0]: line.split()[1:]
             for line in proc.stdout.splitlines()[-9:]}
     assert rows.pop("check") == ["changed", "worst", "old", "worst", "new",
@@ -103,8 +113,8 @@ def test_ab_usage_errors_exit_2(tmp_path):
     for args, message in [
             ((tmp_path, src, "scan"), f"{tmp_path} holds no slabspp package"),
             ((src, src, "cli"), "argument mode: invalid choice: 'cli' "),
-            ((src, src, "verify", "--rounds", 1),
-             "--rounds 1 gives the verify group fewer than the 2 pairs its "
+            ((src, src, "verify", "--rounds", 0),
+             "--rounds 0 gives the verify group fewer than the 2 pairs its "
              "quartiles need")]:
         proc = _ab(*args)
         assert proc.returncode == 2 and proc.stdout == "", proc.stderr
