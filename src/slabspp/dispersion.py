@@ -422,12 +422,11 @@ def _continuation(parity, grid, geom):
             if trend is not None:
                 dev = abs(sol.k_spp - pred)
                 if dev > 10.0 * (trend + 1e-9 * abs(sol.k_spp)):
-                    # suspicious jump: retry from the single-interface root
-                    # and keep whichever root continues the tracked branch
+                    # suspicious jump: retry without the prediction, from
+                    # the solver's own seeds (the single-interface root
+                    # first), and keep whichever root continues the branch
                     try:
-                        alt = solve_dispersion(
-                            parity, geom, media,
-                            guess=single_interface_root(media))
+                        alt = solve_dispersion(parity, geom, media)
                         if abs(alt.k_spp - pred) < dev:
                             sol = alt
                     except ValueError:

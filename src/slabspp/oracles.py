@@ -10,18 +10,18 @@ oracle.  :func:`weighted_abs2_quadrature` returns the region integrals of
 |bracket|^2 unweighted, so one quadrature of a mode serves every weighting
 its callers apply.
 
-The semi-infinite tails of :func:`signed_tail_integral`,
-:func:`weighted_abs2_quadrature` and :func:`normalization_quadrature` are
-integrated in a decay variable ``u`` (``u = 2*|Im k|*t`` for the x-tail,
-``u = 2*Re(nu0)*|z - interface|`` for the cladding tails), in which the
-modulus of each tail integrand is exactly its value at the interface times
-``exp(-u)``.  The tails are therefore integrated over the finite window
-``0 <= u <= 40`` with the 21-point rule: the part left out is at most
-``exp(-40)``, about 4.2e-18, of the interface value, seven orders below
-the quadrature's ``1e-11`` target.  Both cladding tails decay at the same
-rate in ``u``, and every caller sums them, so the two z-oracles integrate
-both cladding tails in one window, as one integrand that evaluates the
-lower and the upper cladding at every node.
+The semi-infinite tails are integrated in a decay variable ``u`` (``u =
+2*|Im k|*t`` for the x-tail, ``u = 2*Re(nu0)*|z - interface|`` for the
+cladding tails), in which the modulus of each tail integrand is exactly
+its value at the interface times ``exp(-u)``.  The tails are therefore
+integrated over the finite window ``0 <= u <= 40`` with the 21-point
+rule: the part left out is at most ``exp(-40)``, about 4.2e-18, of the
+interface value, seven orders below the quadrature's ``1e-11`` target.
+The x-tail is ``exp(-u)/(2*|Im k|)`` for every mode, so its shape is
+integrated once, at import (``_UNIT_TAIL``).  Both cladding tails decay at
+the same rate in ``u``, and every caller sums them, so the two z-oracles
+integrate both cladding tails in one window, as one integrand that
+evaluates the lower and the upper cladding at every node.
 
 The x-overlaps of the cross-direction commutator and of the Green-tensor
 identity between two finite points are pure oscillations
@@ -30,7 +30,7 @@ identity between two finite points are pure oscillations
 :func:`complex_quad_chunked` cuts them into chunks of at most 1.9*pi of
 phase, just under a period, which the 21-point rule meets in one step each,
 and gates the summed error estimates on the cancelled total.  A default
-verify pass takes 69 rule steps, the benchmark's 30 verify configs 2633.
+verify pass takes 59 rule steps, the benchmark's 30 verify configs 2333.
 
 The adaptive quadrature is :func:`quad`, QUADPACK's globally adaptive
 Gauss-Kronrod scheme in pure Python: it integrates a real or a complex
@@ -245,21 +245,21 @@ def complex_quad_chunked(f, a, b, phase_rate: float) -> complex:
     return total
 
 
+# the x-tail's shape in its decay variable, the same for every mode
+_UNIT_TAIL = complex_quad(lambda u: math.exp(-u), 0.0, _TAIL)
+
+
 def signed_tail_integral(k_im: float) -> float:
     """Integral of exp(-2*k_im*t) over t in [0, inf), numerically.
 
     For k_im < 0 the defining integral diverges; its analytic continuation
     (integration along the reflected ray) is the negative of the convergent
-    mirror integral, which is what this returns.  In ``u = 2*|k_im|*t`` the
-    integrand is ``exp(-u)``, integrated over ``0 <= u <= 40``; the part
-    left out is ``exp(-40)`` (about 4.2e-18) of the integrand at ``u = 0``.
+    mirror integral, which is what this returns.  In ``u = 2*|k_im|*t`` it
+    is ``_UNIT_TAIL``, exp(-u) over ``0 <= u <= 40``, over ``2*|k_im|``.
     """
     if k_im == 0.0:
         raise ValueError("neutral mode: semi-infinite overlap diverges")
-    rate = 2.0 * abs(k_im)
-    # substitute u = rate*t so the adaptive rule integrates on an O(1) scale
-    val = complex_quad(lambda u: math.exp(-u) / rate, 0.0, _TAIL)
-    return math.copysign(val, k_im)
+    return math.copysign(_UNIT_TAIL / (2.0 * abs(k_im)), k_im)
 
 
 def weighted_abs2_quadrature(sol: ModeSolution) -> tuple[float, float]:
@@ -442,15 +442,18 @@ def contour_slab_roots(geom: SlabGeometry, media: MediumSet,
 
     ``radius`` defaults to half the distance from the center to the nearest
     branch point ``+-n*k0``, ``+-sqrt(eps_m)*k0``.  Raises
-    :class:`ContourError` if a branch point lies in the closed disk, if the
-    zero count of ``D`` differs from 2 -- one zero per factor -- by more
-    than 1e-6 in total, or if a zero is not bound (``Re(nu0) <= 0``).
+    :class:`ContourError` where ``eps_m + eps_d == 0`` (no center), if a
+    branch point lies in the closed disk, if the zero count of ``D``
+    differs from 2 -- one zero per factor -- by more than 1e-6 in total, or
+    if a zero is not bound (``Re(nu0) <= 0``).
 
     Returns ``{"symmetric": k, "antisymmetric": k}``.
     """
     k0 = media.k0
     eps_d, eps_m = media.eps_d, media.eps_m
     d = geom.d
+    if eps_m + eps_d == 0:
+        raise ContourError("eps_m + eps_d == 0: no single-interface center")
     center = k0 * cmath.sqrt(eps_m * eps_d / (eps_m + eps_d))
     betas = (k0 * cmath.sqrt(eps_d), k0 * cmath.sqrt(eps_m))
     clearance = min(abs(center - s * b) for b in betas for s in (1, -1))

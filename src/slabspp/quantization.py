@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable
 
 from . import oracles
 from .media import EPS0, HBAR, MediumSet
@@ -173,22 +172,22 @@ def commutator(kind: str, x: float, x_prime: float,
 
 
 def commutator_numeric(kind: str, x: float, x_prime: float,
-                       sol: ModeSolution, z_terms: tuple[float, float],
-                       x_tail: Callable[[], float]) -> complex:
+                       sol: ModeSolution,
+                       z_terms: tuple[float, float]) -> complex:
     """Commutator from the defining source integrals, by quadrature.
 
     ``z_terms`` are the mode's region integrals of |bracket|^2 by
     quadrature, ``oracles.weighted_abs2_quadrature(sol)``; they are weighted
     here with the noise amplitudes, as :func:`beta_prime` weights the closed
     forms.  The x integral over the shared source region is evaluated
-    numerically: for ``same_direction`` it is the semi-infinite tail that
-    ``x_tail()`` returns, ``oracles.signed_tail_integral(k.imag)`` (for an
-    amplified mode the integral on the reflected ray, i.e. the analytic
-    continuation the closed form represents); ``cross_direction``
-    integrates its finite region here and never calls ``x_tail``.  Used to
-    cross-check :func:`commutator`.  Raises ``ValueError`` where beta_prime
-    is 0, as :func:`ccr_check` does, before ``x_tail`` is called, so a
-    neutral mode of transparent media is refused for its launch weight.
+    numerically: for ``same_direction`` it is the semi-infinite tail
+    ``oracles.signed_tail_integral(k.imag)`` (for an amplified mode the
+    integral on the reflected ray, i.e. the analytic continuation the
+    closed form represents); ``cross_direction`` integrates its finite
+    region.  Used to cross-check :func:`commutator`.  Raises ``ValueError``
+    where beta_prime is 0, as :func:`ccr_check` does, before the x-tail is
+    taken, so a neutral mode of transparent media is refused for its launch
+    weight.
 
     Closed forms it leans on: it divides by the closed-form beta_prime,
     ``_launch_weight(sol.media, overlap_terms(sol))``, so it tests the
@@ -203,7 +202,7 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
         m = min(x, x_prime)
         phase = cmath.exp(1j * k * (x - m)) * cmath.exp(
             -1j * k.conjugate() * (x_prime - m))
-        x_quad = x_tail()
+        x_quad = oracles.signed_tail_integral(k.imag)
         return (two_ki / beta) * z_quad * phase * x_quad
     if kind == CROSS_DIRECTION:
         if x <= x_prime:
@@ -220,8 +219,8 @@ def commutator_numeric(kind: str, x: float, x_prime: float,
 # Green-tensor overlap identity
 # ---------------------------------------------------------------------------
 
-def green_identity_check(sol: ModeSolution, z_terms: tuple[float, float],
-                         x_tail: Callable[[], float]) -> float:
+def green_identity_check(sol: ModeSolution,
+                         z_terms: tuple[float, float]) -> float:
     """Verify the medium-overlap identity of the resonant Green tensor.
 
     The integral of Im(eps(s)) G(r, s) G^*(s, r') over the source plane
@@ -231,11 +230,10 @@ def green_identity_check(sol: ModeSolution, z_terms: tuple[float, float],
     remains: gamma_prime times the x-overlap, by quadrature -- z from
     ``z_terms``, the region integrals ``oracles.weighted_abs2_quadrature(sol)``
     weighted with signed Im eps as :func:`gamma_prime` weights the closed
-    forms; x semi-analytically, with ``x_tail()``,
-    ``oracles.signed_tail_integral(k.imag)``, for each semi-infinite end
-    (continued for amplified modes) -- against the closed form.  Returns
-    the worst relative deviation over three source separations, up to a
-    few decay lengths along x.
+    forms; x semi-analytically, with ``oracles.signed_tail_integral(k.imag)``
+    for each semi-infinite end (continued for amplified modes) -- against
+    the closed form.  Returns the worst relative deviation over three
+    source separations, up to a few decay lengths along x.
 
     So it tests gamma_prime's overlaps and the x-profile, not ``D``: no
     check tests ``D`` yet (ROADMAP item 7).  ``z_terms`` integrates the
@@ -246,7 +244,7 @@ def green_identity_check(sol: ModeSolution, z_terms: tuple[float, float],
     gamma_closed = gamma_prime(sol)
     gamma_quad = _loss_weight(sol.media.eps_d.imag, sol.media.eps_m.imag,
                               z_terms)
-    tail = x_tail()
+    tail = oracles.signed_tail_integral(ki)
     ell = 1.0 / max(abs(ki), abs(kr) / 20.0)
 
     worst = 0.0
@@ -269,7 +267,7 @@ def _x_overlap_numeric(k: complex, x: float, x_prime: float,
     The finite middle integrates :func:`_x_overlap_integrand`, one
     exponential per node.  ``tail`` is
     ``oracles.signed_tail_integral(k.imag)``, the integral of each
-    semi-infinite end.
+    semi-infinite end, which the caller takes once for all its pairs.
     """
     lo, hi = (x, x_prime) if x <= x_prime else (x_prime, x)
     ik, mik_conj = 1j * k, -1j * k.conjugate()

@@ -80,10 +80,10 @@ def run_checks(media: MediumSet, geom: SlabGeometry,
     thickness of the degeneracy checks; each check has its own tolerance.
     A parity whose mode cannot be solved gives one failed ``solve`` record
     instead of its six checks, and a thick film that cannot be solved fails
-    its two checks.  Each mode's region integrals of |b|^2 and its x-tail
-    are integrated once, for both commutator checks and the Green identity,
-    and the thick film is solved once; an oracle that fails there fails
-    each check that needs it, with the same error, and is not run again.
+    its two checks.  Each mode's region integrals of |b|^2 are integrated
+    once, for both commutator checks and the Green identity, and the thick
+    film is solved once; an oracle that fails there fails each check that
+    needs it, with the same error, and is not run again.
     """
     omega = media.omega
     records: list[CheckRecord] = []
@@ -110,11 +110,9 @@ def run_checks(media: MediumSet, geom: SlabGeometry,
         check("ccr_closure", parity.name, 1e-12,
               lambda: abs(ccr_check(sol) - 1.0))
 
-        # one quadrature of the region integrals of |b|^2, and one of the
-        # x-tail, serves the three checks that use them; if it fails, each
-        # of them fails with it
+        # one quadrature of the region integrals of |b|^2 serves the three
+        # checks that use them; if it fails, each of them fails with it
         z_terms = _once(lambda: oracles.weighted_abs2_quadrature(sol))
-        x_tail = _once(lambda: oracles.signed_tail_integral(sol.k_spp.imag))
 
         ell = min(1.0 / max(abs(sol.k_spp.imag), 1e-20),
                   400.0 * math.pi / sol.k_spp.real)
@@ -125,14 +123,13 @@ def run_checks(media: MediumSet, geom: SlabGeometry,
         for kind, (x, xp) in pairs.items():
             def deviation():
                 closed = commutator(kind, x, xp, sol)
-                numeric = commutator_numeric(kind, x, xp, sol, z_terms(),
-                                             x_tail)
+                numeric = commutator_numeric(kind, x, xp, sol, z_terms())
                 return abs(closed - numeric) / max(abs(closed), abs(numeric),
                                                    1e-12)
             check(f"commutator_{kind}", parity.name, 1e-6, deviation)
 
         check("green_identity", parity.name, 1e-6,
-              lambda: green_identity_check(sol, z_terms(), x_tail))
+              lambda: green_identity_check(sol, z_terms()))
 
         def normalization_deviation():
             n_quad = oracles.normalization_quadrature(sol)

@@ -210,31 +210,34 @@ def test_sweep_no_failures_and_continuity():
                                                (500.0, "first")])
 def test_sweep_branch_hop_keeps_root_closer_to_prediction(monkeypatch,
                                                           alt_offset, keeps):
-    """A root far from the extrapolation is re-solved from the single-
-    interface seed; the row keeps whichever root lies closer to it."""
+    """A root far from the extrapolation is re-solved without a guess, from
+    the solver's own seeds; the row keeps whichever root lies closer to
+    it."""
     omegas = [1e15, 2e15, 3e15, 4e15]
     step = 1e7 * (1 + 0.1j)  # the tracked branch: k = step * omega / 1e15
-    seed = object()
     guesses, roots = [], {}
 
     def stub_solve(parity, geom, media, guess=None):
+        # the first point has no prediction either; the retry is a call
+        # without a guess at a point already solved
+        retry = guess is None and (media.omega, False) in roots
         guesses.append(guess)
         on_branch = step * (media.omega / 1e15)
-        if guess is seed:
+        if retry:
             k = on_branch + alt_offset * abs(step)
         elif media.omega == 3e15:
             k = on_branch + 100.0 * abs(step)  # hop to a far root
         else:
             k = on_branch
-        roots[media.omega, guess is seed] = SimpleNamespace(k_spp=k)
-        return roots[media.omega, guess is seed]
+        roots[media.omega, retry] = SimpleNamespace(k_spp=k)
+        return roots[media.omega, retry]
 
     monkeypatch.setattr(dispersion, "solve_dispersion", stub_solve)
-    monkeypatch.setattr(dispersion, "single_interface_root",
-                        lambda media: seed)
     rows = dispersion_sweep((SYMMETRIC,), GEOM, METAL,
                             DielectricSpec(0.9726, -0.063), omegas)
-    assert [g is seed for g in guesses] == [False] * 3 + [True, False]
+    assert [g is None for g in guesses] == [True, False, False, True, False]
+    assert list(roots) == [(1e15, False), (2e15, False), (3e15, False),
+                           (3e15, True), (4e15, False)]
     kept = roots[3e15, keeps == "retry"]
     assert [r.solution for r in rows] == [
         roots[1e15, False], roots[2e15, False], kept, roots[4e15, False]]

@@ -14,6 +14,7 @@ from slabspp import (
     SYMMETRIC,
     DielectricSpec,
     DrudeMetalSpec,
+    MediumSet,
     SlabGeometry,
     h_field_operator_bracket,
     make_medium_set,
@@ -255,13 +256,22 @@ def test_complex_quad_chunked_refuses_more_than_40000_chunks(monkeypatch):
     assert steps == []
 
 
-def test_signed_tail_integral():
+def test_signed_tail_integral(monkeypatch):
     assert signed_tail_integral(3.0e4) == pytest.approx(1.0 / 6.0e4,
                                                         rel=1e-10)
     # amplified continuation: odd in the decay rate
     assert signed_tail_integral(-3.0e4) == pytest.approx(-1.0 / 6.0e4,
                                                          rel=1e-10)
-    with pytest.raises(ValueError):
+    # the one tail shape, integrated at import, over each mode's rate: bit
+    # for bit, with no rule step of its own
+    steps = _counted_steps(monkeypatch)
+    for rate in (10.0 ** (e / 4) for e in range(-12, 49)):  # 1e-3 to 1e12
+        for k_im in (rate, -rate):
+            assert signed_tail_integral(k_im) == math.copysign(
+                oracles._UNIT_TAIL / (2 * abs(k_im)), k_im), k_im
+    assert steps == []
+    with pytest.raises(ValueError, match="neutral mode: semi-infinite "
+                       "overlap diverges"):
         signed_tail_integral(0.0)
 
 
@@ -325,6 +335,9 @@ def test_contour_roots_refuse_uncertified_disks():
     # a 20 nm film pushes both modes out of the default disk
     with pytest.raises(ContourError, match="counts"):
         contour_slab_roots(SlabGeometry(20e-9), media)
+    # at eps_m + eps_d == 0 the disk has no center
+    with pytest.raises(ContourError, match="no single-interface center"):
+        contour_slab_roots(GEOM, MediumSet(4.8e15, 2.25 + 0.1j, -2.25 - 0.1j))
 
 
 def test_quadrature_error_raised_for_hopeless_integrand():
@@ -547,7 +560,6 @@ def _oracle_values(sol):
         "noise_weights": alpha_d * t_clad + alpha_m * t_film,
         "im_eps_weights": (sol.media.eps_d.imag * t_clad
                            + sol.media.eps_m.imag * t_film),
-        "signed_tail": signed_tail_integral(k.imag),
         "cross_x_integral": complex_quad_chunked(cross, x_prime, x,
                                                  2.0 * k.real),
     }
@@ -589,7 +601,6 @@ _THICK_POINTS = [(omega, 2e-6) for omega in dict.fromkeys(
 def _tail_oracles(sol):
     t_clad, t_film = weighted_abs2_quadrature(sol)
     return {
-        "signed_tail": signed_tail_integral(sol.k_spp.imag),
         "claddings": t_clad,
         "film": t_film,
         "normalization": normalization_quadrature(sol),
@@ -614,6 +625,19 @@ def test_tail_window_matches_semi_infinite_quad(monkeypatch, omega, d,
         for name, value in window.items():
             assert value == pytest.approx(whole[name], rel=1e-14,
                                           abs=0), (parity.name, name)
+
+
+def test_unit_tail_matches_scipy_quad():
+    """The x-tail's shape, integrated once at import, against scipy's
+    ``quad`` over the same window, as every oracle is checked, and over the
+    whole semi-infinite tail, as the windowed tails are."""
+    def f(u):
+        return math.exp(-u)
+
+    assert oracles._UNIT_TAIL == pytest.approx(
+        _scipy_quad(f, 0.0, _TAIL)[0], rel=1e-12, abs=0)
+    assert oracles._UNIT_TAIL == pytest.approx(
+        _scipy_quad(f, 0.0, math.inf)[0], rel=1e-14, abs=0)
 
 
 # Reference copies of the ndarray code two oracles ran before they became
@@ -709,6 +733,5 @@ def test_green_identity_matches_ndarray_reference(omega, d, parity, kappa):
     media = make_medium_set(METAL, DielectricSpec(0.9726, kappa), omega)
     sol = solve_dispersion(parity, SlabGeometry(d), media)
     z_terms = weighted_abs2_quadrature(sol)
-    x_tail = partial(signed_tail_integral, sol.k_spp.imag)
-    assert green_identity_check(sol, z_terms, x_tail) == pytest.approx(
+    assert green_identity_check(sol, z_terms) == pytest.approx(
         _reference_green_identity(sol, z_terms), rel=0, abs=1e-15)

@@ -72,27 +72,19 @@ def test_unsolvable_film_fails_each_parity(tmp_path):
         ["thick_film_single_interface", "both", "pass"]]
 
 
-def test_each_mode_integrates_its_regions_and_x_tail_once(monkeypatch):
-    """One verify pass: one |b|^2 region quadrature and one x-tail per mode."""
-    z_calls, tail_calls = [], []
+def test_each_mode_integrates_its_regions_once(monkeypatch):
+    """One verify pass: one |b|^2 region quadrature per mode."""
+    z_calls = []
     z_quadrature = oracles.weighted_abs2_quadrature
-    tail_integral = oracles.signed_tail_integral
 
     def counted_z(sol):
         z_calls.append(sol.parity.name)
         return z_quadrature(sol)
 
-    def counted_tail(k_im):
-        tail_calls.append(k_im)
-        return tail_integral(k_im)
-
     monkeypatch.setattr(oracles, "weighted_abs2_quadrature", counted_z)
-    monkeypatch.setattr(oracles, "signed_tail_integral", counted_tail)
     records = _default_checks()
     assert all(r.passed for r in records)
     assert sorted(z_calls) == ["antisymmetric", "symmetric"]
-    # each parity's mode has its own Im k
-    assert len(tail_calls) == len(set(tail_calls)) == 2
 
 
 def test_rule_steps_of_the_default_pass(monkeypatch):
@@ -107,7 +99,7 @@ def test_rule_steps_of_the_default_pass(monkeypatch):
 
     monkeypatch.setattr(oracles, "_kronrod", counted)
     assert all(r.passed for r in _default_checks())
-    assert len(steps) == 69
+    assert len(steps) == 59
 
 
 def test_failed_region_quadrature_fails_its_three_checks(monkeypatch,
