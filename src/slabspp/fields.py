@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dispersion import ModeSolution, linspace
-from .modes import green_coefficient, h_field_operator_bracket
+from .modes import green_coefficient, h_field_bracket_of
 from .quantization import beta_prime
 
 if TYPE_CHECKING:
@@ -211,7 +211,7 @@ def h_field_mean(sol: ModeSolution, state: SppState,
         raise FieldOverflowError(
             f"{what}: the ladder mean overflows ({exc})") from None
     ik = 1j * sol.k_spp
-    zprof = [h_field_operator_bracket(sol, z) for z in zs]
+    zprof = list(map(h_field_bracket_of(sol), zs))
     rows = []
     for x in xs:
         ikx = ik * x

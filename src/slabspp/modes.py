@@ -5,7 +5,7 @@ each cladding and two counter-decaying partials inside the film.  All field
 quantities downstream (quantization weights, magnetic field means, the
 resonant part of the Green tensor) are built from the same two-component
 bracket ``(b_x(z), b_z(z))``; the full profile just multiplies it by the
-in-plane phase ``exp(i*k_spp*x)``, and :func:`h_field_operator_bracket` is
+in-plane phase ``exp(i*k_spp*x)``, and :func:`h_field_bracket_of` gives
 its magnetic-type combination.  :func:`bracket_of` holds the bracket's
 formulas, once: it returns the bracket of one mode as a function of depth,
 ``bracket_of(sol)(z)`` at one depth as at many.
@@ -27,7 +27,7 @@ from .dispersion import ModeSolution
 __all__ = [
     "DegenerateResidue",
     "bracket_of",
-    "h_field_operator_bracket",
+    "h_field_bracket_of",
     "normalization",
     "GreenCoefficient",
     "green_coefficient",
@@ -78,22 +78,35 @@ def bracket_of(sol: ModeSolution
     return bracket
 
 
-def h_field_operator_bracket(sol: ModeSolution, z: float) -> complex:
-    """Magnetic-type profile bracket d(b_x)/dz - i k b_z at depth z."""
+def h_field_bracket_of(sol: ModeSolution) -> Callable[[float], complex]:
+    """The magnetic-type bracket d(b_x)/dz - i k b_z of ``sol`` against z.
+
+    Returns ``z -> complex``, as :func:`bracket_of` returns the profile:
+    the per-mode factors are formed once, here, with the operands and order
+    each has in a per-depth evaluation, so every value keeps the rounding it
+    had when the factors were formed on each call.
+    """
     k = sol.k_spp
-    if z < 0.0:
-        nu0 = sol.nu0
-        return (nu0 - k * k / nu0) * cmath.exp(nu0 * z)
+    nu0 = sol.nu0
+    num = sol.num
+    a = sol.amplitude
     pm = sol.parity.pm
     d = sol.geom.d
-    if z <= d:
-        num = sol.num
-        a = sol.amplitude
-        e1 = cmath.exp(-num * z)
-        e2 = cmath.exp(num * (z - d))
-        return a * ((-num + k * k / num) * e1 + pm * (num - k * k / num) * e2)
-    nu0 = sol.nu0
-    return pm * (-nu0 + k * k / nu0) * cmath.exp(-nu0 * (z - d))
+    lower = nu0 - k * k / nu0
+    film_down = -num + k * k / num
+    film_up = pm * (num - k * k / num)
+    upper = pm * (-nu0 + k * k / nu0)
+    exp = cmath.exp
+
+    def h_bracket(z: float) -> complex:
+        if z < 0.0:
+            return lower * exp(nu0 * z)
+        if z <= d:
+            return a * (film_down * exp(-num * z)
+                        + film_up * exp(num * (z - d)))
+        return upper * exp(-nu0 * (z - d))
+
+    return h_bracket
 
 
 def normalization(sol: ModeSolution) -> complex:

@@ -21,7 +21,11 @@ The x-tail is ``exp(-u)/(2*|Im k|)`` for every mode, so its shape is
 integrated once, at import (``_UNIT_TAIL``).  Both cladding tails decay at
 the same rate in ``u``, and every caller sums them, so the two z-oracles
 integrate both cladding tails in one window, as one integrand that
-evaluates the lower and the upper cladding at every node.
+evaluates the lower and the upper cladding at every node.  Bisecting the
+window from ``[0, 40]`` always rejects its steps over ``[0, 40]`` and
+``[0, 20]``, so the cladding tails start from the leaves it reaches,
+``[0, 10]``, ``[10, 20]`` and ``[20, 40]`` (``_TAIL_EDGES``), as QUADPACK's
+dqagpe starts from given break points.
 
 The x-overlaps of the cross-direction commutator and of the Green-tensor
 identity between two finite points are pure oscillations
@@ -30,12 +34,14 @@ identity between two finite points are pure oscillations
 :func:`complex_quad_chunked` cuts them into chunks of at most 1.9*pi of
 phase, just under a period, which the 21-point rule meets in one step each,
 and gates the summed error estimates on the cancelled total.  A default
-verify pass takes 59 rule steps, the benchmark's 30 verify configs 2333.
+verify pass takes 51 rule steps, the benchmark's 30 verify configs 2093.
 
 The adaptive quadrature is :func:`quad`, QUADPACK's globally adaptive
 Gauss-Kronrod scheme in pure Python: it integrates a real or a complex
 integrand in one pass, so each node is evaluated once, and an interval whose
 first step meets the target returns without the adaptive loop's bookkeeping.
+A non-finite value or error estimate is refused by :func:`complex_quad` and
+:func:`complex_quad_chunked`.
 The integrands are scalar Python (``complex``, ``cmath``, the tuple of the
 mode's :func:`~slabspp.modes.bracket_of`, taken once per oracle), one flat
 closure per region, where numpy scalars and arrays or extra call layers
@@ -69,7 +75,7 @@ from .dispersion import (
     solve_dispersion,
 )
 from .media import MediumSet
-from .modes import bracket_of, h_field_operator_bracket
+from .modes import bracket_of, h_field_bracket_of
 
 __all__ = [
     "QuadratureError",
@@ -121,6 +127,9 @@ _EPSREL = 1e-11  # relative target of every quadrature
 _LIMIT = 300     # most subintervals of one quadrature
 _FD_STEP = 1e-12  # central-difference step of curl_consistency_error (m)
 _TAIL = 40.0      # window 0 <= u <= _TAIL of the tails' decay variable
+# the cladding tails' start mesh: the leaves that bisecting the window
+# reaches before any of them is kept
+_TAIL_EDGES = (0.0, _TAIL / 4, _TAIL / 2, _TAIL)
 
 
 class QuadratureError(ValueError):
@@ -147,29 +156,45 @@ def _kronrod(f, a: float, b: float) -> tuple:
     return resk * half, err
 
 
-def quad(f, a: float, b: float) -> tuple:
-    """Globally adaptive Gauss-Kronrod quadrature of ``f`` over [a, b].
+def quad(f, *edges: float) -> tuple:
+    """Globally adaptive Gauss-Kronrod quadrature of ``f`` over its edges.
 
-    QUADPACK's dqage scheme without extrapolation: the subinterval with the
-    largest error estimate is bisected until the summed estimate is at most
-    ``1e-11`` times the modulus of the summed value, or until 300
-    subintervals; a first step that already meets the target is returned as
-    it is.  ``f`` may return real or complex values; the value comes back as
-    the same type, with a float error estimate.  Every step is the 21-point
-    rule.  The limits must be finite: an infinite or NaN limit raises
-    ``ValueError`` before ``f`` is called (the oracles integrate their
-    tails over finite windows).  Nothing is raised when the target is
-    missed: the caller judges the returned error estimate.
+    QUADPACK's dqage scheme without extrapolation, started like dqagpe
+    from the intervals between the given ``edges`` (``quad(f, a, b)``
+    integrates over [a, b] alone): the subinterval with the largest error
+    estimate is bisected until the summed estimate is at most ``1e-11``
+    times the modulus of the summed value, or until 300 subintervals.  A
+    first step over [a, b] that already meets the target is returned as it
+    is, and so is a start mesh of several intervals that does.  ``f`` may
+    return real or complex values; the value comes back as the same type,
+    with a float error estimate.  Every step is the 21-point rule.  There
+    must be at least two edges, all finite: fewer, or an infinite or NaN
+    edge, raises ``ValueError`` before ``f`` is called (the oracles
+    integrate their tails over finite windows).  Nothing is raised when
+    the target is missed: the caller judges the returned error estimate.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"quad needs finite limits, got [{a!r}, {b!r}]")
-    val, err = _kronrod(f, a, b)
-    if not err > _EPSREL * abs(val):
-        # the loop's own test, met by the first step: what the sums over a
-        # one-entry heap give, down to the sign of a zero
-        return 0 + val, 0 + err
-    heap = [(-err, a, b, val)]
-    total, err_sum = val, err
+    if len(edges) < 2:
+        raise ValueError(f"quad needs two or more edges, got {list(edges)!r}")
+    if not all(map(math.isfinite, edges)):
+        raise ValueError(f"quad needs finite limits, got {list(edges)!r}")
+    if len(edges) == 2:
+        a, b = edges
+        val, err = _kronrod(f, a, b)
+        if not err > _EPSREL * abs(val):
+            # the loop's own test, met by the first step: what the sums over
+            # a one-entry heap give, down to the sign of a zero
+            return 0 + val, 0 + err
+        heap = [(-err, a, b, val)]
+        total, err_sum = val, err
+    else:
+        heap = []
+        total = err_sum = 0
+        for lo, hi in zip(edges, edges[1:]):
+            val, err = _kronrod(f, lo, hi)
+            heap.append((-err, lo, hi, val))
+            total += val
+            err_sum += err
+        heapq.heapify(heap)
     while err_sum > _EPSREL * abs(total) and len(heap) < _LIMIT:
         neg_err, lo, hi, v = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -182,13 +207,21 @@ def quad(f, a: float, b: float) -> tuple:
     return sum(v for *_, v in heap), sum(-e for e, *_ in heap)
 
 
-def complex_quad(f, a, b) -> complex:
+def _refuse_non_finite(val, err) -> None:
+    if not (cmath.isfinite(val) and math.isfinite(err)):
+        raise QuadratureError(
+            f"non-finite value or error estimate: {val!r} +- {err!r}")
+
+
+def complex_quad(f, *edges: float) -> complex:
     """:func:`quad` of a real or complex integrand, gated on its error.
 
     The error estimate is checked against the modulus of the value, so a
     vanishing real or imaginary part needs no relative accuracy of its own.
+    A non-finite value or error estimate is refused.
     """
-    val, err = quad(f, a, b)
+    val, err = quad(f, *edges)
+    _refuse_non_finite(val, err)
     if abs(val) > 0.0 and err > 1e-8 * abs(val):
         raise QuadratureError(
             f"quadrature error {err:.2e} too large for value {val!r}")
@@ -238,6 +271,7 @@ def complex_quad_chunked(f, a, b, phase_rate: float) -> complex:
         total += val
         err_sum += err
         mass += abs(val)
+    _refuse_non_finite(total, err_sum)
     if err_sum > max(1e-7 * abs(total), 1e-12 * mass):
         raise QuadratureError(
             f"accumulated quadrature error {err_sum:.2e} too large for "
@@ -245,7 +279,8 @@ def complex_quad_chunked(f, a, b, phase_rate: float) -> complex:
     return total
 
 
-# the x-tail's shape in its decay variable, the same for every mode
+# the x-tail's shape in its decay variable, the same for every mode; from
+# the one interval it sums to exactly 1.0, from _TAIL_EDGES one ulp above
 _UNIT_TAIL = complex_quad(lambda u: math.exp(-u), 0.0, _TAIL)
 
 
@@ -292,7 +327,7 @@ def weighted_abs2_quadrature(sol: ModeSolution) -> tuple[float, float]:
         bx, bz = bracket(z)
         return abs(bx) ** 2 + abs(bz) ** 2
 
-    return complex_quad(tails, 0.0, _TAIL), complex_quad(film, 0.0, d)
+    return complex_quad(tails, *_TAIL_EDGES), complex_quad(film, 0.0, d)
 
 
 def normalization_quadrature(sol: ModeSolution) -> complex:
@@ -325,7 +360,7 @@ def normalization_quadrature(sol: ModeSolution) -> complex:
         bx, bz = bracket(z)
         return bx * bx - bz * bz
 
-    return (eps_d * complex_quad(tails, 0.0, _TAIL)
+    return (eps_d * complex_quad(tails, *_TAIL_EDGES)
             + eps_m * complex_quad(film, 0.0, d))
 
 
@@ -336,17 +371,19 @@ def curl_consistency_error(sol: ModeSolution, depths) -> float:
     component centrally with a 1e-12 m step and combines it with the
     transverse component; every depth must sit more than one step away from
     both interfaces so the stencil stays in one region, and off a node of
-    the magnetic bracket.  The mode's bracket is built once for all depths.
-    Raises ``ValueError`` for an empty ``depths``, and at the first depth
-    that breaks either rule.  It leans on two closed forms: the profile
-    :func:`~slabspp.modes.bracket_of` it differentiates and the magnetic
-    bracket :func:`~slabspp.modes.h_field_operator_bracket` it compares with.
+    the magnetic bracket.  The mode's two brackets are built once for all
+    depths.  Raises ``ValueError`` for an empty ``depths``, and at the
+    first depth that breaks either rule.  It leans on two closed forms: the
+    profile :func:`~slabspp.modes.bracket_of` it differentiates and the
+    magnetic bracket :func:`~slabspp.modes.h_field_bracket_of` it compares
+    with.
     """
     h = _FD_STEP
     d = sol.geom.d
     ik = 1j * sol.k_spp
     inv_2h = 1.0 / (2.0 * h)
     bracket = bracket_of(sol)
+    h_bracket = h_field_bracket_of(sol)
     errors = []
     for z in depths:
         if min(abs(z), abs(z - d)) <= h:
@@ -356,7 +393,7 @@ def curl_consistency_error(sol: ModeSolution, depths) -> float:
         bx_m, _ = bracket(z - h)
         _, bz = bracket(z)
         fd = (bx_p - bx_m) * inv_2h - ik * bz
-        ref = h_field_operator_bracket(sol, z)
+        ref = h_bracket(z)
         if ref == 0:
             # e.g. the exact midplane of the symmetric mode; a relative error
             # is meaningless there and the finite difference is pure noise

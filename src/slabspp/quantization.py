@@ -36,6 +36,8 @@ __all__ = [
     "overlap_terms",
     "beta_prime",
     "gamma_prime",
+    "excess_noise_factor",
+    "ThresholdCancellation",
     "ccr_check",
     "commutator",
     "commutator_numeric",
@@ -44,6 +46,14 @@ __all__ = [
 
 SAME_DIRECTION = "same_direction"
 CROSS_DIRECTION = "cross_direction"
+
+# the largest excess-noise factor at which green_identity_check compares:
+# its relative error is ~3e-16 times the factor, so 100x below its 1e-6 gate
+_NOISE_FACTOR_MAX = 3e7
+
+
+class ThresholdCancellation(ValueError):
+    """Refusal: gamma_prime cancels too far for the comparison to resolve."""
 
 
 def _sinc(x: float) -> float:
@@ -98,6 +108,31 @@ def gamma_prime(sol: ModeSolution) -> float:
     """
     media = sol.media
     return _loss_weight(media.eps_d.imag, media.eps_m.imag, overlap_terms(sol))
+
+
+def excess_noise_factor(sol: ModeSolution) -> float:
+    """Excess-noise factor of the launched mode, from one overlap_terms call.
+
+    ``F = (|Im eps_d| T_clad + |Im eps_m| T_film) / |gamma_prime|``, with
+    the region integrals of :func:`overlap_terms`; it equals
+    ``beta_prime/(2 hbar eps0 omega^2 |gamma_prime|)``, the noise the
+    mode's sources add per unit of net gain or loss.  It is at least 1,
+    equal to 1 when one medium alone absorbs or amplifies, and grows
+    without bound at the loss-compensation threshold, where cladding gain
+    cancels the metal's loss in gamma_prime; so it also measures the
+    conditioning of every comparison whose closed side is gamma_prime.
+    ``inf`` where gamma_prime is 0.
+    """
+    return _excess_noise(sol.media, overlap_terms(sol))
+
+
+def _excess_noise(media: MediumSet, terms: tuple[float, float]) -> float:
+    # the |Im eps|-weighted overlaps over the signed ones
+    gamma = abs(_loss_weight(media.eps_d.imag, media.eps_m.imag, terms))
+    if gamma == 0.0:
+        return math.inf
+    return _loss_weight(abs(media.eps_d.imag), abs(media.eps_m.imag),
+                        terms) / gamma
 
 
 def _noise_weight(media: MediumSet, terms: tuple[float, float]) -> float:
@@ -237,14 +272,26 @@ def green_identity_check(sol: ModeSolution,
 
     So it tests gamma_prime's overlaps and the x-profile, not ``D``: no
     check tests ``D`` yet (ROADMAP item 7).  ``z_terms`` integrates the
-    closed-form bracket profile of :mod:`slabspp.modes`.
+    closed-form bracket profile of :mod:`slabspp.modes`.  The relative
+    deviation is ~3e-16 times :func:`excess_noise_factor`, since signed Im
+    eps cancels in gamma_prime near the loss-compensation threshold; where
+    that factor exceeds 3e7, 100x below the check's 1e-6 gate, it raises
+    :class:`ThresholdCancellation`, naming the factor, after the neutral
+    mode's refusal.
     """
     k = sol.k_spp
     kr, ki = k.real, k.imag
-    gamma_closed = gamma_prime(sol)
-    gamma_quad = _loss_weight(sol.media.eps_d.imag, sol.media.eps_m.imag,
-                              z_terms)
+    media = sol.media
+    terms = overlap_terms(sol)
+    gamma_closed = _loss_weight(media.eps_d.imag, media.eps_m.imag, terms)
+    gamma_quad = _loss_weight(media.eps_d.imag, media.eps_m.imag, z_terms)
     tail = oracles.signed_tail_integral(ki)
+    factor = _excess_noise(media, terms)
+    if factor > _NOISE_FACTOR_MAX:
+        raise ThresholdCancellation(
+            f"excess-noise factor F = {factor:.3g} > {_NOISE_FACTOR_MAX:g}: "
+            "gamma_prime cancels near the loss-compensation threshold "
+            "beyond what the comparison resolves")
     ell = 1.0 / max(abs(ki), abs(kr) / 20.0)
 
     worst = 0.0
@@ -281,15 +328,18 @@ def _x_overlap_numeric(k: complex, x: float, x_prime: float,
 
 
 def _x_overlap_integrand(k: complex, x: float, x_prime: float):
-    """exp(ik|x-s| - ik*|s-x'|) as a function of the source position ``s``.
+    """exp(ik|x-s| - ik*|s-x'|) as a function of ``s`` between x and x'.
 
     One ``cmath.exp`` of the summed exponent per node.  Between ``x`` and
-    ``x'`` each difference keeps its sign, so its ``abs`` is exact: on
-    ``[x', x]`` this is the cross-direction commutator's integrand
-    ``exp(ik(x-s)) exp(-ik*(s-x'))``.
+    ``x'`` the signs of both differences are known, so no ``abs`` is taken:
+    for ``x >= x'`` this is the cross-direction commutator's integrand
+    ``exp(ik(x-s)) exp(-ik*(s-x'))``, and for ``x < x'`` both exponent
+    factors are negated instead of the differences.
     """
     ik, mik_conj = 1j * k, -1j * k.conjugate()
+    if x < x_prime:
+        ik, mik_conj = -ik, -mik_conj
 
     def integrand(s):
-        return cmath.exp(ik * abs(x - s) + mik_conj * abs(s - x_prime))
+        return cmath.exp(ik * (x - s) + mik_conj * (s - x_prime))
     return integrand

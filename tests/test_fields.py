@@ -17,8 +17,8 @@ from slabspp import (
     SppState,
     compare_states,
     default_grid,
+    h_field_bracket_of,
     h_field_mean,
-    h_field_operator_bracket,
     ladder_mean,
     make_medium_set,
     solve_dispersion,
@@ -108,16 +108,16 @@ def test_field_shape_and_z_slices():
     assert samples.values.shape == (41, 3)
     # the two interface rows differ only by the bracket ratio, uniformly in x
     ratio = samples.values[:, 2] / samples.values[:, 0]
-    expected = (h_field_operator_bracket(sol, 6e-8)
-                / h_field_operator_bracket(sol, 0.0))
+    h_bracket = h_field_bracket_of(sol)
+    expected = h_bracket(6e-8) / h_bracket(0.0)
     assert np.allclose(ratio, expected, rtol=1e-12)
 
 
 def test_symmetric_bracket_node_at_midplane():
     sol = _amplified()
-    assert h_field_operator_bracket(sol, 0.5 * GEOM.d) == 0j
+    assert h_field_bracket_of(sol)(0.5 * GEOM.d) == 0j
     anti = _amplified(ANTISYMMETRIC)
-    assert h_field_operator_bracket(anti, 0.5 * GEOM.d) != 0j
+    assert h_field_bracket_of(anti)(0.5 * GEOM.d) != 0j
 
 
 def _bits(rows):
@@ -188,8 +188,9 @@ def test_sample_inside_float_range_past_overflowing_phase(parity):
     zs = [0.0, GEOM.d]
     row = h_field_mean(sol, SppState(alpha_mag=1.0), grid=([x], zs)).rows[0]
     pref = abs(_field_prefactor(sol))
+    h_bracket = h_field_bracket_of(sol)
     for z, v in zip(zs, row):
-        p = h_field_operator_bracket(sol, z)
+        p = h_bracket(z)
         assert not math.isfinite(abs(cmath.exp(1j * sol.k_spp * x) * p))
         expected = pref * abs(p) * math.exp(ki * x)
         assert abs(abs(v) - expected) <= 1e-12 * expected

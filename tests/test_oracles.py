@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -16,13 +17,17 @@ from slabspp import (
     DrudeMetalSpec,
     MediumSet,
     SlabGeometry,
-    h_field_operator_bracket,
     make_medium_set,
     overlap_terms,
     solve_dispersion,
 )
 from slabspp import oracles
-from slabspp.modes import bracket_of, green_coefficient, normalization
+from slabspp.modes import (
+    bracket_of,
+    green_coefficient,
+    h_field_bracket_of,
+    normalization,
+)
 from slabspp.quantization import (
     _x_overlap_numeric,
     gamma_prime,
@@ -120,6 +125,36 @@ def test_quad_refuses_non_finite_limits(a, b):
     assert nodes == []
 
 
+@pytest.mark.parametrize("edge", (math.inf, -math.inf, math.nan))
+def test_quad_refuses_a_non_finite_interior_edge(edge):
+    nodes = []
+    with pytest.raises(ValueError, match="quad needs finite limits"):
+        quad(nodes.append, 0.0, edge, 1.0)
+    assert nodes == []
+
+
+def test_quad_refuses_fewer_than_two_edges():
+    nodes = []
+    for edges in ((), (0.0,)):
+        with pytest.raises(ValueError, match="quad needs two or more edges"):
+            quad(nodes.append, *edges)
+    assert nodes == []
+
+
+def test_quad_starts_from_every_interval_between_its_edges(monkeypatch):
+    """A start mesh whose steps all meet the target is returned as their
+    sums, in edge order; no interval is bisected."""
+    steps = _counted_steps(monkeypatch)
+    edges = (0.0, 0.25, 0.5, 1.0)
+    val, err = quad(math.exp, *edges)
+    assert steps == list(zip(edges[:-1], edges[1:]))
+    parts = [oracles._kronrod(math.exp, lo, hi)
+             for lo, hi in zip(edges, edges[1:])]
+    assert (val, err) == (0 + parts[0][0] + parts[1][0] + parts[2][0],
+                          0 + parts[0][1] + parts[1][1] + parts[2][1])
+    assert val == pytest.approx(math.e - 1.0, rel=1e-15)
+
+
 _ONE_STEP = [
     (math.exp, 0.0, 1.0),
     (lambda u: cmath.exp((1.0 + 2.0j) * u), 0.0, 1.0),
@@ -190,6 +225,29 @@ def test_quad_stops_at_the_interval_limit():
 def test_complex_quad_analytic():
     val = complex_quad(lambda u: cmath.exp(1j * u), 0.0, 1.0)
     assert val == pytest.approx((cmath.exp(1j) - 1.0) / 1j, rel=1e-12)
+
+
+_NON_FINITE = pytest.mark.parametrize(
+    "f", (lambda u: math.nan, lambda u: complex(math.inf, 0.0),
+          lambda u: math.inf if u > 0.5 else 1.0),
+    ids=("nan", "inf", "inf-half"))
+
+
+@_NON_FINITE
+def test_complex_quad_refuses_a_non_finite_result(f):
+    with pytest.raises(QuadratureError,
+                       match="non-finite value or error estimate"):
+        complex_quad(f, 0.0, 1.0)
+    with pytest.raises(QuadratureError,
+                       match="non-finite value or error estimate"):
+        complex_quad(f, 0.0, 0.5, 1.0)
+
+
+@_NON_FINITE
+def test_complex_quad_chunked_refuses_a_non_finite_result(f):
+    with pytest.raises(QuadratureError,
+                       match="non-finite value or error estimate"):
+        complex_quad_chunked(f, 0.0, 1.0, 20.0)
 
 
 def test_complex_quad_chunked_matches_plain():
@@ -356,9 +414,10 @@ def test_quadrature_error_raised_for_hopeless_integrand():
 # integrand arithmetic the oracles used before.  The oracles must reproduce
 # it bit for bit, so the verify report cannot drift with the rewrite.  As in
 # the oracles, the two cladding tails are summed at each node of the decay
-# variable and integrated over the one window.
+# variable and integrated over the one window, from the oracles' start mesh.
 
 _TAIL = 40.0
+_TAIL_EDGES = (0.0, 10.0, 20.0, 40.0)
 
 def _ndarray_bracket(sol, z):
     k = sol.k_spp
@@ -401,7 +460,7 @@ def _reference_weighted_abs2(sol, w_d, w_m):
     if w_d != 0.0:
         tails = complex_quad(
             _python(lambda u: (dens(-u / s) + dens(d + u / s)) / s, float),
-            0.0, _TAIL)
+            *_TAIL_EDGES)
         total += w_d * tails
     if w_m != 0.0:
         total += w_m * complex_quad(_python(dens, float), 0.0, d)
@@ -420,8 +479,26 @@ def _reference_normalization(sol):
 
     return (eps_d * complex_quad(
                 _python(lambda u: (pair(-u / s) + pair(d + u / s)) / s,
-                        complex), 0.0, _TAIL)
+                        complex), *_TAIL_EDGES)
             + eps_m * complex_quad(_python(pair, complex), 0.0, d))
+
+
+def _reference_h_bracket(sol, z):
+    """The magnetic-type bracket, every factor formed at each depth."""
+    k = sol.k_spp
+    if z < 0.0:
+        nu0 = sol.nu0
+        return (nu0 - k * k / nu0) * cmath.exp(nu0 * z)
+    pm = sol.parity.pm
+    d = sol.geom.d
+    if z <= d:
+        num = sol.num
+        a = sol.amplitude
+        e1 = cmath.exp(-num * z)
+        e2 = cmath.exp(num * (z - d))
+        return a * ((-num + k * k / num) * e1 + pm * (num - k * k / num) * e2)
+    nu0 = sol.nu0
+    return pm * (-nu0 + k * k / nu0) * cmath.exp(-nu0 * (z - d))
 
 
 def _reference_curl_error(sol, z, h=1e-12):
@@ -429,7 +506,7 @@ def _reference_curl_error(sol, z, h=1e-12):
     bx_m = _ndarray_bracket(sol, z - h)[0]
     bz = _ndarray_bracket(sol, z)[1]
     fd = (bx_p - bx_m) / (2.0 * h) - 1j * sol.k_spp * bz
-    ref = h_field_operator_bracket(sol, z)
+    ref = _reference_h_bracket(sol, z)
     return abs(fd - ref) / abs(ref)
 
 
@@ -514,6 +591,24 @@ def test_curl_consistency_matches_ndarray_reference(parity, kappa):
 
 @_CLADDINGS
 @_PARITIES
+def test_h_field_bracket_of_matches_per_depth_reference(parity, kappa):
+    """The hoisted per-mode factors keep every bit of the per-depth form,
+    in both claddings, on both interfaces and inside the film."""
+    sol = _mode(parity, kappa)
+    h_bracket = h_field_bracket_of(sol)
+    zc = 1.0 / sol.nu0.real
+    depths = ([-t * zc for t in (3.0, 1.0, 0.05)]
+              + [0.0, 1e-12, 0.3 * GEOM.d, 0.5 * GEOM.d, 0.97 * GEOM.d, GEOM.d]
+              + [GEOM.d + t * zc for t in (1e-4, 0.7, 2.5)])
+    for z in depths:
+        value = h_bracket(z)
+        reference = _reference_h_bracket(sol, z)
+        assert (value.real.hex(), value.imag.hex()) == (
+            reference.real.hex(), reference.imag.hex()), z
+
+
+@_CLADDINGS
+@_PARITIES
 def test_bracket_of_matches_ndarray_reference(parity, kappa):
     """The hoisted per-mode factors keep every bit of the per-depth form."""
     sol = _mode(parity, kappa)
@@ -531,15 +626,17 @@ def test_bracket_of_matches_ndarray_reference(parity, kappa):
 # separate real and imaginary passes), with the tolerances ``quad`` uses.
 # The oracles run their own integrands through it in place of ``quad``.
 
-def _scipy_quad(f, a, b):
+def _scipy_quad(f, *edges):
     from scipy.integrate import IntegrationWarning
     from scipy.integrate import quad as scipy_quad
 
+    a, *interior, b = edges
     probe = f(a if math.isfinite(a) else b)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         val, err = scipy_quad(f, a, b, complex_func=isinstance(probe, complex),
-                              epsabs=0.0, epsrel=1e-11, limit=300)
+                              points=interior or None, epsabs=0.0,
+                              epsrel=1e-11, limit=300)
     return val, abs(err)
 
 
@@ -613,18 +710,43 @@ def _tail_oracles(sol):
                               for w, d in _VERIFY_POINTS + _THICK_POINTS])
 def test_tail_window_matches_semi_infinite_quad(monkeypatch, omega, d,
                                                  kappa):
-    assert oracles._TAIL == _TAIL
+    assert oracles._TAIL_EDGES == _TAIL_EDGES
     media = make_medium_set(METAL, DielectricSpec(0.9726, kappa), omega)
     for parity in PARITIES:
         sol = solve_dispersion(parity, SlabGeometry(d), media)
         window = _tail_oracles(sol)
         with monkeypatch.context() as m:
-            m.setattr(oracles, "_TAIL", math.inf)
+            m.setattr(oracles, "_TAIL_EDGES", (0.0, math.inf))
             m.setattr(oracles, "quad", _scipy_quad)
             whole = _tail_oracles(sol)
         for name, value in window.items():
             assert value == pytest.approx(whole[name], rel=1e-14,
                                           abs=0), (parity.name, name)
+
+
+@_PARITIES
+@pytest.mark.parametrize("oracle", (weighted_abs2_quadrature,
+                                    normalization_quadrature),
+                         ids=("weighted_abs2", "normalization"))
+def test_tail_start_mesh_drops_only_the_rejected_steps(monkeypatch, oracle,
+                                                       parity):
+    """The start mesh holds the leaves that bisecting the whole window
+    reaches first: starting there takes the same steps as starting from
+    [0, 40], but for the two the adaptive loop would reject."""
+    assert oracles._TAIL_EDGES == _TAIL_EDGES
+    assert _TAIL_EDGES == (0.0, _TAIL / 4, _TAIL / 2, _TAIL)
+    sol = _mode(parity, -0.063)  # the default verify mode
+    steps = _counted_steps(monkeypatch)
+    value = oracle(sol)
+    meshed = list(steps)
+    steps.clear()
+    monkeypatch.setattr(oracles, "_TAIL_EDGES", (0.0, _TAIL))
+    assert oracle(sol) == pytest.approx(value, rel=1e-15, abs=0)
+    whole = list(steps)
+    rejected = [(0.0, _TAIL), (0.0, _TAIL / 2)]
+    assert all(step in whole for step in rejected)
+    assert Counter(whole) - Counter(rejected) == Counter(meshed)
+    assert len(whole) - len(meshed) == 2
 
 
 def test_unit_tail_matches_scipy_quad():

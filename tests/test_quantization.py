@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 from pathlib import Path
@@ -18,6 +19,7 @@ from slabspp import (
     ccr_check,
     commutator,
     commutator_numeric,
+    excess_noise_factor,
     gamma_prime,
     green_identity_check,
     make_medium_set,
@@ -26,6 +28,7 @@ from slabspp import (
     solve_dispersion,
 )
 from slabspp.oracles import weighted_abs2_quadrature
+from slabspp.quantization import _x_overlap_integrand
 
 METAL = DrudeMetalSpec(14.02e15, 6.25e13)
 GEOM = SlabGeometry(60e-9)
@@ -181,3 +184,44 @@ def test_green_identity_gain_and_loss():
             sol, _ = _mode(kappa, parity)
             z_terms = weighted_abs2_quadrature(sol)
             assert green_identity_check(sol, z_terms) < 1e-10
+
+
+def test_excess_noise_factor_is_the_noise_per_net_gain():
+    """F = beta_prime/(2 hbar eps0 omega^2 |gamma_prime|): at least 1, and
+    exactly 1 where the metal alone absorbs."""
+    for kappa in (-0.08, -0.02, 0.0, 0.063):
+        for parity in PARITIES:
+            sol, media = _mode(kappa, parity)
+            factor = excess_noise_factor(sol)
+            expected = beta_prime(sol) / (2.0 * HBAR * EPS0 * media.omega**2
+                                          * abs(gamma_prime(sol)))
+            assert factor == pytest.approx(expected, rel=1e-14)
+            assert factor >= 1.0
+            if kappa == 0.0:
+                assert factor == 1.0
+
+
+def test_excess_noise_factor_of_transparent_media_is_infinite():
+    media = make_medium_set(DrudeMetalSpec(14.02e15, 0.0),
+                            DielectricSpec(0.9726, 0.0), 4.8e15)
+    sol = solve_dispersion(SYMMETRIC, GEOM, media)
+    assert gamma_prime(sol) == 0.0
+    assert excess_noise_factor(sol) == math.inf
+
+
+
+@pytest.mark.parametrize("order", ("x>x'", "x<x'"))
+def test_x_overlap_integrand_matches_its_abs_form(order):
+    """Between x and x' the integrand negates its exponent factors where
+    the differences are negative; every value is the one the ``abs`` of
+    each difference gives."""
+    sol, _ = _mode()
+    k = sol.k_spp
+    x, x_prime = (1.7e-6, 0.3e-6) if order == "x>x'" else (0.3e-6, 1.7e-6)
+    ik, mik_conj = 1j * k, -1j * k.conjugate()
+    integrand = _x_overlap_integrand(k, x, x_prime)
+    lo, hi = min(x, x_prime), max(x, x_prime)
+    for j in range(1, 200):
+        s = lo + (hi - lo) * j / 200
+        assert integrand(s) == cmath.exp(ik * abs(x - s)
+                                         + mik_conj * abs(s - x_prime)), s

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 from slabspp import (DielectricSpec, DrudeMetalSpec, NonConvergence,
                      SlabGeometry, make_medium_set, oracles)
@@ -87,6 +88,48 @@ def test_each_mode_integrates_its_regions_once(monkeypatch):
     assert sorted(z_calls) == ["antisymmetric", "symmetric"]
 
 
+def _neighbours(value, n):
+    """The ``n`` floats below ``value`` and the ``n`` above it."""
+    out = []
+    for toward in (-math.inf, math.inf):
+        x = value
+        for _ in range(n):
+            x = math.nextafter(x, toward)
+            out.append(x)
+    return out
+
+
+def test_green_identity_around_the_threshold_passes_or_is_refused():
+    """Around the default gain sweep's symmetric crossing gamma_prime
+    cancels, and the Green identity's relative error grows as ~3e-16
+    times the excess-noise factor F: at the 12 float neighbours of the
+    golden kappa*, each of its records passes or is refused for F, and
+    none fails on a value."""
+    golden = Path(__file__).parent / "golden" / "gain_sweep.csv"
+    prefix = "# crossing symmetric: kappa_star = "
+    line = next(line for line in golden.read_text().splitlines()
+                if line.startswith(prefix))
+    kappa_star = float(line[len(prefix):].split(",")[0])
+    assert kappa_star == -0.0013660624440627995
+    cfg = load_config(None)
+    metal = DrudeMetalSpec(cfg["metal"]["omega_p"], cfg["metal"]["gamma"])
+    refused = 0
+    for kappa in _neighbours(kappa_star, 6):
+        media = make_medium_set(
+            metal, DielectricSpec(cfg["dielectric"]["n_real"], kappa),
+            cfg["gain-sweep"]["omega"])
+        for r in run_checks(media, SlabGeometry(cfg["geometry"]["d"]),
+                            cfg["verify"]["thick_d"]):
+            if r.check != "green_identity" or r.passed:
+                continue
+            assert math.isnan(r.value), (kappa, r)
+            prefix = "ThresholdCancellation: excess-noise factor F = "
+            assert r.note.startswith(prefix), (kappa, r)
+            assert float(r.note[len(prefix):].split()[0]) > 3e7, (kappa, r)
+            refused += 1
+    assert refused > 0
+
+
 def test_rule_steps_of_the_default_pass(monkeypatch):
     """Pinned Gauss-Kronrod steps of one default verify pass, so that a
     change that adds or saves quadrature work shows; no timing is read."""
@@ -99,7 +142,7 @@ def test_rule_steps_of_the_default_pass(monkeypatch):
 
     monkeypatch.setattr(oracles, "_kronrod", counted)
     assert all(r.passed for r in _default_checks())
-    assert len(steps) == 59
+    assert len(steps) == 51
 
 
 def test_failed_region_quadrature_fails_its_three_checks(monkeypatch,
