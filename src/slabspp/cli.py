@@ -474,12 +474,6 @@ def _build_parser():
     return ap
 
 
-def _report_error(exc: ValueError) -> int:
-    """One ``error:`` line on stderr for a refusal; the exit status 1."""
-    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    return 1
-
-
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
@@ -504,7 +498,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        return _report_error(exc)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

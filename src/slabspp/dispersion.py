@@ -237,30 +237,18 @@ def _newton(k: complex, d: float,
         if not df:
             return None
         step = -f / df
-        # the full step first, as the complex product lam*step at lam = 1,
-        # whose signed zeros can differ from those of step itself
-        delta = 1.0 * step
-        k_try = k + delta
-        try:
-            values = system(k_try)
+        for lam in (1.0, 1/2, 1/4, 1/8, 1/16, 1/32, 1/64, 1/128):
+            delta = lam * step
+            k_try = k + delta
+            try:
+                values = system(k_try)
+            except ZeroDivisionError:
+                continue
             abs_try = abs(values[0])
-            taken = abs_try <= abs_f or abs(delta) <= tol * abs(k_try)
-        except ZeroDivisionError:
-            taken = False
-        if not taken:
-            # then the halved steps, lam = 1/2 ... 1/128
-            for lam in (1/2, 1/4, 1/8, 1/16, 1/32, 1/64, 1/128):
-                delta = lam * step
-                k_try = k + delta
-                try:
-                    values = system(k_try)
-                except ZeroDivisionError:
-                    continue
-                abs_try = abs(values[0])
-                if abs_try <= abs_f or abs(delta) <= tol * abs(k_try):
-                    break
-            else:
-                return None
+            if abs_try <= abs_f or abs(delta) <= tol * abs(k_try):
+                break
+        else:
+            return None
         k, f, df, abs_f = k_try, values[0], values[1], abs_try
         size = abs(delta)
         if size <= tol_floor or size <= tol * abs(k):
@@ -287,11 +275,6 @@ class ModeSolution(NamedTuple):
     residual: float
     media: MediumSet
     geom: SlabGeometry
-
-    @property
-    def omega(self) -> float:
-        """Angular frequency of the mode, ``media.omega``."""
-        return self.media.omega
 
     @property
     def regime(self) -> str:

@@ -38,8 +38,9 @@ verify pass takes 51 rule steps, the benchmark's 30 verify configs 2093.
 
 The adaptive quadrature is :func:`quad`, QUADPACK's globally adaptive
 Gauss-Kronrod scheme in pure Python: it integrates a real or a complex
-integrand in one pass, so each node is evaluated once, and an interval whose
-first step meets the target returns without the adaptive loop's bookkeeping.
+integrand in one pass, so each node is evaluated once, and a start mesh
+whose steps meet the target is returned as their edge-order sums, without
+the adaptive loop's bookkeeping.
 A non-finite value or error estimate is refused by :func:`complex_quad` and
 :func:`complex_quad_chunked`.
 The integrands are scalar Python (``complex``, ``cmath``, the tuple of the
@@ -164,37 +165,31 @@ def quad(f, *edges: float) -> tuple:
     integrates over [a, b] alone): the subinterval with the largest error
     estimate is bisected until the summed estimate is at most ``1e-11``
     times the modulus of the summed value, or until 300 subintervals.  A
-    first step over [a, b] that already meets the target is returned as it
-    is, and so is a start mesh of several intervals that does.  ``f`` may
-    return real or complex values; the value comes back as the same type,
-    with a float error estimate.  Every step is the 21-point rule.  There
-    must be at least two edges, all finite: fewer, or an infinite or NaN
-    edge, raises ``ValueError`` before ``f`` is called (the oracles
-    integrate their tails over finite windows).  Nothing is raised when
-    the target is missed: the caller judges the returned error estimate.
+    start mesh whose steps already meet the target is returned as their
+    sums in edge order, ``0 + v0 + v1 + ...`` (so a zero value is
+    positive), without the loop.  ``f`` may return real or complex values;
+    the value comes back as the same type, with a float error estimate.
+    Every step is the 21-point rule.  There must be at least two edges,
+    all finite: fewer, or an infinite or NaN edge, raises ``ValueError``
+    before ``f`` is called (the oracles integrate their tails over finite
+    windows).  Nothing is raised when the target is missed: the caller
+    judges the returned error estimate.
     """
     if len(edges) < 2:
         raise ValueError(f"quad needs two or more edges, got {list(edges)!r}")
     if not all(map(math.isfinite, edges)):
         raise ValueError(f"quad needs finite limits, got {list(edges)!r}")
-    if len(edges) == 2:
-        a, b = edges
-        val, err = _kronrod(f, a, b)
-        if not err > _EPSREL * abs(val):
-            # the loop's own test, met by the first step: what the sums over
-            # a one-entry heap give, down to the sign of a zero
-            return 0 + val, 0 + err
-        heap = [(-err, a, b, val)]
-        total, err_sum = val, err
-    else:
-        heap = []
-        total = err_sum = 0
-        for lo, hi in zip(edges, edges[1:]):
-            val, err = _kronrod(f, lo, hi)
-            heap.append((-err, lo, hi, val))
-            total += val
-            err_sum += err
-        heapq.heapify(heap)
+    heap = []
+    total = err_sum = 0
+    for lo, hi in zip(edges, edges[1:]):
+        val, err = _kronrod(f, lo, hi)
+        heap.append((-err, lo, hi, val))
+        total += val
+        err_sum += err
+    if not err_sum > _EPSREL * abs(total):
+        # the loop's own test, met by the start mesh: its edge-order sums
+        return total, err_sum
+    heapq.heapify(heap)
     while err_sum > _EPSREL * abs(total) and len(heap) < _LIMIT:
         neg_err, lo, hi, v = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -454,8 +449,8 @@ def _continued_sqrt(k: complex, beta: complex, center: complex) -> complex:
             * cmath.sqrt((k + beta) / (center + beta)))
 
 
-def contour_slab_roots(geom: SlabGeometry, media: MediumSet,
-                       radius: float | None = None) -> dict[str, complex]:
+def contour_slab_roots(geom: SlabGeometry,
+                       media: MediumSet) -> dict[str, complex]:
     """Both bound slab modes from argument-principle moments of D(k).
 
     Locates the zeros of the three-layer Fresnel pole condition
@@ -463,10 +458,12 @@ def contour_slab_roots(geom: SlabGeometry, media: MediumSet,
         D(k) = (eps_m*nu0 + eps_d*num)**2
                - (eps_m*nu0 - eps_d*num)**2 * exp(-2*num*d)
 
-    inside the circle of ``radius`` around the single-interface root
-    ``k0*sqrt(eps_m*eps_d/(eps_m + eps_d))``.  ``D`` is the product of the
-    parity factors ``f = (eps_m*nu0 + eps_d*num) -+ (eps_m*nu0 -
-    eps_d*num)*exp(-num*d)`` (upper sign: symmetric), so its moments
+    inside the circle around the single-interface root
+    ``k0*sqrt(eps_m*eps_d/(eps_m + eps_d))`` whose radius is half the
+    distance from that center to the nearest branch point ``+-n*k0``,
+    ``+-sqrt(eps_m)*k0``.  ``D`` is the product of the parity factors ``f =
+    (eps_m*nu0 + eps_d*num) -+ (eps_m*nu0 - eps_d*num)*exp(-num*d)``
+    (upper sign: symmetric), so its moments
     ``s_p = (1/2 pi i) * contour integral of k**p D'/D`` are the sums of the
     factors' moments.  Each factor's ``s_0`` counts its zeros and, when that
     count is 1, its ``s_1`` is the zero itself (Delves & Lyness, *Math.
@@ -477,10 +474,9 @@ def contour_slab_roots(geom: SlabGeometry, media: MediumSet,
     form is involved, so the result is independent of
     :func:`solve_dispersion`.
 
-    ``radius`` defaults to half the distance from the center to the nearest
-    branch point ``+-n*k0``, ``+-sqrt(eps_m)*k0``.  Raises
-    :class:`ContourError` where ``eps_m + eps_d == 0`` (no center), if a
-    branch point lies in the closed disk, if the zero count of ``D``
+    Raises :class:`ContourError` where ``eps_m + eps_d == 0`` (no center),
+    if a branch point lies in the closed disk (it does only where it is the
+    center itself, as at ``eps_d == 0``), if the zero count of ``D``
     differs from 2 -- one zero per factor -- by more than 1e-6 in total, or
     if a zero is not bound (``Re(nu0) <= 0``).
 
@@ -494,8 +490,7 @@ def contour_slab_roots(geom: SlabGeometry, media: MediumSet,
     center = k0 * cmath.sqrt(eps_m * eps_d / (eps_m + eps_d))
     betas = (k0 * cmath.sqrt(eps_d), k0 * cmath.sqrt(eps_m))
     clearance = min(abs(center - s * b) for b in betas for s in (1, -1))
-    if radius is None:
-        radius = 0.5 * clearance
+    radius = 0.5 * clearance
     if radius >= clearance:
         raise ContourError(
             f"disk of radius {radius:.4e} around {center:.6e} holds a branch "

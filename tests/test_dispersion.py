@@ -119,7 +119,7 @@ def test_solution_fields_consistent():
     pm = sol.parity.pm
     expected_a = 1.0 / (1.0 + pm * cmath.exp(-num * GEOM.d))
     assert sol.amplitude == pytest.approx(expected_a, rel=1e-14)
-    assert sol.omega == OMEGA
+    assert sol.media.omega == OMEGA
     assert sol.geom.d == GEOM.d
 
 

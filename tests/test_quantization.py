@@ -118,7 +118,8 @@ def test_ccr_check_is_exactly_the_ratio_of_the_weights():
     assert len(sols) > 70
     for sol in sols:
         gamma = _gamma_magnitudes(sol)
-        ratio = beta_prime(sol) / (2.0 * HBAR * EPS0 * sol.omega**2 * gamma)
+        ratio = beta_prime(sol) / (
+            2.0 * HBAR * EPS0 * sol.media.omega**2 * gamma)
         assert ccr_check(sol) == ratio, sol
 
 
