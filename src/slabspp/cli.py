@@ -150,14 +150,6 @@ _SCHEMA = {
     },
 }
 
-_DEFAULT_OUT = {
-    "dispersion": "dispersion.csv",
-    "gain-sweep": "gain_sweep.csv",
-    "field": "field.csv",
-    "verify": "verify_report.csv",
-}
-
-
 def load_config(path=None) -> dict:
     """Parse and validate an INI config; missing keys take defaults.
 
@@ -209,17 +201,11 @@ def load_config(path=None) -> dict:
     return cfg
 
 
-def _metal_of(cfg):
-    return DrudeMetalSpec(**cfg["metal"])
-
-
-def _dielectric_of(cfg):
-    return DielectricSpec(cfg["dielectric"]["n_real"],
-                          cfg["dielectric"]["n_imag"])
-
-
-def _geometry_of(cfg):
-    return SlabGeometry(d=cfg["geometry"]["d"])
+def _system_of(cfg):
+    """The configured ``(metal, dielectric, geom)``."""
+    return (DrudeMetalSpec(**cfg["metal"]),
+            DielectricSpec(**cfg["dielectric"]),
+            SlabGeometry(**cfg["geometry"]))
 
 
 def dump_config(cfg) -> str:
@@ -313,14 +299,14 @@ def _media_meta(cfg):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_dispersion(cfg, out_path) -> int:
+def _cmd_dispersion(cfg, out_path, _args) -> int:
     sec = cfg["dispersion"]
     omegas = linspace(sec["omega_min"], sec["omega_max"],
                       sec["omega_points"])
     rows_out = []
     failures = 0
-    rows = dispersion_sweep(sec["parities"], _geometry_of(cfg),
-                            _metal_of(cfg), _dielectric_of(cfg), omegas)
+    metal, dielectric, geom = _system_of(cfg)
+    rows = dispersion_sweep(sec["parities"], geom, metal, dielectric, omegas)
     for row in rows:
         if row.solution is None:
             failures += 1
@@ -343,12 +329,13 @@ def _cmd_dispersion(cfg, out_path) -> int:
     return 1 if failures else 0
 
 
-def _cmd_gain_sweep(cfg, out_path) -> int:
+def _cmd_gain_sweep(cfg, out_path, _args) -> int:
     sec = cfg["gain-sweep"]
     kappas = linspace(sec["kappa_min"], sec["kappa_max"],
                       sec["kappa_points"])
-    result = gain_sweep(sec["parities"], _geometry_of(cfg), _metal_of(cfg),
-                        cfg["dielectric"]["n_real"], kappas, sec["omega"])
+    metal, dielectric, geom = _system_of(cfg)
+    result = gain_sweep(sec["parities"], geom, metal, dielectric.n_real,
+                        kappas, sec["omega"])
     rows_out = []
     failures = 0
     for row in result.rows:
@@ -380,21 +367,22 @@ def _cmd_gain_sweep(cfg, out_path) -> int:
     return 1 if failures else 0
 
 
-def _cmd_field(cfg, out_path, compare: bool) -> int:
+def _cmd_field(cfg, out_path, args) -> int:
     from .fields import SppState, auto_x_max, compare_states, h_field_mean
 
     sec = cfg["field"]
-    media = make_medium_set(_metal_of(cfg), _dielectric_of(cfg), sec["omega"])
+    metal, dielectric, geom = _system_of(cfg)
+    media = make_medium_set(metal, dielectric, sec["omega"])
     state = SppState(alpha_mag=sec["alpha_mag"],
                      alpha_phase=sec["alpha_phase"],
                      xi_mag=sec["xi_mag"], xi_phase=sec["xi_phase"])
-    sol = solve_dispersion(sec["parity"], _geometry_of(cfg), media)
+    sol = solve_dispersion(sec["parity"], geom, media)
     x_max = (sec["x_min"] + auto_x_max(sol) if sec["x_max"] == "auto"
              else sec["x_max"])
     zs = sec["z_values"]
     grid = (linspace(sec["x_min"], x_max, sec["x_points"]),
             [0.0, sol.geom.d] if zs == "interfaces" else zs)
-    if compare:
+    if args.compare:
         coherent = SppState(alpha_mag=sec["alpha_mag"],
                             alpha_phase=sec["alpha_phase"])
         samples = compare_states(sol, coherent, state, grid=grid)
@@ -406,7 +394,7 @@ def _cmd_field(cfg, out_path, compare: bool) -> int:
             for x, row in zip(samples.xs, samples.rows)
             for z, v in zip(samples.zs, row)]
     meta = (["slabspp mean magnetic field"
-             + (" (coherent minus squeezed)" if compare else "")]
+             + (" (coherent minus squeezed)" if args.compare else "")]
             + _media_meta(cfg) + [
         f"omega = {_g(sec['omega'])} rad/s, parity = {sol.parity.name}",
         f"k_spp = {_g(sol.k_spp.real)}{sol.k_spp.imag:+.17g}j rad/m "
@@ -418,12 +406,13 @@ def _cmd_field(cfg, out_path, compare: bool) -> int:
     return 0
 
 
-def _cmd_verify(cfg, out_path) -> int:
+def _cmd_verify(cfg, out_path, _args) -> int:
     from .verify import run_checks
 
     sec = cfg["verify"]
-    media = make_medium_set(_metal_of(cfg), _dielectric_of(cfg), sec["omega"])
-    records = run_checks(media, _geometry_of(cfg), sec["thick_d"])
+    metal, dielectric, geom = _system_of(cfg)
+    media = make_medium_set(metal, dielectric, sec["omega"])
+    records = run_checks(media, geom, sec["thick_d"])
     rows = []
     for r in records:
         status = "pass" if r.passed else "FAIL"
@@ -445,6 +434,19 @@ def _cmd_verify(cfg, out_path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+# name -> (run(cfg, out_path, args) -> exit status, default output, help)
+_COMMANDS = {
+    "dispersion": (_cmd_dispersion, "dispersion.csv",
+                   "trace both parities over a frequency grid"),
+    "gain-sweep": (_cmd_gain_sweep, "gain_sweep.csv", "trace both parities "
+                   "over cladding gain at fixed frequency"),
+    "field": (_cmd_field, "field.csv",
+              "mean magnetic field of a launched state"),
+    "verify": (_cmd_verify, "verify_report.csv",
+               "run every numerical cross-check"),
+}
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process: parsing leaves it as
@@ -462,15 +464,11 @@ def _build_parser():
     ap.add_argument("--dump-config", action="store_true",
                     help="print the fully defaulted config and exit")
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("dispersion", help="trace both parities over a frequency "
-                                      "grid")
-    sub.add_parser("gain-sweep", help="trace both parities over cladding "
-                                      "gain at fixed frequency")
-    fp = sub.add_parser("field", help="mean magnetic field of a launched "
-                                      "state")
-    fp.add_argument("--compare", action="store_true",
-                    help="emit coherent-minus-squeezed difference instead")
-    sub.add_parser("verify", help="run every numerical cross-check")
+    parsers = {name: sub.add_parser(name, help=text)
+               for name, (_, _, text) in _COMMANDS.items()}
+    parsers["field"].add_argument(
+        "--compare", action="store_true",
+        help="emit coherent-minus-squeezed difference instead")
     return ap
 
 
@@ -485,15 +483,9 @@ def main(argv=None) -> int:
     if args.dump_config:
         sys.stdout.write(dump_config(cfg))
         return 0
-    out_path = args.out or _DEFAULT_OUT[args.command]
+    run, default_out, _ = _COMMANDS[args.command]
     try:
-        if args.command == "dispersion":
-            return _cmd_dispersion(cfg, out_path)
-        if args.command == "gain-sweep":
-            return _cmd_gain_sweep(cfg, out_path)
-        if args.command == "field":
-            return _cmd_field(cfg, out_path, compare=args.compare)
-        return _cmd_verify(cfg, out_path)
+        return run(cfg, args.out or default_out, args)
     except _OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

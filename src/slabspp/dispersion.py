@@ -373,20 +373,26 @@ class SweepRow(NamedTuple):
     error: Optional[str] = None
 
 
-def _media_grid(xs, media_of) -> list:
-    """Each grid point as ``(x, media, None)``, or ``(x, None, error)``."""
+def _traces(parities, geom, xs, media_of, what):
+    """The step both sweeps share: ``(parity, rows)`` along ``xs`` for each
+    parity, continued as the iterator reaches it.  The grid is taken as
+    floats, an empty one refused (``"<what> is empty"``), and each point's
+    media built once by ``media_of``, before any solve.
+    """
+    xs = [float(x) for x in xs]
+    if not xs:
+        raise ValueError(f"{what} is empty")
     grid = []
     for x in xs:
         try:
             grid.append((x, media_of(x), None))
         except ValueError as exc:
             grid.append((x, None, f"{type(exc).__name__}: {exc}"))
-    return grid
+    return ((parity, _continuation(parity, grid, geom)) for parity in parities)
 
 
 def _continuation(parity, grid, geom):
-    """March a root along :func:`_media_grid`'s grid, re-seeding when the
-    branch hops."""
+    """March a root along a :func:`_traces` grid, re-seeding on branch hops."""
     rows: list[SweepRow] = []
     # the last two solved points, (x1, k1) the newer
     x1 = x2 = k1 = k2 = None
@@ -454,17 +460,15 @@ def dispersion_sweep(parities: Sequence[Parity], geom: SlabGeometry,
     """Trace each parity across a frequency grid.
 
     The media at each frequency are :func:`slabspp.media.make_medium_set` of
-    ``metal`` and ``dielectric``, built once and shared by every parity.
-    Rows that fail to converge, or whose media are refused, carry an error
-    string instead of aborting the sweep.
+    ``metal`` and ``dielectric``, built once and shared by every parity
+    (:func:`_traces`).  Rows that fail to converge, or whose media are
+    refused, carry an error string instead of aborting the sweep.
     """
-    omegas = [float(w) for w in omega_grid]
-    if not omegas:
-        raise ValueError("omega_grid is empty")
-    grid = _media_grid(omegas, lambda w: make_medium_set(metal, dielectric, w))
     rows: list[SweepRow] = []
-    for parity in parities:
-        rows.extend(_continuation(parity, grid, geom))
+    for _, prows in _traces(parities, geom, omega_grid,
+                            lambda w: make_medium_set(metal, dielectric, w),
+                            "omega_grid"):
+        rows.extend(prows)
     return rows
 
 
@@ -492,21 +496,17 @@ def gain_sweep(parities: Sequence[Parity], geom: SlabGeometry,
     ``kappa_grid`` (negative values pump the claddings).  For every parity
     whose Im(k_spp) changes sign inside the grid, the crossing gain is
     refined by false position (to ~1e-13 relative) and reported in
-    ``crossings``.  Rows and media are as in :func:`dispersion_sweep`; each
-    false-position iterate builds its own media.
+    ``crossings`` (:func:`_find_crossing`).  Rows and media are as in
+    :func:`dispersion_sweep` (:func:`_traces`); each false-position iterate
+    builds its own media.
     """
-    kappas = [float(k) for k in kappa_grid]
-    if not kappas:
-        raise ValueError("kappa_grid is empty")
-
     def media_of(kap):
         return make_medium_set(metal, DielectricSpec(n_real, kap), omega)
 
-    grid = _media_grid(kappas, media_of)
     rows: list[SweepRow] = []
     crossings: dict[str, Optional[GainCrossing]] = {}
-    for parity in parities:
-        prows = _continuation(parity, grid, geom)
+    for parity, prows in _traces(parities, geom, kappa_grid, media_of,
+                                 "kappa_grid"):
         rows.extend(prows)
         crossings[parity.name] = _find_crossing(parity, prows, media_of, geom)
     return GainSweepResult(rows=tuple(rows),
@@ -514,32 +514,29 @@ def gain_sweep(parities: Sequence[Parity], geom: SlabGeometry,
 
 
 def _find_crossing(parity, prows, media_of, geom) -> Optional[GainCrossing]:
-    """Refine the first sign change of Im(k) along already-traced rows.
+    """Refine the first sign change of Im(k) along rows of :func:`_traces`.
 
-    Illinois false position on the bracketing pair of rows: the next gain is
-    the secant root of Im(k) through the bracket ends, and an end that stays
-    put twice running has its Im(k) halved so it cannot stall.  Every iterate
-    is a full solve seeded by linear interpolation between the ends' roots.
-    Stops at an exact zero of Im(k), or once the next gain lies within 1e-13
-    (relative) of a bracket end; that end is returned with its own root.
+    One walk over the solved rows returns the first exact zero of Im(k), with
+    its own root, unless a sign change comes first.  Illinois false position
+    refines that bracketing pair: the next gain is the secant root of Im(k)
+    through the bracket ends, and an end that stays put twice running has
+    its Im(k) halved so it cannot stall.  Every iterate is a full solve
+    seeded by linear interpolation between the ends' roots.  Stops at an
+    exact zero of Im(k), or once the next gain lies within 1e-13 (relative)
+    of a bracket end; that end is returned with its own root.
     """
-    solved = [r for r in prows if r.solution is not None]
-    bracket = None
-    for a, b in zip(solved, solved[1:]):
-        ia = a.solution.k_spp.imag
-        ib = b.solution.k_spp.imag
-        if ia == 0.0:
-            return GainCrossing(parity, a.x, a.solution.k_spp)
-        if ia * ib < 0.0:
-            bracket = (a, b)
+    xa = ka = None  # x and root of the last solved row before this one
+    for row in prows:
+        if row.solution is None:
+            continue
+        xb, kb = row.x, row.solution.k_spp
+        if ka is not None and ka.imag * kb.imag < 0.0:
             break
-    if bracket is None:
-        if solved and solved[-1].solution.k_spp.imag == 0.0:
-            last = solved[-1]
-            return GainCrossing(parity, last.x, last.solution.k_spp)
+        if kb.imag == 0.0:
+            return GainCrossing(parity, xb, kb)
+        xa, ka = xb, kb
+    else:
         return None
-    (xa, ka), (xb, kb) = ((bracket[0].x, bracket[0].solution.k_spp),
-                          (bracket[1].x, bracket[1].solution.k_spp))
     fa, fb = ka.imag, kb.imag
     moved = 0  # which end moved last: +1 end a, -1 end b
     for _ in range(80):

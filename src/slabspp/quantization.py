@@ -138,15 +138,14 @@ def _excess_noise(media: MediumSet, terms: tuple[float, float]) -> float:
 def _noise_weight(media: MediumSet, terms: tuple[float, float]) -> float:
     # each medium's noise amplitude weights its own region's overlap
     scale = 2.0 * HBAR * media.omega**2 * EPS0
-    t_clad, t_film = terms
-    return ((scale * abs(media.eps_d.imag)) * t_clad
-            + (scale * abs(media.eps_m.imag)) * t_film)
+    return _loss_weight(scale * abs(media.eps_d.imag),
+                        scale * abs(media.eps_m.imag), terms)
 
 
 def _loss_weight(w_d: float, w_m: float,
                  terms: tuple[float, float]) -> float:
-    # each medium's Im eps (signed, or |Im eps|) weights its own region's
-    # overlap
+    # each medium's weight (signed or |Im eps|, or its noise amplitude)
+    # weights its own region's overlap
     t_clad, t_film = terms
     return w_d * t_clad + w_m * t_film
 

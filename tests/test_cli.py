@@ -227,36 +227,6 @@ def test_field_auto_window_starts_at_x_min(tmp_path):
     assert xs[0] < xs[1] < xs[2]
 
 
-def test_field_neutral_mode_fails_cleanly(tmp_path, capsys):
-    p = tmp_path / "run.ini"
-    p.write_text("[metal]\ngamma = 0\n[dielectric]\nn_imag = 0.0\n")
-    assert _run("--config", str(p), "field") == 1
-    assert "NeutralModeSingularity" in capsys.readouterr().err
-
-
-def test_field_neutral_mode_on_explicit_grid_fails_cleanly(tmp_path, capsys):
-    p = tmp_path / "run.ini"
-    p.write_text("[metal]\ngamma = 0\n[dielectric]\nn_imag = 0.0\n"
-                 "[field]\nx_max = 1e-6\n")
-    out = tmp_path / "f.csv"
-    assert _run("--config", str(p), "--out", str(out), "field") == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: NeutralModeSingularity: Im(k_spp) = 0.0: launch "
-                   "normalization diverges for a neutral mode"]
-    assert not out.exists()
-
-
-def test_field_below_solver_floor_fails_cleanly(tmp_path, capsys):
-    p = tmp_path / "thin.ini"
-    p.write_text("[geometry]\nd = 5e-11\n")  # positive, below D_MIN
-    out = tmp_path / "f.csv"
-    assert _run("--config", str(p), "--out", str(out), "field") == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: ValueError: film thickness 5e-11 m")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("ini, argv, message", [
     ("[field]\nx_max = 1.0\n", ("field",),
      "mean field of coherent(|a|=2.6457513110645907, phase=1.5) "
@@ -327,15 +297,32 @@ def test_csv_comma_rule_applies_to_text_cells_only(tmp_path):
                                "# crossing a, b\n")
 
 
-@pytest.mark.parametrize("command", ["field", "verify"])
-def test_single_point_at_omega_p_is_one_error_line(tmp_path, capsys,
-                                                   command):
+_TRANSPARENT = _LOSSLESS + "[dielectric]\nn_imag = 0.0\n"
+
+
+@pytest.mark.parametrize("ini, command, message", [
+    (_TRANSPARENT, "field", "error: NeutralModeSingularity: neutral mode: "
+                            "no finite decay length to set the grid"),
+    (_TRANSPARENT + "[field]\nx_max = 1e-6\n", "field",
+     "error: NeutralModeSingularity: Im(k_spp) = 0.0: launch normalization "
+     "diverges for a neutral mode"),
+    ("[geometry]\nd = 5e-11\n", "field",  # positive, below D_MIN
+     "error: ValueError: film thickness 5e-11 m below solver floor 1e-10 m; "
+     "the mode pair degenerates as d -> 0"),
+    (_LOSSLESS + "[field]\nomega = 1.402e16\n", "field", _EPS_M_ZERO),
+    (_LOSSLESS + "[verify]\nomega = 1.402e16\n", "verify", _EPS_M_ZERO),
+], ids=["field-neutral-auto-window", "field-neutral-explicit-grid",
+        "field-below-solver-floor", "field-at-omega-p", "verify-at-omega-p"])
+def test_refused_single_point_run_is_one_error_line(tmp_path, capsys, ini,
+                                                    command, message):
+    """A refused single-point run exits 1, prints its one ``error:`` line
+    in full and writes no output file."""
     p = tmp_path / "run.ini"
-    p.write_text(_LOSSLESS + f"[{command}]\nomega = 1.402e16\n")
+    p.write_text(ini)
     out = tmp_path / "out.csv"
     assert _run("--config", str(p), "--out", str(out), command) == 1
-    assert capsys.readouterr().err.splitlines() == [_EPS_M_ZERO]
-    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert list(tmp_path.iterdir()) == [p]
 
 
 def test_verify_of_transparent_system_fails_the_launch_checks(tmp_path):

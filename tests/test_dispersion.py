@@ -245,12 +245,9 @@ def test_sweep_branch_hop_keeps_root_closer_to_prediction(monkeypatch,
     assert guesses[-1] == kept.k_spp + (kept.k_spp - 2 * step)
 
 
-@pytest.mark.parametrize("kappas", [[-0.2, -0.1, 0.0, 0.1], [-0.2, -0.1, 0.0]],
-                         ids=["zero-row-inside", "zero-last-row"])
-def test_gain_sweep_crossing_on_an_exact_zero_is_that_row(monkeypatch,
-                                                          kappas):
-    """A traced row with Im k == 0.0 is the crossing itself, with its own
-    root and no refining solve, whether a row follows it or not."""
+def _linear_gain_sweep(monkeypatch, kappas):
+    """``gain_sweep`` of one parity whose stub solver gives Im k = 1e6*kappa,
+    with the gain of each solve, grid rows and refining iterates alike."""
     solved = []
 
     def stub_solve(parity, geom, dielectric, guess=None):
@@ -261,12 +258,35 @@ def test_gain_sweep_crossing_on_an_exact_zero_is_that_row(monkeypatch,
     # the stub solver reads the cladding gain off the DielectricSpec itself
     monkeypatch.setattr(dispersion, "make_medium_set",
                         lambda metal, dielectric, omega: dielectric)
-    result = gain_sweep((SYMMETRIC,), GEOM, METAL, 0.9726, kappas, OMEGA)
+    return gain_sweep((SYMMETRIC,), GEOM, METAL, 0.9726, kappas, OMEGA), solved
+
+
+@pytest.mark.parametrize("kappas", [[-0.2, -0.1, 0.0, 0.1], [-0.2, -0.1, 0.0]],
+                         ids=["zero-row-inside", "zero-last-row"])
+def test_gain_sweep_crossing_on_an_exact_zero_is_that_row(monkeypatch,
+                                                          kappas):
+    """A traced row with Im k == 0.0 is the crossing itself, with its own
+    root and no refining solve, whether a row follows it or not."""
+    result, solved = _linear_gain_sweep(monkeypatch, kappas)
     assert solved == kappas
     zero_row = result.rows[2]
     assert zero_row.solution.k_spp.imag == 0.0
     assert result.crossings["symmetric"] == (SYMMETRIC, 0.0,
                                              zero_row.solution.k_spp)
+
+
+def test_gain_sweep_refines_a_sign_change_before_an_exact_zero_row(
+        monkeypatch):
+    """The scan meets the rows in grid order: a sign change before a row
+    with Im k == 0.0 is refined from its bracket, not skipped for the zero
+    row (which would take no solve beyond the grid)."""
+    kappas = [-0.2, 0.1, 0.0]
+    result, solved = _linear_gain_sweep(monkeypatch, kappas)
+    assert solved[:3] == kappas
+    assert len(solved) == 4  # one false-position solve beyond the grid
+    crossing = result.crossings["symmetric"]
+    assert crossing.kappa_star == 0.0
+    assert crossing.k_at_crossing == complex(1e7, 1e6 * solved[3])
 
 
 def test_newton_halves_a_step_that_lands_on_a_branch_point():
@@ -414,6 +434,22 @@ def test_gain_sweep_builds_each_gain_media_once(monkeypatch):
     assert all(c is not None for c in result.crossings.values())
     assert iterates
     assert len(built) == len(kappas) + len(iterates)
+
+
+@pytest.mark.parametrize("sweep, message", [
+    (lambda grid: dispersion_sweep(PARITIES, GEOM, METAL,
+                                   DielectricSpec(0.9726, -0.063), grid),
+     "omega_grid is empty"),
+    (lambda grid: gain_sweep(PARITIES, GEOM, METAL, 0.9726, grid, OMEGA),
+     "kappa_grid is empty"),
+], ids=["dispersion", "gain"])
+def test_sweep_refuses_an_empty_grid_before_building_media(monkeypatch,
+                                                           sweep, message):
+    built = _counted_media_builds(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        sweep([])
+    assert str(info.value) == message
+    assert built == []
 
 
 def test_refused_media_give_each_parity_the_same_error_row():

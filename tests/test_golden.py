@@ -11,6 +11,9 @@ Runs ``slabspp`` in-process and compares each output file with its copy in
   -0.063 (gain) and 0.02 (loss), omega in {2, 3, 4.8, 6, 7}e15 rad/s and
   d in {20, 60, 200} nm, named ``verify_op<i>_<gain|loss>`` in that order.
 
+The default configuration's cases run once more without ``--out``, each
+writing its documented default file into an empty working directory.
+
 Every output is computed in scalar Python, so no copy depends on numpy's
 SIMD dispatch (numpy's complex multiply fuses multiply-adds where the CPU
 has FMA, and then rounds differently from Python's).
@@ -77,6 +80,25 @@ def test_output_matches_golden(tmp_path, name):
     want = (GOLDEN / f"{name}.csv").read_bytes()
     assert got.decode().splitlines() == want.decode().splitlines()
     assert got == want
+
+
+@pytest.mark.parametrize("name, default_file", [
+    ("dispersion", "dispersion.csv"),
+    ("gain_sweep", "gain_sweep.csv"),
+    ("field", "field.csv"),
+    ("field_compare", "field.csv"),
+    ("verify", "verify_report.csv"),
+])
+def test_default_output_file_matches_golden(tmp_path, monkeypatch, name,
+                                            default_file):
+    monkeypatch.chdir(tmp_path)
+    ini, argv = CASES[name]
+    assert ini is None
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [default_file]
+    want = (GOLDEN / f"{name}.csv").read_bytes()
+    assert (tmp_path / default_file).read_bytes() == want
 
 
 def regenerate() -> None:
