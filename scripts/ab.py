@@ -31,7 +31,11 @@ its quartiles.  Then ``identical``
 and the count of each kind of entry of the keys, or, exiting 1, the first
 entry that differs between the copies and the count of each kind of
 change over all differing entries (``67 point -> refusal``, say), or a unit
-whose key changed between rounds; for verify, a table per check follows:
+whose key changed between rounds.  For scan and sweeps, where a root moved
+(``point -> point``, ``row -> row``), a line follows with the largest
+relative ``|Δk|`` of ``k_spp`` and how many moved by more than 1e-9, the
+bar beyond which a root counts as another zero; for verify, a table per
+check follows:
 records changed, the worst value on each side (``nan`` if one was
 refused), the largest ``|old - new|`` of a changed record (0 if none,
 ``nan`` if a side was refused) and pass/FAIL flips.
@@ -160,6 +164,23 @@ def _verify_units(side, phases) -> list:
 def _verify_key(group, records) -> list:
     """Every check record of one config."""
     return [("record", repr(r)) for r in records]
+
+
+ROOTS = ("point", "row")  # kinds of entry whose text starts with k_spp
+
+
+def _root_moves(differ) -> str:
+    """The line on roots that moved between the copies ("" if none did)."""
+    moves = []
+    for _, _, old, new in differ:
+        if old and new and old[0] == new[0] in ROOTS:
+            k_old, k_new = (complex(e[1].split(", ", 1)[0]) for e in (old, new))
+            moves.append(abs(k_new - k_old) / abs(k_old))
+    if not moves:
+        return ""
+    beyond = sum(move > 1e-9 for move in moves)  # another zero beyond it
+    return (f"roots moved: {len(moves)}, largest relative |Δk| "
+            f"{max(moves):.3g}, {beyond} beyond 1e-9 (another zero)")
 
 
 def _check_table(old_checked, new_checked) -> list[str]:
@@ -320,6 +341,8 @@ def main(argv=None) -> int:
                         for _, _, a, b in differ)
         print("by kind: " + ", ".join(f"{n} {was} -> {now}"
                                       for (was, now), n in kinds.most_common()))
+        if moved := _root_moves(differ):
+            print(moved)
         if explain:
             print("\n".join(explain(*([result for result, _ in side_first]
                                        for side_first in first))))

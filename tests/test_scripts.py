@@ -37,9 +37,9 @@ def _ab(*args):
 
 @pytest.mark.parametrize("mode, identical, noun, work", [
     pytest.param("scan", "18646 points and 1354 refusals",
-                 "residual evaluations", {"scan": 144646}, id="scan"),
+                 "residual evaluations", {"scan": 125373}, id="scan"),
     pytest.param("sweeps", "1446 rows and 30 crossings",
-                 "residual evaluations", {"gain": 5213, "dispersion": 1118},
+                 "residual evaluations", {"gain": 5194, "dispersion": 1115},
                  id="sweeps"),
     pytest.param("verify", "420 records", "Kronrod steps", {"verify": 2093},
                  id="verify"),
@@ -106,6 +106,34 @@ def test_ab_scan_counts_each_kind_of_change(tmp_path):
     assert "\nDIFFERENT: 422 of 20000 entries; first, slice 0 " in proc.stdout
     assert proc.stdout.endswith(
         "\nby kind: 286 point -> refusal, 136 refusal -> refusal\n")
+
+
+@pytest.mark.parametrize("scale, value, beyond", [
+    ("2**-40", 2**-40, 0), ("2**-20", 2**-20, 18646)],
+    ids=["bits", "another-zero"])
+def test_ab_scan_measures_how_far_roots_moved(tmp_path, scale, value,
+                                              beyond):
+    """A copy that scales every accepted root by ``1 + scale``, after the
+    refusal tests, moves each root by that much, relative: ``2**-40`` is
+    bits, ``2**-20`` (9.5e-7) lies beyond the 1e-9 bar of another zero."""
+    src = Path(slabspp.__file__).resolve().parents[1]
+    shutil.copytree(src / "slabspp", tmp_path / "slabspp",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    dispersion = tmp_path / "slabspp" / "dispersion.py"
+    text = dispersion.read_text()
+    accept = "\n    return ModeSolution(parity, root, "
+    assert accept in text
+    dispersion.write_text(text.replace(
+        accept, f"\n    root *= 1 + {scale}{accept}"))
+    proc = _ab(src, tmp_path, "scan", "--rounds", 1)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    *_, kinds, moved = proc.stdout.splitlines()
+    assert kinds == "by kind: 18646 point -> point"
+    largest, tail = re.fullmatch(
+        r"roots moved: 18646, largest relative \|Δk\| (\S+), (.*)",
+        moved).groups()
+    assert float(largest) == pytest.approx(value, rel=1e-2)
+    assert tail == f"{beyond} beyond 1e-9 (another zero)"
 
 
 def test_ab_usage_errors_exit_2(tmp_path):
