@@ -34,8 +34,12 @@ change over all differing entries (``67 point -> refusal``, say), or a unit
 whose key changed between rounds.  For scan and sweeps, where a root moved
 (``point -> point``, ``row -> row``), a line follows with the largest
 relative ``|Δk|`` of ``k_spp`` and how many moved by more than 1e-9, the
-bar beyond which a root counts as another zero; for verify, a table per
-check follows:
+bar beyond which a root counts as another zero; where a gain sweep's
+crossing moved (``crossing -> crossing``), a second line gives the same
+for ``kappa_star`` (``|Δκ*|``, beyond 1e-9 another threshold).  A parity
+without a crossing keys the error of its failed refinement, or ``None``
+where its grid has no sign change.  For verify, a table per check
+follows:
 records changed, the worst value on each side (``nan`` if one was
 refused), the largest ``|old - new|`` of a changed record (0 if none,
 ``nan`` if a side was refused) and pass/FAIL flips.
@@ -135,14 +139,17 @@ def _sweep_units(side, phases) -> list:
 
 def _sweep_key(group, result) -> list:
     """Every row's numbers, as ``scan`` keys a point, or its error; then
-    every crossing."""
-    rows, crossings = (result.rows, result.crossings) if group == "gain" \
-        else (result, {})
+    each parity's crossing, its ``kappa_star`` and ``k_at_crossing``, or,
+    where it has none, the error of its failed refinement (``None`` if the
+    grid has no sign change)."""
+    rows, crossings, errors = result if group == "gain" else (result, {}, {})
     return ([("row", ", ".join(map(repr, (s.k_spp, s.nu0, s.num,
                                           s.amplitude, s.residual))))
              if (s := r.solution) else ("error", r.error)
              for r in rows]
-            + [("crossing", f"{name} {c!r}") for name, c in crossings.items()])
+            + [("crossing", f"{name} {c.kappa_star!r}, {c.k_at_crossing!r}")
+               if c else ("no crossing", f"{name} {errors.get(name)}")
+               for name, c in crossings.items()])
 
 
 def _verify_units(side, phases) -> list:
@@ -166,21 +173,36 @@ def _verify_key(group, records) -> list:
     return [("record", repr(r)) for r in records]
 
 
-ROOTS = ("point", "row")  # kinds of entry whose text starts with k_spp
+# what moved: (kinds of entry, parse of an entry's text, line's words)
+MOVES = [
+    (("point", "row"), lambda text: complex(text.split(", ", 1)[0]),
+     ("roots", "|Δk|", "another zero")),
+    (("crossing",),
+     lambda text: float(text.split(" ", 1)[1].split(", ", 1)[0]),
+     ("crossings", "|Δκ*|", "another threshold")),
+]
 
 
-def _root_moves(differ) -> str:
-    """The line on roots that moved between the copies ("" if none did)."""
-    moves = []
-    for _, _, old, new in differ:
-        if old and new and old[0] == new[0] in ROOTS:
-            k_old, k_new = (complex(e[1].split(", ", 1)[0]) for e in (old, new))
-            moves.append(abs(k_new - k_old) / abs(k_old))
-    if not moves:
-        return ""
-    beyond = sum(move > 1e-9 for move in moves)  # another zero beyond it
-    return (f"roots moved: {len(moves)}, largest relative |Δk| "
-            f"{max(moves):.3g}, {beyond} beyond 1e-9 (another zero)")
+def _moves(differ) -> list[str]:
+    """A line on the roots, and one on the crossing gains, that moved
+    between the copies: how many, the largest relative move and how many
+    moved by more than 1e-9, the bar beyond which a root counts as another
+    zero and a crossing as another threshold.  No line where none moved.
+    """
+    lines = []
+    for kinds, value, (what, delta, other) in MOVES:
+        moves = []
+        for _, _, old, new in differ:
+            if old and new and old[0] == new[0] in kinds:
+                a, b = value(old[1]), value(new[1])
+                moves.append(abs(b - a) / abs(a) if a
+                             else 0.0 if b == a else math.inf)
+        if moves:
+            beyond = sum(move > 1e-9 for move in moves)
+            lines.append(f"{what} moved: {len(moves)}, largest relative "
+                         f"{delta} {max(moves):.3g}, {beyond} beyond 1e-9 "
+                         f"({other})")
+    return lines
 
 
 def _check_table(old_checked, new_checked) -> list[str]:
@@ -341,8 +363,8 @@ def main(argv=None) -> int:
                         for _, _, a, b in differ)
         print("by kind: " + ", ".join(f"{n} {was} -> {now}"
                                       for (was, now), n in kinds.most_common()))
-        if moved := _root_moves(differ):
-            print(moved)
+        for line in _moves(differ):
+            print(line)
         if explain:
             print("\n".join(explain(*([result for result, _ in side_first]
                                        for side_first in first))))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -62,6 +63,7 @@ D_MIN = 1e-10
 
 _MAX_NEWTON = 80
 _TOL = 1e-12  # relative step size at which Newton stops
+_EPS = sys.float_info.epsilon  # a correction this small (relative) is rounding
 # a film is thin where |exp(-num*d)| > 0.3 at the single-interface root
 _THIN = math.log(1.0 / 0.3)
 
@@ -159,7 +161,7 @@ def _below_band(media: MediumSet) -> bool:
     return -media.eps_m.real > 1.2 * media.eps_d.real
 
 
-def _scaled_system(d: float, media: MediumSet, pm: int):
+def _scaled_system(d: float, media: MediumSet, pm: int, k0sq: float):
     """The bounded residual of one slab system, as a function of ``k``.
 
     Returns ``system(k) -> (F, dF/dk, nu0, num)``, with the decay constants
@@ -184,8 +186,10 @@ def _scaled_system(d: float, media: MediumSet, pm: int):
     films (tanh saturates where exp overflows), which keeps Newton well
     conditioned.
 
-    What is fixed for one solve (``eps_d*k0**2``, ``eps_m*k0**2``, ``d/2``)
-    is formed once here, and ``k*k``, ``k/num``, ``k/nu0`` once per call.
+    ``k0sq`` is ``k0*k0``, formed by :func:`solve_dispersion` from its one
+    read of ``media.k0``.  What is fixed for one solve (``eps_d*k0sq``,
+    ``eps_m*k0sq``, ``d/2``) is formed once here, and ``k*k``, ``k/num``,
+    ``k/nu0`` once per call.
     Each hoisted value has the operands and order it would have inside the
     call, except that the tanh argument is ``num*(d/2)`` for ``num*d/2``,
     which is the same number because halving is exact; so every result is
@@ -194,7 +198,6 @@ def _scaled_system(d: float, media: MediumSet, pm: int):
     """
     eps_d = media.eps_d
     eps_m = media.eps_m
-    k0sq = media.k0 * media.k0
     eps_d_k0sq = eps_d * k0sq
     eps_m_k0sq = eps_m * k0sq
     half_d = d / 2.0
@@ -239,10 +242,21 @@ def _newton(k: complex, d: float,
     accepted root, or None on failure, which includes a seed on a branch
     point of a decay constant.
 
-    A step stops the iteration once its size is at most ``_TOL*max(|k|,
-    1/d)``, tested as ``size <= _TOL*(1/d) or size <= _TOL*|k|``: rounding
-    a product by a positive constant keeps the order of its operands, so
-    each comparison has the outcome of the ``max`` form.
+    Two tests stop the iteration.  Before the line search, a correction
+    ``step = -F/F'`` of at most ``_EPS*|k|`` (about one rounding of ``k``)
+    returns ``k`` with the values already held for it, at no further
+    evaluation.  After an
+    accepted step, the iteration stops once the step's size is at most
+    ``_TOL*max(|k|, 1/d)``, tested as ``size <= _TOL*(1/d) or size <=
+    _TOL*|k|``: rounding a product by a positive constant keeps the order
+    of its operands, so each comparison has the outcome of the ``max``
+    form.  The first test cannot change which zero is found: without
+    it, the line search would accept the full sub-ulp step (its size is
+    below ``_TOL*|k + step|``) and the second test would stop at
+    ``k + step``, one evaluation later and at most ``_EPS*|k|`` away.  Only
+    a test of the caller's that falls between the values at ``k`` and at
+    ``k + step`` (the 1e-10 stall test, or the sign of a decay constant's
+    real part) could decide the two points differently.
     """
     try:
         values = system(k)
@@ -256,6 +270,8 @@ def _newton(k: complex, d: float,
         if not df:
             return None
         step = -f / df
+        if abs(step) <= _EPS * abs(k):
+            return k, values
         for lam in (1.0, 1/2, 1/4, 1/8, 1/16, 1/32, 1/64, 1/128):
             delta = lam * step
             k_try = k + delta
@@ -339,7 +355,11 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
             f"film thickness {d!r} m below solver floor {D_MIN} m; "
             "the mode pair degenerates as d -> 0"
         )
-    system = _scaled_system(d, media, parity.pm)
+    # one read of media.k0 serves the residual and the long-range and
+    # light-line seeds (single_interface_root reads its own)
+    k0 = media.k0
+    k0sq = k0 * k0
+    system = _scaled_system(d, media, parity.pm, k0sq)
     # the seeds in order, each built once Newton failed from all before it:
     # guess; for a thin antisymmetric film below the band and no guess, its
     # long-range limit; the single-interface root; then a cutoff-hugging
@@ -357,8 +377,6 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
         else:
             if guess is None and parity.pm < 0 and _below_band(media):
                 eps_d, eps_m = media.eps_d, media.eps_m
-                k0 = media.k0
-                k0sq = k0 * k0
                 # thin: |exp(-num*d)| > 0.3 at k_si, written without the exp
                 if cmath.sqrt(k_si * k_si - eps_m * k0sq).real * d < _THIN:
                     # tanh(num*d/2) ~ num*d/2 in the antisymmetric residual
@@ -369,7 +387,7 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
                 seeds.append(k_si)
                 found = _newton(seeds[-1], d, system)
     if found is None:
-        seeds.append(1.05 * media.k0 * _decaying_sqrt(media.eps_d))
+        seeds.append(1.05 * k0 * _decaying_sqrt(media.eps_d))
         found = _newton(seeds[-1], d, system)
     if found is None:
         raise NonConvergence(

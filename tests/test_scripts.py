@@ -37,9 +37,9 @@ def _ab(*args):
 
 @pytest.mark.parametrize("mode, identical, noun, work", [
     pytest.param("scan", "18646 points and 1354 refusals",
-                 "residual evaluations", {"scan": 125373}, id="scan"),
+                 "residual evaluations", {"scan": 115452}, id="scan"),
     pytest.param("sweeps", "1446 rows and 30 crossings",
-                 "residual evaluations", {"gain": 5194, "dispersion": 1115},
+                 "residual evaluations", {"gain": 4021, "dispersion": 935},
                  id="sweeps"),
     pytest.param("verify", "420 records", "Kronrod steps", {"verify": 2093},
                  id="verify"),
@@ -60,17 +60,25 @@ def test_ab_tree_against_itself_is_identical(mode, identical, noun, work):
                            ("slabspp_new", str(count))], proc.stdout
 
 
+def _edited_copy(tmp_path, name, module, old, new):
+    """A copy of the package under ``tmp_path/name`` with the one ``old``
+    text of ``module`` replaced by ``new``; the copy's ``src``."""
+    src = Path(slabspp.__file__).resolve().parents[1]
+    shutil.copytree(src / "slabspp", tmp_path / name / "slabspp",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / name / "slabspp" / f"{module}.py"
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return tmp_path / name
+
+
 def test_ab_verify_tables_the_checks_of_differing_trees(tmp_path):
     src = Path(slabspp.__file__).resolve().parents[1]
-    shutil.copytree(src / "slabspp", tmp_path / "slabspp",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    oracles = tmp_path / "slabspp" / "oracles.py"
-    text = oracles.read_text()
-    assert "\n_FD_STEP = 1e-12 " in text
     # a 100x coarser curl step fails the curl check of every mode
-    oracles.write_text(text.replace("\n_FD_STEP = 1e-12 ",
-                                    "\n_FD_STEP = 1e-10 "))
-    proc = _ab(src, tmp_path, "verify", "--rounds", 1)
+    new = _edited_copy(tmp_path, "coarse", "oracles", "\n_FD_STEP = 1e-12 ",
+                       "\n_FD_STEP = 1e-10 ")
+    proc = _ab(src, new, "verify", "--rounds", 1)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert ("\nDIFFERENT: 60 of 420 entries; first, config 0 "
             "(omega=2000000000000000.0, d=2e-08, n_imag=-0.063), entry 5:\n"
@@ -93,15 +101,10 @@ def test_ab_verify_tables_the_checks_of_differing_trees(tmp_path):
 
 def test_ab_scan_counts_each_kind_of_change(tmp_path):
     src = Path(slabspp.__file__).resolve().parents[1]
-    shutil.copytree(src / "slabspp", tmp_path / "slabspp",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    dispersion = tmp_path / "slabspp" / "dispersion.py"
-    text = dispersion.read_text()
-    assert "\nD_MIN = 1e-10\n" in text
     # a 3.5 nm solver floor refuses the pool's thinnest films, solved or not
-    dispersion.write_text(text.replace("\nD_MIN = 1e-10\n",
-                                       "\nD_MIN = 3.5e-9\n"))
-    proc = _ab(src, tmp_path, "scan", "--rounds", 1)
+    new = _edited_copy(tmp_path, "floor", "dispersion", "\nD_MIN = 1e-10\n",
+                       "\nD_MIN = 3.5e-9\n")
+    proc = _ab(src, new, "scan", "--rounds", 1)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "\nDIFFERENT: 422 of 20000 entries; first, slice 0 " in proc.stdout
     assert proc.stdout.endswith(
@@ -117,15 +120,10 @@ def test_ab_scan_measures_how_far_roots_moved(tmp_path, scale, value,
     refusal tests, moves each root by that much, relative: ``2**-40`` is
     bits, ``2**-20`` (9.5e-7) lies beyond the 1e-9 bar of another zero."""
     src = Path(slabspp.__file__).resolve().parents[1]
-    shutil.copytree(src / "slabspp", tmp_path / "slabspp",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    dispersion = tmp_path / "slabspp" / "dispersion.py"
-    text = dispersion.read_text()
     accept = "\n    return ModeSolution(parity, root, "
-    assert accept in text
-    dispersion.write_text(text.replace(
-        accept, f"\n    root *= 1 + {scale}{accept}"))
-    proc = _ab(src, tmp_path, "scan", "--rounds", 1)
+    new = _edited_copy(tmp_path, "scaled", "dispersion", accept,
+                       f"\n    root *= 1 + {scale}{accept}")
+    proc = _ab(src, new, "scan", "--rounds", 1)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     *_, kinds, moved = proc.stdout.splitlines()
     assert kinds == "by kind: 18646 point -> point"
@@ -134,6 +132,52 @@ def test_ab_scan_measures_how_far_roots_moved(tmp_path, scale, value,
         moved).groups()
     assert float(largest) == pytest.approx(value, rel=1e-2)
     assert tail == f"{beyond} beyond 1e-9 (another zero)"
+
+
+def test_ab_sweeps_keys_the_error_of_a_failed_refinement(tmp_path):
+    """Two copies whose every crossing refinement is refused, with
+    different messages, differ in each parity's crossing entry alone."""
+    solve = ("            sol = solve_dispersion(parity, geom, media_of(x), "
+             "guess=seed)\n")
+    old, new = (_edited_copy(tmp_path, tag, "dispersion", solve,
+                             f"            raise NonConvergence('{tag}')\n")
+                for tag in ("injected", "refused"))
+    proc = _ab(old, new, "sweeps", "--rounds", 1)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert ("\nDIFFERENT: 30 of 1476 entries; first, gain sweep d=2e-08 "
+            "omega=2000000000000000.0, entry 82:\n"
+            "  old no crossing: symmetric refinement failed in ") \
+        in proc.stdout
+    first = proc.stdout.split("entry 82:\n", 1)[1].splitlines()[:2]
+    assert first[0].endswith("]: NonConvergence: injected")
+    assert first[1] == first[0].replace("  old ", "  new ").replace(
+        "injected", "refused")
+    assert proc.stdout.endswith(
+        "\nby kind: 30 no crossing -> no crossing\n")
+
+
+@pytest.mark.parametrize("scale, value, beyond", [
+    ("2**-40", 2**-40, 0), ("2**-20", 2**-20, 30)],
+    ids=["bits", "another-threshold"])
+def test_ab_sweeps_measures_how_far_crossings_moved(tmp_path, scale, value,
+                                                    beyond):
+    """A copy that scales every crossing gain by ``1 + scale`` moves each
+    of the 30 crossings by that much, relative, and no root."""
+    src = Path(slabspp.__file__).resolve().parents[1]
+    result = "\n    return GainSweepResult("
+    new = _edited_copy(
+        tmp_path, "scaled", "dispersion", result,
+        "\n    crossings = {name: c._replace(kappa_star=c.kappa_star * "
+        f"(1 + {scale})) for name, c in crossings.items()}}{result}")
+    proc = _ab(src, new, "sweeps", "--rounds", 1)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    *_, kinds, moved = proc.stdout.splitlines()
+    assert kinds == "by kind: 30 crossing -> crossing"
+    largest, tail = re.fullmatch(
+        r"crossings moved: 30, largest relative \|Δκ\*\| (\S+), (.*)",
+        moved).groups()
+    assert float(largest) == pytest.approx(value, rel=1e-2)
+    assert tail == f"{beyond} beyond 1e-9 (another threshold)"
 
 
 def test_ab_usage_errors_exit_2(tmp_path):

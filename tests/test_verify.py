@@ -110,7 +110,7 @@ def test_green_identity_around_the_threshold_passes_or_is_refused():
     line = next(line for line in golden.read_text().splitlines()
                 if line.startswith(prefix))
     kappa_star = float(line[len(prefix):].split(",")[0])
-    assert kappa_star == -0.0013660624440627995
+    assert kappa_star == -0.0013660624440627993
     cfg = load_config(None)
     metal = DrudeMetalSpec(cfg["metal"]["omega_p"], cfg["metal"]["gamma"])
     refused = 0
