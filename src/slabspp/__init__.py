@@ -9,7 +9,11 @@ Workflow: build media (:mod:`slabspp.media`), solve the complex dispersion
 solved for.  :mod:`slabspp.oracles` recomputes the closed forms by
 quadrature, :mod:`slabspp.verify` runs them all as one pass of checks, and
 :mod:`slabspp.cli` wraps everything in a command line.  Every refusal is a
-``ValueError`` whose subclass names why; no ``except`` here names a subclass.
+``ValueError``, of a subclass that names why unless it is an argument check
+or one of a few plain ones (among them the solver's thickness floor, an
+empty sweep grid, a failed crossing refinement, a zero permittivity,
+``beta_prime = 0`` and a neutral mode's tail integral); no ``except`` here
+names a subclass.
 
 ``import slabspp`` loads no submodule.  ``from slabspp import X`` takes ``X``
 from the ``__all__`` of the workflow module that declares it, and loads that

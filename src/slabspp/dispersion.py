@@ -16,9 +16,9 @@ wavenumber ``k_spp``.  With the ``exp(-i*omega*t)`` convention a mode with
 grows (amplified, possible when the claddings are pumped).
 
 Transverse decay constants use the square-root branch with ``Re >= 0``
-(ties broken toward ``Im >= 0``) so that bound profiles decay away from the
-film; a converged root whose decay constants land on ``Re <= 0`` is rejected
-as unbound.
+(``nu0``'s ties broken toward ``Im >= 0``) so that bound profiles decay away
+from the film; a converged root whose decay constants land on ``Re <= 0`` is
+rejected as unbound.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ __all__ = [
 # smallest slab thickness the solver accepts (meters); below this the two
 # film surfaces are numerically indistinguishable and the mode pair collapses
 D_MIN = 1e-10
+RESIDUAL_MAX = 1e-10  # largest scaled residual of an accepted root
 
 _MAX_NEWTON = 80
 _TOL = 1e-12  # relative step size at which Newton stops
@@ -119,33 +120,21 @@ class SlabGeometry(NamedTuple("SlabGeometry", [("d", float)])):
         return super().__new__(cls, d)
 
 
-def _decaying_sqrt(z: complex) -> complex:
-    """Square root on the branch with Re >= 0, ties broken toward Im >= 0.
-
-    ``cmath.sqrt`` is the principal root, whose real part is never negative
-    (it is ``+0.0``, positive or NaN), so only the tie rule is left to
-    apply: a root on the imaginary axis with ``Im < 0`` is negated.  The
-    residual closure of :func:`_scaled_system` applies the same rule inline
-    on its two decay constants; this function serves the seeds that
-    :func:`solve_dispersion` builds, the single-interface root included.
-    """
-    r = cmath.sqrt(z)
-    if r.real == 0.0 and r.imag < 0.0:
-        r = -r
-    return r
-
-
 def single_interface_root(media: MediumSet) -> complex:
     """Bound-mode wavenumber of a single metal/dielectric interface.
 
-    ``k0*sqrt(eps_m*eps_d/(eps_m + eps_d))`` on the ``Re >= 0`` branch.  This
-    is the common large-thickness limit of both slab parities and the
-    canonical seed for the slab root search.
+    ``k0*sqrt(eps_m*eps_d/(eps_m + eps_d))`` on the decaying branch: ``Re >=
+    0``, which ``cmath.sqrt`` gives, and a root on the imaginary axis with
+    ``Im < 0`` negated.  This is the common large-thickness limit of both
+    slab parities and the canonical seed for the slab root search.
     """
     s = media.eps_m + media.eps_d
     if s == 0:
         raise ValueError("eps_m + eps_d == 0: single-interface mode undefined")
-    return media.k0 * _decaying_sqrt(media.eps_m * media.eps_d / s)
+    r = cmath.sqrt(media.eps_m * media.eps_d / s)
+    if r.real == 0.0 and r.imag < 0.0:
+        r = -r
+    return media.k0 * r
 
 
 def _below_band(media: MediumSet) -> bool:
@@ -165,17 +154,7 @@ def _scaled_system(d: float, media: MediumSet, pm: int, k0sq: float):
     """The bounded residual of one slab system, as a function of ``k``.
 
     Returns ``system(k) -> (F, dF/dk, nu0, num)``, with the decay constants
-    ``nu0 = sqrt(k**2 - eps_d*k0**2)`` and ``num = sqrt(k**2 - eps_m*k0**2)``
-    on the decaying branch of :func:`_decaying_sqrt`.  That function's one
-    test, the tie rule ``Re == 0 and Im < 0 -> negate``, is written inline
-    on each decay constant, after a ``cmath.sqrt`` bound to a local: the
-    same operation on the same operand, so the same bits, without two
-    Python calls per evaluation.  ``F``'s natural scale
-    ``|eps_d*num| + |eps_m*nu0|`` is not formed here: only the accepted
-    root needs it, and :func:`solve_dispersion` forms it there from the same
-    operands.  ``system`` raises ``ZeroDivisionError`` where a decay
-    constant vanishes, tested as ``not nu0 or not num``: a complex is
-    false exactly where it ``== 0`` (signed zeros included, NaN excluded).
+    ``nu0 = sqrt(k**2 - eps_d*k0**2)`` and ``num = sqrt(k**2 - eps_m*k0**2)``.
 
     Antisymmetric (pm=-1): F = tanh(num*d/2)*eps_d*num + eps_m*nu0
     Symmetric     (pm=+1): F = tanh(num*d/2)*eps_m*nu0 + eps_d*num
@@ -185,6 +164,20 @@ def _scaled_system(d: float, media: MediumSet, pm: int, k0sq: float):
     ``r = eps_m*nu0/(eps_d*num)``, but stay O(eps*nu) for arbitrarily thick
     films (tanh saturates where exp overflows), which keeps Newton well
     conditioned.
+
+    Only ``nu0`` takes the decaying branch's tie test (``Re == 0 and Im <
+    0 -> negate``; ``cmath.sqrt``'s real part is never negative): on the
+    cladding cut it decides ``F``.  ``F`` and ``dF/dk`` are both even in
+    ``num`` (antisymmetric) or both odd (symmetric), so ``-F/F'``, ``|F|``
+    and every choice of :func:`_newton` are the same for ``+-num``, and an
+    accepted root has ``Re(num) > 0``.  ``F`` depends on ``k`` only through
+    ``k*k``, the same bits for ``+-k``, and ``dF/dk`` is odd in ``k``, so
+    Newton from ``-s`` mirrors Newton from ``s`` and
+    :func:`solve_dispersion`'s ``Re k < 0`` flip reports one root: no seed
+    needs a branch rule.  A decay constant of exactly 0 makes ``k/num`` or
+    ``k/nu0`` raise the ``ZeroDivisionError`` that :func:`_newton` catches.
+    ``F``'s natural scale ``|eps_d*num| + |eps_m*nu0|`` is formed only at
+    the accepted root, by :func:`solve_dispersion`.
 
     ``k0sq`` is ``k0*k0``, formed by :func:`solve_dispersion` from its one
     read of ``media.k0``.  What is fixed for one solve (``eps_d*k0sq``,
@@ -206,15 +199,10 @@ def _scaled_system(d: float, media: MediumSet, pm: int, k0sq: float):
 
     def system(k: complex):
         kk = k * k
-        # the decaying branch, as _decaying_sqrt applies it
         nu0 = sqrt(kk - eps_d_k0sq)
         if nu0.real == 0.0 and nu0.imag < 0.0:
             nu0 = -nu0
         num = sqrt(kk - eps_m_k0sq)
-        if num.real == 0.0 and num.imag < 0.0:
-            num = -num
-        if not nu0 or not num:
-            raise ZeroDivisionError("decay constant vanished during iteration")
         t = tanh(num * half_d)
         k_num = k / num
         k_nu0 = k / nu0
@@ -255,8 +243,8 @@ def _newton(k: complex, d: float,
     below ``_TOL*|k + step|``) and the second test would stop at
     ``k + step``, one evaluation later and at most ``_EPS*|k|`` away.  Only
     a test of the caller's that falls between the values at ``k`` and at
-    ``k + step`` (the 1e-10 stall test, or the sign of a decay constant's
-    real part) could decide the two points differently.
+    ``k + step`` (the ``RESIDUAL_MAX`` stall test, or the sign of a decay
+    constant's real part) could decide the two points differently.
     """
     try:
         values = system(k)
@@ -295,10 +283,10 @@ class ModeSolution(NamedTuple):
     """One converged slab mode at fixed omega.
 
     ``residual`` is the bounded characteristic function at the root divided
-    by its natural scale ``|eps_d*num| + |eps_m*nu0|`` (dimensionless;
-    <= 1e-10 for any accepted solution).  ``amplitude`` is the internal
-    partial-wave amplitude ``1/(1 + pm*exp(-num*d))`` used by the profile.
-    The generating ``media`` and ``geom`` ride along so downstream
+    by its natural scale ``|eps_d*num| + |eps_m*nu0|`` (dimensionless; at
+    most ``RESIDUAL_MAX`` for any accepted solution).  ``amplitude`` is the
+    internal partial-wave amplitude ``1/(1 + pm*exp(-num*d))`` used by the
+    profile.  The generating ``media`` and ``geom`` ride along so downstream
     quantities can be evaluated without re-specifying the system.
     """
 
@@ -345,7 +333,7 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
     residual's scale ``|eps_d*num| + |eps_m*nu0|`` is formed once, at the
     accepted root, not on every evaluation.  Raises
     :class:`NonConvergence` if every seed fails, naming the seeds tried, or
-    if the root stalls above a scaled residual of 1e-10, and
+    if the root stalls above a scaled residual of ``RESIDUAL_MAX``, and
     :class:`BranchViolation` if the converged root is not transversely
     bound.
     """
@@ -381,13 +369,13 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
                 if cmath.sqrt(k_si * k_si - eps_m * k0sq).real * d < _THIN:
                     # tanh(num*d/2) ~ num*d/2 in the antisymmetric residual
                     nu0 = -eps_d * (eps_d - eps_m) * k0sq * d / (2.0 * eps_m)
-                    seeds.append(_decaying_sqrt(eps_d * k0sq + nu0 * nu0))
+                    seeds.append(cmath.sqrt(eps_d * k0sq + nu0 * nu0))
                     found = _newton(seeds[-1], d, system)
             if found is None:
                 seeds.append(k_si)
                 found = _newton(seeds[-1], d, system)
     if found is None:
-        seeds.append(1.05 * k0 * _decaying_sqrt(media.eps_d))
+        seeds.append(1.05 * k0 * cmath.sqrt(media.eps_d))
         found = _newton(seeds[-1], d, system)
     if found is None:
         raise NonConvergence(
@@ -401,7 +389,7 @@ def solve_dispersion(parity: Parity, geom: SlabGeometry, media: MediumSet,
         root = -root
     f, _, nu0, num = values
     residual = abs(f) / (abs(media.eps_d * num) + abs(media.eps_m * nu0))
-    if residual > 1e-10:
+    if residual > RESIDUAL_MAX:
         raise NonConvergence(
             f"{parity.name} mode: iteration stalled at scaled residual "
             f"{residual:.3e} (k ~ {root!r})"

@@ -47,12 +47,15 @@ The integrands are scalar Python (``complex``, ``cmath``, the tuple of the
 mode's :func:`~slabspp.modes.bracket_of`, taken once per oracle), one flat
 closure per region, where numpy scalars and arrays or extra call layers
 would cost more than the arithmetic.  Every quadrature calls the
-module-global :func:`quad`, so replacing it replaces them all.  The tail
-substitutions of :func:`normalization_quadrature` and the central difference
-of :func:`curl_consistency_error` multiply by a reciprocal instead of
+module-global :func:`quad` when it runs, so replacing ``quad`` replaces
+each one but ``_UNIT_TAIL``, which is integrated at import and keeps the
+value of the ``quad`` it met there.  The tail substitutions of
+:func:`normalization_quadrature` and the central difference of
+:func:`curl_consistency_error` multiply by a reciprocal instead of
 dividing, the way numpy divides a complex by a real, so their values keep
-the rounding of the earlier numpy-scalar integrands bit for bit.  The
-contour root oracle :func:`contour_slab_roots` sums its trapezoid nodes one
+the rounding of the earlier numpy-scalar integrands bit for bit
+(:func:`weighted_abs2_quadrature` divides).  The contour root oracle
+:func:`contour_slab_roots` sums its trapezoid nodes one
 by one in ``cmath`` as well.
 
 Nothing here needs numpy or scipy, so importing this module loads neither.
@@ -439,12 +442,11 @@ def _continued_sqrt(k: complex, beta: complex, center: complex) -> complex:
     """sqrt(k**2 - beta**2), analytic on a disk about ``center`` free of +-beta.
 
     Each factor (k -+ beta)/(center -+ beta) stays in the right half plane on
-    such a disk, so the principal roots never meet their cut; the branch is
-    fixed by Re >= 0 at the center.
+    such a disk, so the principal roots never meet their cut.  The branch is
+    the one with Re >= 0 at the center, which ``cmath.sqrt`` gives as it
+    comes: its real part is never negative.
     """
     s_c = cmath.sqrt(center * center - beta * beta)
-    if s_c.real < 0.0:
-        s_c = -s_c
     return (s_c * cmath.sqrt((k - beta) / (center - beta))
             * cmath.sqrt((k + beta) / (center + beta)))
 

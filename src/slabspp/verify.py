@@ -14,7 +14,8 @@ import math
 from typing import NamedTuple
 
 from . import oracles
-from .dispersion import PARITIES, SlabGeometry, linspace, solve_dispersion
+from .dispersion import (PARITIES, RESIDUAL_MAX, SlabGeometry, linspace,
+                         solve_dispersion)
 from .media import MediumSet
 from .modes import normalization
 from .quantization import (
@@ -101,7 +102,7 @@ def run_checks(media: MediumSet, geom: SlabGeometry,
             sol = solve_dispersion(parity, geom, media)
         except ValueError as exc:
             records.append(CheckRecord("solve", parity.name, omega, math.nan,
-                                       1e-10,
+                                       RESIDUAL_MAX,
                                        f"{type(exc).__name__}: {exc}"))
             continue
 

@@ -23,6 +23,7 @@ from slabspp import (
     PARITIES,
     SYMMETRIC,
     BranchViolation,
+    C_LIGHT,
     DielectricSpec,
     DispersionError,
     DrudeMetalSpec,
@@ -44,6 +45,8 @@ from slabspp.cli import load_config
 from slabspp.dispersion import linspace
 from slabspp.fields import auto_x_max
 from slabspp.oracles import contour_slab_roots
+
+from scan_box import box_point
 
 METAL = DrudeMetalSpec(14.02e15, 6.25e13)
 GEOM = SlabGeometry(60e-9)
@@ -654,6 +657,15 @@ _INSIDE_LIGHT_CONE = 0.5 * _LOSSLESS.k0  # nu0's radicand is a negative real
 _INF, _NAN = math.inf, math.nan
 
 
+def _decaying_sqrt(z):
+    """Square root on the decaying branch: ``Re >= 0``, ties toward
+    ``Im >= 0``."""
+    r = cmath.sqrt(z)
+    if r.real < 0.0 or (r.real == 0.0 and r.imag < 0.0):
+        r = -r
+    return r
+
+
 @pytest.mark.parametrize("media, k", [
     (_LOSSLESS, complex(_INSIDE_LIGHT_CONE, 0.0)),
     (_LOSSLESS, complex(_INSIDE_LIGHT_CONE, -0.0)),
@@ -667,17 +679,109 @@ _INF, _NAN = math.inf, math.nan
 ], ids=["-re+0j", "-re-0j", "-k", "inf", "nan", "-inf-2j", "k-inf",
         "k-inf-inf", "k-nan"])
 def test_closure_decay_constants_are_decaying_sqrt(media, k):
-    """The residual closure writes the decaying-branch rule inline; on tie
-    and non-finite radicands its ``nu0``, ``num`` are :func:`_decaying_sqrt`
-    bit for bit, and ``cmath.sqrt`` never gives a negative real part (the
-    test that :func:`_decaying_sqrt` no longer makes)."""
+    """On tie and non-finite radicands the residual closure's ``nu0`` is
+    the decaying branch bit for bit, and its ``num`` is ``cmath.sqrt`` as
+    it comes, whose real part is never negative; the sign of ``num`` moves
+    no Newton step (the test after :func:`_tanh_form`)."""
     k0sq = media.k0 * media.k0
     system = dispersion._scaled_system(GEOM.d, media, SYMMETRIC.pm, k0sq)
+    nu0, num = system(k)[2:]
     kk = k * k
-    for got, eps in zip(system(k)[2:], (media.eps_d, media.eps_m)):
-        z = kk - eps * k0sq
-        assert not cmath.sqrt(z).real < 0.0
-        assert repr(got) == repr(dispersion._decaying_sqrt(z))
+    assert repr(nu0) == repr(_decaying_sqrt(kk - media.eps_d * k0sq))
+    assert repr(num) == repr(cmath.sqrt(kk - media.eps_m * k0sq))
+    assert not num.real < 0.0
+
+
+def _tanh_form(k, nu0, num, media, d, pm):
+    """``(F, dF/dk)`` of the tanh-form slab residual at the given decay
+    constants, in the closure's order of operations."""
+    eps_d, eps_m = media.eps_d, media.eps_m
+    t = cmath.tanh(num * (d / 2.0))
+    k_num, k_nu0 = k / num, k / nu0
+    dt = (1.0 - t * t) * (d / 2.0) * k_num
+    if pm < 0:
+        return (t * (eps_d * num) + eps_m * nu0,
+                dt * (eps_d * num) + t * eps_d * k_num + eps_m * k_nu0)
+    return (t * (eps_m * nu0) + eps_d * num,
+            dt * (eps_m * nu0) + t * eps_m * k_nu0 + eps_d * k_num)
+
+
+# real permittivities and k where num's radicand is a negative real with a
+# negative zero imaginary part: cmath.sqrt gives Re(num) == 0, Im(num) < 0
+_DENSER_FILM = MediumSet(OMEGA, complex(2.25, 0.0), complex(4.0, 0.0))
+_NUM_TIES = [
+    (_LOSSLESS, complex(-0.0, 5.0 * _LOSSLESS.k0)),
+    (_LOSSLESS, complex(0.0, -5.0 * _LOSSLESS.k0)),
+    (_DENSER_FILM, complex(0.5 * _DENSER_FILM.k0, -0.0)),
+    (_DENSER_FILM, complex(1.8 * _DENSER_FILM.k0, -0.0)),
+]
+
+
+@pytest.mark.parametrize("parity", PARITIES, ids=lambda p: p.name)
+@pytest.mark.parametrize("media, k", _NUM_TIES,
+                         ids=["-0+ik", "+0-ik", "nu0-tie-too", "num-tie"])
+def test_newton_step_is_the_same_for_either_sign_of_num(media, k, parity):
+    """``F`` and ``dF/dk`` are both even in ``num`` (antisymmetric) or both
+    odd (symmetric), so on a tie of ``num`` the step ``-F/F'`` and ``|F|``
+    that Newton reads are the same whichever root is taken."""
+    system = dispersion._scaled_system(GEOM.d, media, parity.pm,
+                                       media.k0 * media.k0)
+    f, df, nu0, num = system(k)
+    assert num.real == 0.0 and num.imag < 0.0
+    assert repr((f, df)) == repr(_tanh_form(k, nu0, num, media, GEOM.d,
+                                            parity.pm))
+    f_flip, df_flip = _tanh_form(k, nu0, -num, media, GEOM.d, parity.pm)
+    assert -f_flip / df_flip == -f / df
+    assert abs(f_flip) == abs(f)
+
+
+def test_solve_from_a_negated_guess_gives_the_same_root():
+    """The residual depends on ``k`` only through ``k*k``, so Newton from
+    ``-g`` mirrors Newton from ``g`` and the ``Re k < 0`` flip reports one
+    root: the same ``k_spp``, ``nu0``, ``num`` bits, or a refusal of the
+    same class, at both parities of 250 scan-box systems."""
+    solved = refused = 0
+    for point in _box_sample(250):
+        _, geom, media = _point_system(point)
+        guess = 1.01 * single_interface_root(media)
+        for parity in PARITIES:
+            records = []
+            for g in (guess, -guess):
+                try:
+                    sol = solve_dispersion(parity, geom, media, guess=g)
+                    records.append(repr((sol.k_spp, sol.nu0, sol.num)))
+                except DispersionError as exc:
+                    records.append(type(exc))
+            assert records[0] == records[1], (point, parity)
+            if isinstance(records[0], type):
+                refused += 1
+            else:
+                solved += 1
+    assert solved and refused  # both outcomes are exercised
+
+
+# k0 = 2**23 exactly, so each radicand below is formed without rounding
+_EXACT = MediumSet(2.0 ** 23 * C_LIGHT, complex(2.25, 0.0),
+                   complex(-16.0, 0.0))
+
+
+@pytest.mark.parametrize("parity", PARITIES, ids=lambda p: p.name)
+@pytest.mark.parametrize("k, zero", [
+    (complex(1.5 * 2.0 ** 23, 0.0), "nu0"),
+    (complex(0.0, 4.0 * 2.0 ** 23), "num"),
+], ids=["nu0", "num"])
+def test_closure_raises_where_a_decay_constant_vanishes(parity, k, zero):
+    """Where ``nu0`` or ``num`` is exactly 0 the closure's own division
+    raises ``ZeroDivisionError``, and Newton from that seed gives up."""
+    media = _EXACT
+    assert media.k0 == 2.0 ** 23
+    k0sq = media.k0 * media.k0
+    eps = media.eps_d if zero == "nu0" else media.eps_m
+    assert k * k - eps * k0sq == 0
+    system = dispersion._scaled_system(GEOM.d, media, parity.pm, k0sq)
+    with pytest.raises(ZeroDivisionError):
+        system(k)
+    assert dispersion._newton(k, GEOM.d, system) is None
 
 
 def test_closure_breaks_the_tie_toward_positive_imaginary_part():
@@ -734,26 +838,15 @@ def _solver_points():
     the parity, and last :data:`MULLER_POINT` and :data:`NO_ROOT_POINT`.
     """
     rng = random.Random(13)
-    points = [_box_point(rng, i, 3e-6 if i < 68 else 12e-9) for i in range(80)]
+    points = [box_point(rng, i, 3e-6 if i < 68 else 12e-9) for i in range(80)]
     return points + [MULLER_POINT, NO_ROOT_POINT]
-
-
-def _box_point(rng, i, d_max=3e-6):
-    """Point ``i`` of a draw over the scan box, the parity alternating."""
-    return {
-        "parity": ("symmetric", "antisymmetric")[i % 2],
-        "n_real": rng.uniform(0.9, 2.5),
-        "n_imag": rng.uniform(-0.15, 0.15),
-        "omega": rng.uniform(1e15, 9e15),
-        "d": 10.0 ** rng.uniform(math.log10(3e-9), math.log10(d_max)),
-    }
 
 
 def _box_sample(n):
     """The first ``n`` points of one fixed draw, ``random.Random(17)``,
     over the whole scan box."""
     rng = random.Random(17)
-    return [_box_point(rng, i) for i in range(n)]
+    return [box_point(rng, i) for i in range(n)]
 
 
 def _solver_record(point):

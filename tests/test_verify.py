@@ -10,6 +10,8 @@ from slabspp import (DielectricSpec, DrudeMetalSpec, NonConvergence,
 from slabspp.cli import load_config, main
 from slabspp.verify import run_checks
 
+from scan_box import box_point
+
 # each check with its default tolerance, in report order
 _PER_PARITY = (("ccr_closure", 1e-12), ("commutator_same_direction", 1e-6),
                ("commutator_cross_direction", 1e-6), ("green_identity", 1e-6),
@@ -227,21 +229,18 @@ BOX_COUNTS_ABOVE = {
 
 def _box_draw(n, metal, below):
     """The first ``n`` systems of one fixed draw, ``random.Random(8)``, over
-    the benchmark's scan box (n_real in [0.9, 2.5], n_imag in [-0.15,
-    0.15], omega in [1e15, 9e15] rad/s, a log-uniform d in [3 nm, 3 um])
-    that lie below 0.95 omega_sp of their own cladding (``below``), or at
-    or above it."""
+    the benchmark's scan box (:func:`scan_box.box_point`) that lie below
+    0.95 omega_sp of their own cladding (``below``), or at or above it."""
     rng = random.Random(8)
     systems = []
     while len(systems) < n:
-        n_real = rng.uniform(0.9, 2.5)
-        n_imag = rng.uniform(-0.15, 0.15)
-        omega = rng.uniform(1e15, 9e15)
-        d = 10.0 ** rng.uniform(math.log10(3e-9), math.log10(3e-6))
-        media = make_medium_set(metal, DielectricSpec(n_real, n_imag), omega)
+        point = box_point(rng, 0)  # run_checks takes both parities
+        omega = point["omega"]
+        media = make_medium_set(
+            metal, DielectricSpec(point["n_real"], point["n_imag"]), omega)
         omega_sp = metal.omega_p / math.sqrt(1.0 + media.eps_d.real)
         if (omega < 0.95 * omega_sp) == below:
-            systems.append((media, SlabGeometry(d)))
+            systems.append((media, SlabGeometry(point["d"])))
     return systems
 
 
