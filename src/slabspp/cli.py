@@ -277,13 +277,32 @@ def _write_csv(path, meta_lines, header, rows, trailer_lines=()):
     formatted line.
 
     A writer formats each row with one ``%``-format, numeric cells as
-    ``%.17g`` and text cells through :func:`_text`.
+    ``%.17g`` and text cells through :func:`_text`; a sweep CSV's failed
+    rows take the same format, with ``nan`` cells.
     """
     parts = [f"# {line}" for line in meta_lines]
     parts.append(",".join(header))
     parts.extend(rows)
     parts.extend(f"# {line}" for line in trailer_lines)
     _atomic_write(path, "\n".join(parts) + "\n")
+
+
+def _write_sweep(path, meta_lines, header, fmt, mode_cells, rows,
+                 trailer_lines=()) -> int:
+    """Write a sweep CSV, one ``fmt`` line per row: x, parity,
+    ``mode_cells(solution)`` and regime; a failed row has ``nan`` mode cells
+    and ``error: <its error>`` as regime.  Returns the failed row count.
+    """
+    nan_cells = (math.nan,) * (len(header) - 3)
+    lines = []
+    for row in rows:
+        s = row.solution
+        cells, regime = ((nan_cells, f"error: {row.error}") if s is None
+                         else (mode_cells(s), s.regime))
+        lines.append(fmt % (row.x, _text(row.parity.name), *cells,
+                            _text(regime)))
+    _write_csv(path, meta_lines, header, lines, trailer_lines)
+    return sum(row.solution is None for row in rows)
 
 
 def _media_meta(cfg):
@@ -303,29 +322,19 @@ def _cmd_dispersion(cfg, out_path, _args) -> int:
     sec = cfg["dispersion"]
     omegas = linspace(sec["omega_min"], sec["omega_max"],
                       sec["omega_points"])
-    rows_out = []
-    failures = 0
     metal, dielectric, geom = _system_of(cfg)
     rows = dispersion_sweep(sec["parities"], geom, metal, dielectric, omegas)
-    for row in rows:
-        if row.solution is None:
-            failures += 1
-            rows_out.append("%.17g,%s,nan,nan,nan,nan,nan,nan,nan,%s" % (
-                row.x, _text(row.parity.name), _text(f"error: {row.error}")))
-            continue
-        s = row.solution
-        rows_out.append(
-            "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s" % (
-                row.x, _text(row.parity.name), s.k_spp.real, s.k_spp.imag,
-                s.nu0.real, s.nu0.imag, s.num.real, s.num.imag, s.residual,
-                _text(s.regime)))
     meta = ["slabspp dispersion sweep"] + _media_meta(cfg) + [
         f"omega grid: {_g(sec['omega_min'])} .. {_g(sec['omega_max'])} rad/s, "
         f"{sec['omega_points']} points"]
     header = ["omega_rad_s", "parity", "re_k", "im_k", "re_nu0", "im_nu0",
               "re_num", "im_num", "residual", "regime"]
-    _write_csv(out_path, meta, header, rows_out)
-    print(f"wrote {out_path}: {len(rows_out)} rows, {failures} failed")
+    failures = _write_sweep(
+        out_path, meta, header,
+        "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s",
+        lambda s: (s.k_spp.real, s.k_spp.imag, s.nu0.real, s.nu0.imag,
+                   s.num.real, s.num.imag, s.residual), rows)
+    print(f"wrote {out_path}: {len(rows)} rows, {failures} failed")
     return 1 if failures else 0
 
 
@@ -336,18 +345,7 @@ def _cmd_gain_sweep(cfg, out_path, _args) -> int:
     metal, dielectric, geom = _system_of(cfg)
     result = gain_sweep(sec["parities"], geom, metal, dielectric.n_real,
                         kappas, sec["omega"])
-    rows_out = []
     failures = 0
-    for row in result.rows:
-        if row.solution is None:
-            failures += 1
-            rows_out.append("%.17g,%s,nan,nan,%s" % (
-                row.x, _text(row.parity.name), _text(f"error: {row.error}")))
-            continue
-        s = row.solution
-        rows_out.append("%.17g,%s,%.17g,%.17g,%s" % (
-            row.x, _text(row.parity.name), s.k_spp.real, s.k_spp.imag,
-            _text(s.regime)))
     trailer = [f"continuation: kappa from {_g(kappas[0])} to {_g(kappas[-1])}"]
     for parity in sec["parities"]:
         crossing = result.crossings.get(parity.name)
@@ -364,8 +362,10 @@ def _cmd_gain_sweep(cfg, out_path, _args) -> int:
                 f", im_k = {_g(crossing.k_at_crossing.imag)}")
     meta = ["slabspp gain sweep"] + _media_meta(cfg) + [
         f"omega = {_g(sec['omega'])} rad/s (cladding n_imag swept)"]
-    _write_csv(out_path, meta, ["kappa_d", "parity", "re_k", "im_k", "regime"],
-               rows_out, trailer)
+    failures += _write_sweep(
+        out_path, meta, ["kappa_d", "parity", "re_k", "im_k", "regime"],
+        "%.17g,%s,%.17g,%.17g,%s", lambda s: (s.k_spp.real, s.k_spp.imag),
+        result.rows, trailer)
     for line in trailer:
         print(line)
     return 1 if failures else 0
@@ -496,7 +496,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

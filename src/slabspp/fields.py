@@ -162,30 +162,30 @@ def _all_finite(row: list[complex]) -> bool:
 
 
 def _finite_row(row: list[complex], x: float, what: str) -> list[complex]:
-    """``row``, unless the modulus of a sample at ``x`` is not finite."""
+    """``row``, unless the modulus of a sample at ``x`` is not finite (the
+    refusal is unchained: an overflow being handled is not its cause)."""
     if _all_finite(row):
         return row
-    raise FieldOverflowError(f"{what} overflows at x = {x!r} m")
+    raise FieldOverflowError(f"{what} overflows at x = {x!r} m") from None
 
 
-def _rescaled_row(ikx: complex, pref: complex,
-                  zprof: list[complex]) -> list[complex]:
+def _rescaled_row(ikx: complex, pref: complex, zprof: list[complex],
+                  x: float, what: str) -> list[complex]:
     """The samples ``pref*p*e^{ikx}``, each formed as ``e^{ikx + log(pref*p)}``.
 
     An amplified mode's ``e^{ikx}`` (or its product with ``p``) can leave
     the float range where the sample, scaled back down by a small
     ``pref``, is still inside it; this order never forms the large factor
-    alone.  A zero ``pref*p`` gives a zero sample.  Raises
-    ``OverflowError`` where a sample itself is beyond the float range (and
-    ``ValueError`` where ``cmath`` meets an infinite argument).
+    alone.  A zero ``pref*p`` gives a zero sample.  A sample beyond the
+    float range (``cmath`` raises ``OverflowError``, or ``ValueError`` on
+    an infinite argument) is refused by :func:`_finite_row`.
     """
-    exp = cmath.exp
-    log = cmath.log
-    row = []
-    for p in zprof:
-        c = pref * p
-        row.append(exp(ikx + log(c)) if c else c)
-    return row
+    try:
+        row = [cmath.exp(ikx + cmath.log(c)) if c else c
+               for c in [pref * p for p in zprof]]
+    except (OverflowError, ValueError):  # cmath's: a sample is not finite
+        row = [complex(math.inf)]
+    return _finite_row(row, x, what)
 
 
 def h_field_mean(sol: ModeSolution, state: SppState,
@@ -195,11 +195,11 @@ def h_field_mean(sol: ModeSolution, state: SppState,
     ``grid`` is an ``(xs, zs)`` pair of 1-D float sequences (defaults to
     :func:`default_grid`).  The x dependence is a single exponential, so
     |H| is monotone along x at fixed z.  Each sample is ``pref*(e^{ikx}*p)``;
-    a row in which that order overflows is formed again by
+    a row where ``e^{ikx}`` or a sample overflows is formed again by
     :func:`_rescaled_row`, so it fails only where a sample itself leaves
-    the float range.  Raises :class:`FieldOverflowError`, naming the state
-    and the first x that overflows, instead of returning infinite or NaN
-    samples.
+    the float range.  Both go through :func:`_finite_row`, which raises
+    :class:`FieldOverflowError`, naming the state and the first x that
+    overflows, instead of returning infinite or NaN samples.
     """
     if grid is None:
         grid = default_grid(sol)
@@ -217,18 +217,9 @@ def h_field_mean(sol: ModeSolution, state: SppState,
         ikx = ik * x
         try:
             phase = cmath.exp(ikx)
-        except OverflowError:
-            row = None
-        else:
-            # a finite phase can still overflow the product, which is not
-            # raised
-            row = [pref * (phase * p) for p in zprof]
-        if row is None or not _all_finite(row):
-            try:
-                row = _finite_row(_rescaled_row(ikx, pref, zprof), x, what)
-            except (OverflowError, ValueError):  # cmath's, or _finite_row's
-                raise FieldOverflowError(
-                    f"{what} overflows at x = {x!r} m") from None
+            row = _finite_row([pref * (phase * p) for p in zprof], x, what)
+        except OverflowError:  # of e^{ikx}, or of a sample formed with it
+            row = _rescaled_row(ikx, pref, zprof, x, what)
         rows.append(row)
     return FieldSamples(xs=xs, zs=zs, rows=rows)
 

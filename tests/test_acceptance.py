@@ -15,7 +15,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import brentq
 
 from slabspp import (

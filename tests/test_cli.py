@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import slabspp
@@ -478,6 +477,11 @@ _BAD_CONFIGS = {
     "x_min-nan": ("[field]\nx_min = nan\n", "field"),
     "x_max-inf": ("[field]\nx_max = inf\n", "field"),
     "z_values-nan": ("[field]\nz_values = 0, nan\n", "field"),
+    # a parity is one of the two names (or "both" for a sweep)
+    "parities-unknown": ("[dispersion]\nparities = odd\n", "dispersion"),
+    "gain-parities-unknown": ("[gain-sweep]\nparities = symmetric, "
+                              "antisymmetric\n", "gain-sweep"),
+    "parity-unknown": ("[field]\nparity = both\n", "field"),
     # z_values is checked on load, also by a subcommand that never reads it
     "z_values-abc": ("[field]\nz_values = 0, abc\n", "dispersion"),
     "z_values-nan-dispersion": ("[field]\nz_values = 0, nan\n", "dispersion"),

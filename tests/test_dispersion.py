@@ -136,6 +136,32 @@ def test_single_interface_root_balances():
         media.eps_m * nu0)
 
 
+def test_single_interface_root_on_the_imaginary_axis_has_positive_imag():
+    """Where ``cmath.sqrt`` returns a root on the negative imaginary axis
+    (a negative radicand with a -0.0 imaginary part), the root is negated
+    to Im > 0."""
+    media = MediumSet(OMEGA, -0.5 + 0j, -0.5 + 0j)
+    assert cmath.sqrt(media.eps_m * media.eps_d
+                      / (media.eps_m + media.eps_d)) == -0.5j
+    k = single_interface_root(media)
+    assert k == 0.5j * media.k0 and k.imag > 0.0
+
+
+def test_compensated_permittivities_try_only_the_light_line_seed():
+    """At ``eps_m == -eps_d`` the single-interface root is undefined, so
+    the solve tries the light-line seed alone; where Newton fails from it
+    the refusal names that one seed."""
+    eps_d = _media(-0.063).eps_d
+    media = MediumSet(OMEGA, eps_d, -eps_d)
+    with pytest.raises(ValueError, match=r"eps_m \+ eps_d == 0"):
+        single_interface_root(media)
+    seed = 1.05 * media.k0 * cmath.sqrt(eps_d)
+    with pytest.raises(dispersion.NonConvergence) as info:
+        solve_dispersion(SYMMETRIC, GEOM, media)
+    assert str(info.value) == (f"symmetric mode: no root from seeds "
+                               f"{[seed]!r} at omega={OMEGA!r}")
+
+
 def test_parity_separation():
     """The high-k branch is the symmetric one for a thin film."""
     for kappa in (0.0, -0.063, -0.08):
@@ -343,6 +369,35 @@ def test_newton_gives_up_after_the_full_step_and_seven_halvings():
     assert dispersion._newton(seed, 1.0, system) is None
     step = -complex(1, 1.0) / (1.0 - 2.0j)
     assert calls == [seed] + [seed + 0.5 ** i * step for i in range(8)]
+
+
+def test_newton_gives_up_on_a_zero_derivative():
+    """``dF/dk == 0`` gives no Newton step: None, after the seed's one
+    evaluation."""
+    calls = []
+
+    def system(k):
+        calls.append(k)
+        return 1.0 + 0j, 0j, 1.0, 1.0
+
+    assert dispersion._newton(1.0 + 1.0j, 1.0, system) is None
+    assert calls == [1.0 + 1.0j]
+
+
+def test_newton_gives_up_after_its_iteration_limit():
+    """On ``F = exp(-k)`` every full step is 1 and lowers |F|, so it is
+    taken and never small enough to stop: None after ``_MAX_NEWTON``
+    steps."""
+    calls = []
+
+    def system(k):
+        calls.append(k)
+        f = cmath.exp(-k)
+        return f, -f, 1.0, 1.0
+
+    assert dispersion._newton(1.0 + 0j, 1.0, system) is None
+    assert len(calls) == 1 + dispersion._MAX_NEWTON
+    assert calls[-1] == pytest.approx(1.0 + dispersion._MAX_NEWTON, abs=1e-9)
 
 
 @pytest.mark.parametrize("miss, calls", [(1e-17, 1), (1e-15, 2)],
@@ -811,6 +866,19 @@ def test_guess_is_respected():
 
 def test_branch_violation_message_type():
     assert issubclass(BranchViolation, Exception)
+
+
+def test_root_with_an_unbound_cladding_is_a_branch_violation(monkeypatch):
+    """A zero-residual root whose cladding decay constant has
+    ``Re(nu0) == 0`` is refused as not transversely bound."""
+    root = 1.7e7 + 0j
+    monkeypatch.setattr(dispersion, "_newton", lambda k, d, system: (
+        root, (0j, 1.0, 3e6j, 3e7 + 0j)))
+    with pytest.raises(BranchViolation) as info:
+        solve_dispersion(SYMMETRIC, GEOM, _media(-0.063))
+    assert str(info.value) == (
+        f"symmetric root {root!r} is not transversely bound: "
+        "Re(nu0)=0.0, Re(num)=30000000.0")
 
 
 @settings(deadline=None, max_examples=20)

@@ -180,20 +180,29 @@ def test_overflowing_samples_raise():
 
 @pytest.mark.parametrize("parity", [SYMMETRIC, ANTISYMMETRIC])
 def test_sample_inside_float_range_past_overflowing_phase(parity):
-    """At Im(k)*x = 700, |e^{ikx}*p| ~ 1e311 but |H| ~ 1e297: a finite
-    sample, returned to within 1e-12 of |pref|*|p|*e^{|Im k|*x}."""
+    """At Im(k)*x = 700, |e^{ikx}*p| ~ 1e311 but |H| ~ 1e297; at 712,
+    past Im(k)*x ~ 709.8, e^{ikx} itself overflows but |H| ~ 3e302.  Both
+    are finite samples, returned to within 1e-12 of
+    e^{|Im k|*x + log(|pref|*|p|)}."""
     sol = _amplified(parity)
     ki = abs(sol.k_spp.imag)
-    x = 700.0 / ki
     zs = [0.0, GEOM.d]
-    row = h_field_mean(sol, SppState(alpha_mag=1.0), grid=([x], zs)).rows[0]
     pref = abs(_field_prefactor(sol))
     h_bracket = h_field_bracket_of(sol)
-    for z, v in zip(zs, row):
-        p = h_bracket(z)
-        assert not math.isfinite(abs(cmath.exp(1j * sol.k_spp * x) * p))
-        expected = pref * abs(p) * math.exp(ki * x)
-        assert abs(abs(v) - expected) <= 1e-12 * expected
+    for ki_x in (700.0, 712.0):
+        x = ki_x / ki
+        row = h_field_mean(sol, SppState(alpha_mag=1.0),
+                           grid=([x], zs)).rows[0]
+        if ki_x < 709.0:  # e^{ikx} is finite, its products with p are not
+            phase = cmath.exp(1j * sol.k_spp * x)
+            assert not any(math.isfinite(abs(phase * h_bracket(z)))
+                           for z in zs)
+        else:
+            with pytest.raises(OverflowError):
+                cmath.exp(1j * sol.k_spp * x)
+        for z, v in zip(zs, row):
+            expected = math.exp(ki * x + math.log(pref * abs(h_bracket(z))))
+            assert abs(abs(v) - expected) <= 1e-12 * expected
 
 
 def test_compare_states_is_pointwise_difference():

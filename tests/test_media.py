@@ -10,6 +10,7 @@ from slabspp import (
     HBAR,
     DielectricSpec,
     DrudeMetalSpec,
+    MediumSet,
     dielectric_epsilon,
     drude_epsilon,
     make_medium_set,
@@ -70,6 +71,10 @@ def test_validation_errors():
         DielectricSpec(-1.2)
     with pytest.raises(ValueError):
         make_medium_set(SILVERISH, DielectricSpec(1.0), 0.0)
+    # MediumSet checks omega itself, also when built from permittivities
+    for omega in (0.0, -3e15, float("nan")):
+        with pytest.raises(ValueError, match="omega must be positive"):
+            MediumSet(omega, 2.25 + 0j, -7.5 + 0.1j)
 
 
 @given(n_real=st.floats(0.1, 5.0),

@@ -249,6 +249,20 @@ def test_complex_quad_chunked_matches_plain():
     assert chunked == pytest.approx(exact, rel=1e-10)
 
 
+def test_complex_quad_chunked_refuses_an_understated_phase_rate():
+    """Told a rate of 1 for e^{10000 i s} on [0, 1], it integrates ~1600
+    periods as one chunk; the summed error estimate fails the gate on the
+    cancelled total.  The true rate passes it."""
+    omega = 1e4
+    f = lambda u: cmath.exp(1j * omega * u)
+    with pytest.raises(QuadratureError,
+                       match="accumulated quadrature error .* too large"):
+        complex_quad_chunked(f, 0.0, 1.0, 1.0)
+    exact = (cmath.exp(1j * omega) - 1.0) / (1j * omega)
+    assert complex_quad_chunked(f, 0.0, 1.0, omega) == pytest.approx(
+        exact, rel=1e-9)
+
+
 def test_complex_quad_chunked_empty_interval():
     assert complex_quad_chunked(lambda u: 1.0 + 0j, 1.0, 1.0, 5.0) == 0j
     assert complex_quad_chunked(lambda u: 1.0 + 0j, 2.0, 1.0, 5.0) == 0j

@@ -174,3 +174,37 @@ def test_no_except_clause_names_a_package_exception():
              for name in _handled_names(handler.type)
              if name in own - allowed]
     assert not named, named
+
+
+def _unused_imports(path):
+    """``(name, line)`` of each module-level import of ``path`` whose bound
+    name the module never reads nor lists in its ``__all__``."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = \
+                    node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((name, line) for name, line in bound.items()
+                  if name not in used)
+
+
+def test_no_module_level_import_goes_unused():
+    """Each name a module-level import binds, in the package, the tests or
+    the scripts, is read somewhere in its module."""
+    root = Path(__file__).resolve().parents[1]
+    unused = [(str(path.relative_to(root)), name, line)
+              for folder in (_SRC, root / "tests", root / "scripts")
+              for path in sorted(folder.glob("*.py"))
+              for name, line in _unused_imports(path)]
+    assert not unused, unused

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from slabspp import oracles
 from slabspp import (
     CROSS_DIRECTION,
     EPS0,
@@ -128,10 +129,20 @@ def test_same_direction_commutator_at_zero_separation():
     assert commutator(SAME_DIRECTION, 1.3e-7, 1.3e-7, sol) == 1.0 + 0.0j
 
 
-def test_cross_direction_vanishes_backward():
+def test_cross_direction_vanishes_backward(monkeypatch):
+    """For ``x <= x'`` the cross-direction source region is empty: both
+    commutators are ``0j``, and the quadrature one runs no quadrature."""
     sol, _ = _mode()
-    assert commutator(CROSS_DIRECTION, 1.0e-7, 1.0e-7, sol) == 0.0
-    assert commutator(CROSS_DIRECTION, 1.0e-7, 2.0e-7, sol) == 0.0
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature over an empty source region")
+
+    monkeypatch.setattr(oracles, "complex_quad_chunked", no_quadrature)
+    for x_prime in (1.0e-7, 2.0e-7):
+        assert commutator(CROSS_DIRECTION, 1.0e-7, x_prime, sol) == 0.0
+        value = commutator_numeric(CROSS_DIRECTION, 1.0e-7, x_prime, sol,
+                                   overlap_terms(sol))
+        assert value == 0j and type(value) is complex
 
 
 def test_commutator_frozen_values():
@@ -177,6 +188,8 @@ def test_unknown_kind_rejected():
     sol, _ = _mode()
     with pytest.raises(ValueError):
         commutator("sideways", 1e-7, 0.0, sol)
+    with pytest.raises(ValueError, match="unknown commutator kind 'sideways'"):
+        commutator_numeric("sideways", 1e-7, 0.0, sol, overlap_terms(sol))
 
 
 def test_green_identity_gain_and_loss():
